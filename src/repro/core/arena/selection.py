@@ -7,7 +7,7 @@ array sweeps instead of per-node DFS:
   with pruning number at most w").  Equivalent to
   :func:`repro.core.policies.select_with_pruning_numbers`: at each
   level the candidate children of in-range parents are gathered by
-  subtree-interval search, settled siblings are dropped (they never
+  their ``child_start`` slices, settled siblings are dropped (they never
   cost budget), and the per-parent live index is recovered with a
   segmented scan — ``child_budget = parent_budget - live_index``,
   keep iff ``>= 0``.
@@ -48,28 +48,31 @@ def children_of_many(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All children of ``parents_sel`` that lie on ``level``.
 
-    ``parents_sel`` must be sorted ascending; ``level`` is the sorted
-    preorder-index array of one depth.  Children of node ``v`` are
-    exactly the next-depth nodes inside the preorder interval
-    ``(v, v + spans[v])``, so one vectorised ``searchsorted`` pair per
-    level replaces the per-node child walk.
+    ``parents_sel`` must be sorted ascending and all lie one depth
+    above ``level`` (the sorted preorder-index array of one depth).
+    The children of ``v`` are one contiguous slice of ``level``
+    starting at ``child_start[v]``, ``arities[v]`` long, so a gather
+    and one segmented ``arange`` replace the per-node child walk.
 
     Returns ``(children, segment)`` where ``segment[j]`` indexes the
     parent of ``children[j]`` in ``parents_sel``; children appear in
     global preorder (parents are sorted and subtrees are disjoint).
     """
-    starts = np.searchsorted(level, parents_sel + 1)
-    ends = np.searchsorted(level, parents_sel + arrays.spans[parents_sel])
-    lens = ends - starts
-    total = int(lens.sum())
+    lens = arrays.arities[parents_sel]
+    count = parents_sel.shape[0]
+    if count == 1:
+        # One parent (the common case at narrow widths): a plain slice.
+        start = int(arrays.child_start[parents_sel[0]])
+        children = level[start:start + int(lens[0])]
+        return children, np.zeros(children.shape[0], dtype=np.int64)
+    ends = lens.cumsum()
+    total = int(ends[-1]) if count else 0
     if total == 0:
         return _EMPTY, _EMPTY
-    segment = np.repeat(np.arange(parents_sel.shape[0]), lens)
-    offsets = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(lens)[:-1])
-    )
-    positions = np.arange(total) - offsets[segment] + starts[segment]
-    return level[positions], segment
+    segment = np.arange(count).repeat(lens)
+    # Shift each parent's run so that arange(total) lands on its slice.
+    shift = arrays.child_start[parents_sel] - ends + lens
+    return level[np.arange(total) + shift[segment]], segment
 
 
 def _live_index(segment: np.ndarray) -> np.ndarray:

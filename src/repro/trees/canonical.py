@@ -29,6 +29,7 @@ import numpy as np
 
 from ..types import Gate, LeafValue, TreeKind
 from .base import GameTree, NodeId
+from .uniform import UniformTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .explicit import ExplicitTree
@@ -123,6 +124,12 @@ class CanonicalArrays:
     range.  ``repro.core.arena`` lowers trees through this dataclass
     and never touches the object graph again.
 
+    A second preorder fact makes children addressable without any
+    search: the children of a node are *contiguous* in the next
+    level's array (siblings are separated in preorder only by their
+    own, deeper, subtrees), so ``child_start`` plus ``arities`` names
+    them as one slice of ``levels[depths[i] + 1]``.
+
     Instances are immutable by convention: the arena engines read the
     columns but never write them (all mutable run state lives in the
     engine's own arrays).
@@ -154,6 +161,11 @@ class CanonicalArrays:
     #: nodes; within a level, nodes sharing a parent form contiguous
     #: runs (a preorder invariant the vectorised sweeps rely on).
     levels: Tuple[np.ndarray, ...]
+    #: Position of each internal node's first child in the next
+    #: level's array: the children of ``i`` are
+    #: ``levels[depths[i] + 1][child_start[i] : child_start[i] +
+    #: arities[i]]``, left to right.  -1 at leaves.
+    child_start: np.ndarray
 
     _index: Optional[Dict[NodeId, int]] = field(
         default=None, repr=False, compare=False
@@ -231,14 +243,36 @@ _ARRAYS_ATTR = "_repro_canonical_arrays"
 def canonical_arrays(tree: GameTree) -> CanonicalArrays:
     """Lower a tree to its :class:`CanonicalArrays` preorder columns.
 
-    One O(n) object-graph walk per tree *object* (memoised like
+    A :class:`~repro.trees.uniform.UniformTree` lowers by index
+    arithmetic over its levels; every other tree by one O(n)
+    object-graph walk.  The result is memoised per tree *object* (like
     :func:`canonical_hash`); every subsequent arena run reuses the
     columns without touching the tree again.
     """
     cached = getattr(tree, _ARRAYS_ATTR, None)
     if isinstance(cached, CanonicalArrays):
         return cached
+    # Exact type, not isinstance: a subclass may reshape the tree the
+    # index arithmetic describes.
+    if type(tree) is UniformTree:
+        arrays = _lower_uniform(tree)
+    else:
+        arrays = _lower_walk(tree)
+    # Slotted/frozen tree types reject the memo attribute; the arrays
+    # are simply recomputed on demand for them.
+    try:
+        setattr(tree, _ARRAYS_ATTR, arrays)
+    except AttributeError:  # lint: disable=R6
+        pass
+    return arrays
 
+
+def _lower_walk(tree: GameTree) -> CanonicalArrays:
+    """The generic lowering: one preorder walk of the object graph.
+
+    Accepts any tree, and is the reference the uniform lowering is
+    tested against.
+    """
     boolean = tree.kind is TreeKind.BOOLEAN
     ids: List[NodeId] = []
     parents: List[int] = []
@@ -299,13 +333,18 @@ def canonical_arrays(tree: GameTree) -> CanonicalArrays:
     )
 
     # Subtree spans by one bottom-up pass: each node contributes its
-    # (already summed) span to its parent, deepest level first.
+    # (already summed) span to its parent, deepest level first.  The
+    # same pass finds each parent's first child (child_pos 0) in the
+    # level below.
     spans_a = np.ones(n, dtype=np.int64)
+    child_start_a = np.full(n, -1, dtype=np.int64)
     for d in range(height, 0, -1):
         level = levels[d]
         np.add.at(spans_a, parents_a[level], spans_a[level])
+        first = np.flatnonzero(child_pos_a[level] == 0)
+        child_start_a[parents_a[level[first]]] = first
 
-    arrays = CanonicalArrays(
+    return CanonicalArrays(
         kind=tree.kind,
         node_ids=node_ids_a,
         parents=parents_a,
@@ -325,14 +364,86 @@ def canonical_arrays(tree: GameTree) -> CanonicalArrays:
             np.asarray(gate_other, dtype=np.int8) if boolean else None
         ),
         levels=levels,
+        child_start=child_start_a,
     )
-    # Slotted/frozen tree types reject the memo attribute; the arrays
-    # are simply recomputed on demand for them.
-    try:
-        setattr(tree, _ARRAYS_ATTR, arrays)
-    except AttributeError:  # lint: disable=R6
-        pass
-    return arrays
+
+
+def _lower_uniform(tree: UniformTree) -> CanonicalArrays:
+    """Lower a complete d-ary tree by index arithmetic, level by level.
+
+    Every depth-``k`` node has subtree size ``S[k]`` (``S[n] = 1``,
+    ``S[k] = 1 + d * S[k+1]``), so the preorder indices of its
+    children are ``pre + 1 + j * S[k+1]`` for ``j < d``.  Expanding a
+    whole level at once yields the next level already sorted, and the
+    heap ids, parents, child ranks and gates of a level are all
+    closed-form.  Columns equal :func:`_lower_walk`'s exactly.
+    """
+    d, height = tree.branching, tree.height()
+    sizes = [1] * (height + 1)
+    for k in range(height - 1, -1, -1):
+        sizes[k] = 1 + d * sizes[k + 1]
+    n = sizes[0]
+    ranks = np.arange(d, dtype=np.int64)
+    levels = [np.zeros(1, dtype=np.int64)]
+    for k in range(height):
+        levels.append(
+            (levels[k][:, None] + 1 + ranks * sizes[k + 1]).ravel()
+        )
+
+    node_ids = np.empty(n, dtype=np.int64)
+    parents = np.empty(n, dtype=np.int64)
+    spans = np.empty(n, dtype=np.int64)
+    depths = np.empty(n, dtype=np.int64)
+    arities = np.zeros(n, dtype=np.int64)
+    child_pos = np.empty(n, dtype=np.int64)
+    child_start = np.full(n, -1, dtype=np.int64)
+    parents[0] = -1
+    child_pos[0] = 0
+    first_id = 0  # heap id of the level's leftmost node
+    for k, level in enumerate(levels):
+        count = level.shape[0]
+        node_ids[level] = np.arange(first_id, first_id + count)
+        spans[level] = sizes[k]
+        depths[level] = k
+        if k < height:
+            below = levels[k + 1]
+            arities[level] = d
+            child_start[level] = np.arange(0, count * d, d)
+            parents[below] = np.repeat(level, d)
+            child_pos[below] = np.tile(ranks, count)
+        first_id = first_id * d + 1
+
+    values = np.full(n, np.nan)
+    values[levels[height]] = tree.leaf_values_array
+    gate_abs: Optional[np.ndarray] = None
+    gate_on: Optional[np.ndarray] = None
+    gate_other: Optional[np.ndarray] = None
+    if tree.kind is TreeKind.BOOLEAN:
+        gate_abs = np.full(n, -1, dtype=np.int8)
+        gate_on = np.full(n, -1, dtype=np.int8)
+        gate_other = np.full(n, -1, dtype=np.int8)
+        for k in range(height):
+            gate = tree.gate(int(node_ids[levels[k][0]]))
+            gate_abs[levels[k]] = gate.absorbing
+            gate_on[levels[k]] = gate.on_absorb
+            gate_other[levels[k]] = gate.otherwise
+
+    return CanonicalArrays(
+        kind=tree.kind,
+        node_ids=node_ids,
+        parents=parents,
+        spans=spans,
+        depths=depths,
+        arities=arities,
+        child_pos=child_pos,
+        is_leaf=arities == 0,
+        values=values,
+        gate_absorbing=gate_abs,
+        gate_on_absorb=gate_on,
+        gate_otherwise=gate_other,
+        levels=tuple(levels),
+        child_start=child_start,
+    )
 
 
 def trees_equal(a: GameTree, b: GameTree) -> bool:

@@ -25,8 +25,12 @@ from repro.core.arena import most_urgent, select_width
 from repro.core.nodeexpansion import n_parallel_solve
 from repro.errors import ModelViolationError
 from repro.telemetry import InMemoryRecorder
-from repro.trees import ExplicitTree, canonical_arrays
-from repro.trees.generators import iid_boolean, iid_minmax
+from repro.trees import ExplicitTree, UniformTree, canonical_arrays
+from repro.trees.generators import (
+    iid_boolean,
+    iid_minmax,
+    iid_minmax_integers,
+)
 from repro.trees.generators.iid import level_invariant_bias
 from repro.types import Gate, TreeKind
 
@@ -184,6 +188,74 @@ def test_irregular_explicit_tree():
             tree, width, keep_batches=True, backend="incremental"
         )
         assert _signature(arena) == _signature(reference)
+
+
+# ---------------------------------------------------------------------------
+# degenerate shapes: arities of 0 and 1, ties, forced values
+# ---------------------------------------------------------------------------
+#: Leaves at depths 1 to 4 under parents of arity 1, 2 and 3.
+_MIXED_ARITY = [[1, [0, [1]]], 0, [[1, 0, 1], [[0]]]]
+
+DEGENERATE_BOOLEAN = {
+    "height0-uniform": UniformTree(3, 0, [1], kind=TreeKind.BOOLEAN),
+    "height0-explicit": ExplicitTree(
+        [[]], {0: 0}, kind=TreeKind.BOOLEAN, gates=None
+    ),
+    "chain": UniformTree(1, 6, [1], kind=TreeKind.BOOLEAN),
+    "all-absorbing": iid_boolean(3, 4, 1.0, seed=0),
+    "all-non-absorbing": iid_boolean(2, 5, 0.0, seed=0),
+    "mixed-arity": ExplicitTree.from_nested(_MIXED_ARITY, gates=Gate.NOR),
+    "mixed-arity-and-or": ExplicitTree.from_nested(
+        _MIXED_ARITY, gates=[Gate.AND, Gate.OR]
+    ),
+}
+
+DEGENERATE_MINMAX = {
+    "height0-uniform": UniformTree(2, 0, [3.5], kind=TreeKind.MINMAX),
+    "chain": UniformTree(1, 5, [2.0], kind=TreeKind.MINMAX),
+    "ties-1": iid_minmax_integers(3, 4, seed=5, num_values=1),
+    "ties-2": iid_minmax_integers(3, 4, seed=5, num_values=2),
+    "ties-2-binary": iid_minmax_integers(2, 6, seed=9, num_values=2),
+    "mixed-arity": ExplicitTree.from_nested(
+        [[4, [2, [7]]], 5, [[1, 5, 3], [[6]]]], kind=TreeKind.MINMAX
+    ),
+}
+
+
+def _events(recorder):
+    return [e for e in recorder.events if not e.name.startswith("frontier.")]
+
+
+def _assert_backends_agree(engine, *args):
+    """Arena and incremental: same batches, accounting and telemetry."""
+    runs = []
+    for backend in ("arena", "incremental"):
+        rec = InMemoryRecorder()
+        result = engine(
+            *args, keep_batches=True, recorder=rec, backend=backend
+        )
+        runs.append((
+            _signature(result), result.evaluated, result.num_steps,
+            _events(rec),
+        ))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_BOOLEAN))
+def test_degenerate_boolean_trees(name):
+    tree = DEGENERATE_BOOLEAN[name]
+    for width in (0, 1, 2, 8):
+        _assert_backends_agree(parallel_solve, tree, width)
+    for procs in (1, 2, 3):
+        _assert_backends_agree(team_solve, tree, procs)
+    _assert_backends_agree(saturation_solve, tree)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_MINMAX))
+def test_degenerate_minmax_trees(name):
+    tree = DEGENERATE_MINMAX[name]
+    for width in (0, 1, 2, 8):
+        _assert_backends_agree(parallel_alpha_beta, tree, width)
 
 
 # ---------------------------------------------------------------------------

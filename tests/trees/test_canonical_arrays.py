@@ -1,9 +1,18 @@
 """CanonicalArrays: preorder lowering invariants and round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.trees import CanonicalArrays, canonical_arrays, trees_equal
+from repro.trees import (
+    CanonicalArrays,
+    UniformTree,
+    alternating,
+    canonical_arrays,
+    trees_equal,
+)
+from repro.trees.canonical import _lower_walk
 from repro.trees.explicit import ExplicitTree
 from repro.trees.generators import iid_boolean, iid_minmax
 from repro.trees.io import tree_to_dict
@@ -39,6 +48,15 @@ def _check_invariants(arrays: CanonicalArrays) -> None:
                 assert p not in seen
                 seen.add(p)
                 previous = p
+    # child_start names each internal node's children as one slice of
+    # the next level; leaves carry -1.
+    for v in range(n):
+        start, arity = int(arrays.child_start[v]), int(arrays.arities[v])
+        if arity == 0:
+            assert start == -1
+            continue
+        below = arrays.levels[int(arrays.depths[v]) + 1]
+        assert below[start:start + arity].tolist() == arrays.children_of(v)
 
 
 @pytest.mark.parametrize("branching,height", [(2, 3), (3, 4), (2, 6)])
@@ -122,3 +140,66 @@ def test_leaf_values_nan_at_internal_nodes():
     arrays = canonical_arrays(tree)
     assert np.isnan(arrays.values[~arrays.is_leaf]).all()
     assert not np.isnan(arrays.values[arrays.is_leaf]).any()
+
+
+# ---------------------------------------------------------------------------
+# the index-arithmetic lowering of UniformTree against the generic walk
+# ---------------------------------------------------------------------------
+def _uniform_cases():
+    rng = np.random.default_rng(2024)
+    for d in range(1, 6):
+        for n in range(0, 7):
+            leaves = d ** n
+            yield pytest.param(
+                UniformTree(d, n, rng.normal(size=leaves),
+                            kind=TreeKind.MINMAX),
+                id=f"d{d}n{n}-minmax",
+            )
+            bits = rng.integers(0, 2, size=leaves)
+            yield pytest.param(
+                UniformTree(d, n, bits, kind=TreeKind.BOOLEAN),
+                id=f"d{d}n{n}-nor",
+            )
+            yield pytest.param(
+                UniformTree(d, n, bits, kind=TreeKind.BOOLEAN,
+                            gates=alternating(Gate.AND)),
+                id=f"d{d}n{n}-and-or",
+            )
+
+
+def _assert_columns_equal(fast: CanonicalArrays, walk: CanonicalArrays):
+    for f in dataclasses.fields(CanonicalArrays):
+        if not f.compare:
+            continue
+        a, b = getattr(fast, f.name), getattr(walk, f.name)
+        if f.name == "kind":
+            assert a is b
+        elif f.name == "levels":
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype
+                assert np.array_equal(x, y)
+        elif b is None:
+            assert a is None, f.name
+        else:
+            assert a.dtype == b.dtype, f.name
+            assert a.shape == b.shape, f.name
+            assert np.array_equal(a, b, equal_nan=True), f.name
+
+
+@pytest.mark.parametrize("tree", list(_uniform_cases()))
+def test_uniform_lowering_matches_walk(tree):
+    fast = canonical_arrays(tree)
+    walk = _lower_walk(tree)
+    _assert_columns_equal(fast, walk)
+    assert fast.node_ids.dtype == np.int64
+    assert fast.values.dtype == np.float64
+    assert np.isnan(fast.values[~fast.is_leaf]).all()
+    if tree.kind is TreeKind.BOOLEAN:
+        for column in (
+            fast.gate_absorbing, fast.gate_on_absorb, fast.gate_otherwise
+        ):
+            assert column is not None and column.dtype == np.int8
+    else:
+        assert fast.gate_absorbing is None
+    _check_invariants(fast)
