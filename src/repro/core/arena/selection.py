@@ -60,11 +60,6 @@ def children_of_many(
     """
     lens = arrays.arities[parents_sel]
     count = parents_sel.shape[0]
-    if count == 1:
-        # One parent (the common case at narrow widths): a plain slice.
-        start = int(arrays.child_start[parents_sel[0]])
-        children = level[start:start + int(lens[0])]
-        return children, np.zeros(children.shape[0], dtype=np.int64)
     ends = lens.cumsum()
     total = int(ends[-1]) if count else 0
     if total == 0:

@@ -371,17 +371,18 @@ def _lower_walk(tree: GameTree) -> CanonicalArrays:
 def _lower_uniform(tree: UniformTree) -> CanonicalArrays:
     """Lower a complete d-ary tree by index arithmetic, level by level.
 
-    Every depth-``k`` node has subtree size ``S[k]`` (``S[n] = 1``,
-    ``S[k] = 1 + d * S[k+1]``), so the preorder indices of its
-    children are ``pre + 1 + j * S[k+1]`` for ``j < d``.  Expanding a
-    whole level at once yields the next level already sorted, and the
-    heap ids, parents, child ranks and gates of a level are all
-    closed-form.  Columns equal :func:`_lower_walk`'s exactly.
+    The heap layout is the tree's own: the leftmost node at depth ``k``
+    has id ``tree.level_offset(k)``, ids run left to right along a
+    level, and every depth-``k`` subtree holds
+    ``S[k] = tree.level_offset(height - k + 1)`` nodes.  The preorder
+    indices of a node's children are therefore ``pre + 1 + j * S[k+1]``
+    for ``j < d``.  Expanding a whole level at once yields the next
+    level already sorted, and the heap ids, parents, child ranks and
+    gates of a level are all closed-form.  Columns equal
+    :func:`_lower_walk`'s exactly.
     """
     d, height = tree.branching, tree.height()
-    sizes = [1] * (height + 1)
-    for k in range(height - 1, -1, -1):
-        sizes[k] = 1 + d * sizes[k + 1]
+    sizes = [tree.level_offset(height - k + 1) for k in range(height + 1)]
     n = sizes[0]
     ranks = np.arange(d, dtype=np.int64)
     levels = [np.zeros(1, dtype=np.int64)]
@@ -399,9 +400,9 @@ def _lower_uniform(tree: UniformTree) -> CanonicalArrays:
     child_start = np.full(n, -1, dtype=np.int64)
     parents[0] = -1
     child_pos[0] = 0
-    first_id = 0  # heap id of the level's leftmost node
     for k, level in enumerate(levels):
         count = level.shape[0]
+        first_id = tree.level_offset(k)
         node_ids[level] = np.arange(first_id, first_id + count)
         spans[level] = sizes[k]
         depths[level] = k
@@ -411,7 +412,6 @@ def _lower_uniform(tree: UniformTree) -> CanonicalArrays:
             child_start[level] = np.arange(0, count * d, d)
             parents[below] = np.repeat(level, d)
             child_pos[below] = np.tile(ranks, count)
-        first_id = first_id * d + 1
 
     values = np.full(n, np.nan)
     values[levels[height]] = tree.leaf_values_array

@@ -145,6 +145,15 @@ class UniformTree(GameTree):
         """Node id of the leftmost leaf."""
         return self._first_leaf
 
+    def level_offset(self, level: int) -> int:
+        """Node id of the leftmost node at depth ``level``.
+
+        Ids are heap-numbered level by level, so this is also the number
+        of nodes above ``level``; ``level_offset(height() + 1)`` is
+        :meth:`num_nodes`.  Valid for ``0 <= level <= height() + 1``.
+        """
+        return self._offset[level]
+
     def leaf_index(self, node: int) -> int:
         """Position of leaf ``node`` in left-to-right leaf order."""
         return node - self._first_leaf

@@ -22,6 +22,7 @@ from repro.core.alphabeta import (
 )
 from repro.core.arena import arena_alpha_beta
 from repro.core.arena import most_urgent, select_width
+from repro.core.arena.selection import children_of_many
 from repro.core.nodeexpansion import n_parallel_solve
 from repro.errors import ModelViolationError
 from repro.telemetry import InMemoryRecorder
@@ -288,3 +289,20 @@ def test_most_urgent_prefix_of_counting_sort():
     assert most_urgent(leaves, scores, 3, 3).tolist() == [0, 1, 3]
     # p = 1: ties at the cutoff break leftmost-first.
     assert most_urgent(leaves, scores, 3, 1).tolist() == [1]
+
+
+@pytest.mark.parametrize("parents", [[0], [1], [1, 3], [1, 2, 3]])
+def test_children_of_many_gathers_fresh_arrays(parents):
+    tree = UniformTree(3, 2, np.arange(9) % 2)
+    arrays = canonical_arrays(tree)
+    parents_sel = np.asarray(parents, dtype=np.int64)
+    # Every selected parent lies on one depth; read the level below it.
+    level = arrays.levels[int(arrays.depths[parents_sel[0]]) + 1]
+    children, segment = children_of_many(arrays, parents_sel, level)
+    expected = [c for v in parents for c in arrays.children_of(v)]
+    assert children.tolist() == expected
+    assert segment.tolist() == [
+        j for j, v in enumerate(parents) for _ in arrays.children_of(v)
+    ]
+    # Callers may write to the result; it must never alias ``levels``.
+    assert not np.shares_memory(children, level)

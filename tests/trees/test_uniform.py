@@ -47,6 +47,11 @@ class TestIndexing:
         with pytest.raises(TreeStructureError):
             t23.leaf_value(3)
 
+    def test_level_offset(self, t23):
+        assert [t23.level_offset(k) for k in range(5)] == [0, 1, 3, 7, 15]
+        assert t23.level_offset(3) == t23.first_leaf_id()
+        assert t23.level_offset(4) == t23.num_nodes()
+
     def test_counts(self, t23):
         assert t23.num_nodes() == 15
         assert t23.num_leaves() == 8
