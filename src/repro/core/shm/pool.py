@@ -7,10 +7,11 @@ chunking, bounded-backoff crash retries, hung-chunk timeouts, pool
 rebuilds and the rebuild circuit breaker all apply unchanged — and
 adds only the shared-memory transport:
 
-* the pool's worker processes attach the segments once, in the
-  executor *initializer* (so a rebuilt pool re-attaches by itself —
-  ``OracleRuntime.restart_pool`` calls the factory again, which
-  re-runs the initializer in the fresh workers);
+* the worker processes of the default
+  :class:`~repro.models.executors.PipePool` attach the segments once,
+  in the executor *initializer* (so a rebuilt pool re-attaches by
+  itself — ``OracleRuntime.restart_pool`` calls the factory again,
+  which re-runs the initializer in the fresh workers);
 * a step's payloads are just the positions ``0..m-1`` of the batch
   column — one small int each, instead of pickling leaf values out
   and back;
@@ -29,12 +30,12 @@ half-written chunk from a crashed worker is harmless.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from ...models.executors import OracleRuntime, RuntimeStats
+from ...models.executors import OracleRuntime, PipePool, RuntimeStats
 from ...telemetry import Recorder
 from .oracle import identity_oracle
 from .segments import ArenaSegments, SegmentSpec
@@ -130,7 +131,7 @@ class ShmPool:
         leaf_oracle = self.oracle
         if executor_factory is None:
             def factory() -> Executor:
-                return ProcessPoolExecutor(
+                return PipePool(
                     max_workers=workers,
                     initializer=_worker_init,
                     initargs=(spec, leaf_oracle),

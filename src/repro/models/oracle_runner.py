@@ -11,12 +11,12 @@ parallel structure is exactly the width-w schedule: per-step wall time
 
 Usage::
 
-    from concurrent.futures import ProcessPoolExecutor
+    from repro.models.executors import PipePool
 
     def oracle(payload):          # expensive; must be picklable
         ...
 
-    with ProcessPoolExecutor() as pool:
+    with PipePool() as pool:
         result = run_with_oracle(tree, oracle, WidthPolicy(1), pool)
 
 ``tree`` supplies structure and per-leaf payloads; oracle values are

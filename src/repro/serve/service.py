@@ -37,7 +37,7 @@ all of them.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -47,7 +47,7 @@ from ..errors import (
     DegradedRunError,
     WorkerCrashError,
 )
-from ..models.executors import OracleRuntime, RuntimeStats
+from ..models.executors import OracleRuntime, PipePool, RuntimeStats
 from ..telemetry import Recorder, live
 from .cache import CacheStats, ResultCache
 from .engines import evaluate_payload
@@ -91,7 +91,7 @@ def _pool_factory(
     if pool == "thread":
         return lambda: ThreadPoolExecutor(max_workers=max_workers)
     if pool == "process":
-        return lambda: ProcessPoolExecutor(max_workers=max_workers)
+        return lambda: PipePool(max_workers=max_workers)
     raise ValueError(f"unknown pool {pool!r}; expected one of {POOLS}")
 
 

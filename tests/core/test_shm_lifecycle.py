@@ -11,7 +11,9 @@ runs.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import resource_tracker, shared_memory
 
@@ -77,6 +79,14 @@ class _CrashOnce:
 class _CrashAlways:
     def __call__(self, value: float, index: int) -> float:
         os._exit(1)
+
+
+class _Hang:
+    """Leaf oracle that never returns within a test's patience."""
+
+    def __call__(self, value: float, index: int) -> float:
+        threading.Event().wait(60.0)
+        return value
 
 
 class TestCleanShutdown:
@@ -147,6 +157,29 @@ class TestCrashRebuild:
         for name in names:
             assert not _live(name)
         assert _dev_shm_entries() == before
+
+
+    def test_timed_out_worker_does_not_outlive_the_session(self, tree):
+        # The hung worker keeps the segments mapped for as long as it
+        # lives, so the rebuild must terminate it, not abandon it.
+        before = multiprocessing.active_children()
+        names = ()
+        with pytest.raises(WorkerCrashError):
+            with ShmSession(
+                tree,
+                ShmOptions(
+                    workers=1, oracle=_Hang(), max_retries=0,
+                    chunk_timeout=0.2,
+                ),
+            ) as session:
+                names = _session_names(session)
+                session.parallel_solve(1)
+        assert session.pool.stats.timeouts == 1
+        assert [
+            p for p in multiprocessing.active_children() if p not in before
+        ] == []
+        for name in names:
+            assert not _live(name)
 
 
 class TestDegradedPath:

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.models.executors import BatchEvaluator
+from repro.models.executors import BatchEvaluator, PipePool
 
 
 def square(x):
@@ -23,6 +23,12 @@ class TestBatchEvaluator:
                 assert ev.evaluate(range(20)) == [
                     i * i for i in range(20)
                 ]
+
+    def test_default_executor_is_an_owned_pipe_pool(self):
+        with BatchEvaluator(square) as ev:
+            assert isinstance(ev._executor, PipePool)
+            assert ev.evaluate(range(5)) == [0, 1, 4, 9, 16]
+        assert ev._executor is None
 
     def test_use_outside_context_raises(self):
         ev = BatchEvaluator(square)
@@ -426,3 +432,138 @@ class TestFaultyExecutor:
                 i * i for i in range(12)
             ]
         assert rt.stats.retries + rt.stats.pool_restarts > 0
+
+
+# ---------------------------------------------------------------------------
+# PipePool: the default process transport
+# ---------------------------------------------------------------------------
+import multiprocessing
+from concurrent.futures import TimeoutError as FuturesTimeoutError
+
+
+
+class OracleBug(Exception):
+    """A task-side exception type the pool must hand back unchanged."""
+
+
+def _raise_bug(x):
+    raise OracleBug(f"bad payload {x}")
+
+
+def _die(x):
+    os._exit(3)
+
+
+def _hang(x):
+    threading.Event().wait(60.0)
+    return x
+
+
+def _failing_init():
+    raise ValueError("initializer broke")
+
+
+def _total(values):
+    return sum(values)
+
+
+def _new_children(before):
+    return [p for p in multiprocessing.active_children() if p not in before]
+
+
+class TestPipePool:
+    def test_results_ordered_with_more_chunks_than_workers(self):
+        with OracleRuntime(square, max_workers=2, chunk_size=1) as rt:
+            assert rt.evaluate(range(9)) == [i * i for i in range(9)]
+            assert rt.stats.chunks == 9
+        with PipePool(max_workers=2) as pool:
+            futures = [pool.submit(square, i) for i in range(7)]
+            assert [f.result() for f in reversed(futures)] == [
+                i * i for i in reversed(range(7))
+            ]
+
+    def test_worker_exception_keeps_its_type(self):
+        with PipePool(max_workers=1) as pool:
+            with pytest.raises(OracleBug, match="bad payload 4") as err:
+                pool.submit(_raise_bug, 4).result()
+            # The worker traceback rides along; the pool stays usable.
+            assert "_raise_bug" in str(err.value.__cause__)
+            assert pool.submit(square, 5).result() == 25
+
+    def test_killed_worker_breaks_the_pool(self):
+        pool = PipePool(max_workers=2)
+        try:
+            running = pool.submit(_die, 0)
+            with pytest.raises(BrokenExecutor, match="exit code 3"):
+                running.result(timeout=30.0)
+            with pytest.raises(BrokenExecutor):
+                pool.submit(square, 1)
+        finally:
+            pool.shutdown()
+
+    def test_runtime_rebuilds_after_killed_worker(self, tmp_path):
+        sentinel = str(tmp_path / "crashed-once")
+        payloads = [(sentinel, v) for v in range(6)]
+        with OracleRuntime(
+            _crash_until_sentinel, max_workers=2, chunk_size=1,
+            max_retries=3, backoff_seconds=0.0, sleep=lambda _s: None,
+        ) as rt:
+            assert rt.evaluate(payloads) == [2 * v for v in range(6)]
+        assert rt.stats.pool_restarts >= 1
+
+    def test_failing_initializer_breaks_the_pool(self):
+        pool = PipePool(max_workers=1, initializer=_failing_init)
+        try:
+            with pytest.raises(BrokenExecutor):
+                pool.submit(square, 2).result(timeout=30.0)
+            with pytest.raises(BrokenExecutor):
+                pool.submit(square, 3)
+        finally:
+            pool.shutdown()
+
+    def test_submit_after_shutdown_raises(self):
+        pool = PipePool(max_workers=1)
+        assert pool.submit(square, 3).result() == 9
+        pool.shutdown()
+        pool.shutdown()
+        with pytest.raises(RuntimeError):
+            pool.submit(square, 4)
+
+    def test_arguments_are_pickled_at_submit(self):
+        with PipePool(max_workers=1) as pool:
+            # The only worker is busy, so this task waits in the queue
+            # while its argument is mutated.
+            busy = pool.submit(square, 6)
+            values = [1, 2]
+            queued = pool.submit(_total, values)
+            values.append(100)  # lint: disable=R9
+            assert busy.result() == 36
+            assert queued.result() == 3
+
+    def test_missed_deadline_then_shutdown_kills_the_worker(self):
+        before = multiprocessing.active_children()
+        pool = PipePool(max_workers=1)
+        future = pool.submit(_hang, 1)
+        with pytest.raises(FuturesTimeoutError):
+            future.result(timeout=0.05)
+        pool.shutdown(wait=False)
+        with pytest.raises(BrokenExecutor):
+            future.result(timeout=0)
+        assert _new_children(before) == []
+
+    def test_constructor_validation(self):
+        with pytest.raises(ValueError):
+            PipePool(max_workers=0)
+
+
+class TestTimedOutWorkersTerminated:
+    def test_no_child_survives_close_after_a_timeout(self):
+        before = multiprocessing.active_children()
+        rt = OracleRuntime(
+            _hang, max_workers=1, max_retries=0, chunk_timeout=0.2
+        )
+        with pytest.raises(WorkerCrashError):
+            rt.evaluate([1])
+        rt.close()
+        assert rt.stats.timeouts == 1
+        assert _new_children(before) == []
