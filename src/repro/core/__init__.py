@@ -12,11 +12,6 @@ randomized variants (Section 6) in :mod:`repro.core.randomized`.
 """
 
 from .arena import (
-    ArenaAlphaBetaWidthPolicy,
-    ArenaBoundedWidthPolicy,
-    ArenaSaturationPolicy,
-    ArenaTeamPolicy,
-    ArenaWidthPolicy,
     arena_alpha_beta,
     arena_parallel_solve,
     arena_saturation_solve,
@@ -57,11 +52,6 @@ from .shm import (
     ShmOptions,
     ShmRunResult,
     ShmSession,
-    shm_parallel_alpha_beta,
-    shm_parallel_solve,
-    shm_saturation_solve,
-    shm_sequential_alpha_beta,
-    shm_team_solve,
 )
 from .solve_engine import run_boolean
 from .status import BooleanState
@@ -82,11 +72,6 @@ __all__ = [
     "ShmOptions",
     "ShmRunResult",
     "ShmSession",
-    "shm_parallel_solve",
-    "shm_saturation_solve",
-    "shm_team_solve",
-    "shm_sequential_alpha_beta",
-    "shm_parallel_alpha_beta",
     "FrontierIndex",
     "SequentialPolicy",
     "TeamPolicy",
@@ -97,11 +82,6 @@ __all__ = [
     "arena_saturation_solve",
     "arena_team_solve",
     "arena_alpha_beta",
-    "ArenaWidthPolicy",
-    "ArenaBoundedWidthPolicy",
-    "ArenaTeamPolicy",
-    "ArenaSaturationPolicy",
-    "ArenaAlphaBetaWidthPolicy",
     "IncrementalWidthPolicy",
     "IncrementalBoundedWidthPolicy",
     "IncrementalTeamPolicy",

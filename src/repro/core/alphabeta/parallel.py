@@ -14,34 +14,32 @@ from typing import TYPE_CHECKING, Optional
 from ...models.accounting import EvalResult
 from ...telemetry import Recorder
 from ...trees.base import GameTree
-from ..arena import ArenaAlphaBetaWidthPolicy, arena_alpha_beta
-from ..parallel_solve import (
-    check_shm_support,
-    resolve_backend,
-    resolve_executor,
-)
+from ..arena import arena_alpha_beta
+from ..parallel_solve import Route, dispatch
 from .engine import (
     AlphaBetaWidthPolicy,
     IncrementalAlphaBetaWidthPolicy,
-    MinmaxPolicy,
     run_minmax,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..shm import ShmOptions
 
+_POLICIES = {
+    "rescan": AlphaBetaWidthPolicy,
+    "incremental": IncrementalAlphaBetaWidthPolicy,
+}
 
-def _width_policy(
-    width: int, backend: str, recorder: Optional[Recorder] = None
-) -> MinmaxPolicy:
-    backend = resolve_backend(backend)
-    if backend == "arena":
-        return ArenaAlphaBetaWidthPolicy(width)
-    if backend == "incremental":
-        policy = IncrementalAlphaBetaWidthPolicy(width)
-        policy.recorder = recorder
-        return policy
-    return AlphaBetaWidthPolicy(width)
+# The pruning process runs on any tree kind (a Boolean tree's 0/1
+# leaves are valid MIN/MAX values), so neither route checks the kind.
+_SEQUENTIAL_ALPHA_BETA = Route(
+    "sequential-alpha-beta", None, _POLICIES,
+    run_minmax, arena_alpha_beta, "alpha_beta",
+)
+
+_PARALLEL_ALPHA_BETA = _SEQUENTIAL_ALPHA_BETA._replace(
+    engine="parallel-alpha-beta"
+)
 
 
 def sequential_alpha_beta(
@@ -54,26 +52,10 @@ def sequential_alpha_beta(
     recorder: Optional[Recorder] = None,
 ) -> EvalResult:
     """The alpha-beta pruning procedure, one leaf per basic step."""
-    backend = resolve_backend(backend)
-    if resolve_executor(executor) == "shm":
-        check_shm_support("sequential-alpha-beta", backend)
-        from ..shm import shm_sequential_alpha_beta
-
-        return shm_sequential_alpha_beta(
-            tree,
-            keep_batches=keep_batches,
-            recorder=recorder,
-            options=shm_options,
-        )
-    if backend == "arena":
-        return arena_alpha_beta(
-            tree, 0, keep_batches=keep_batches, recorder=recorder
-        )
-    return run_minmax(
-        tree,
-        _width_policy(0, backend, recorder),
-        keep_batches=keep_batches,
-        recorder=recorder,
+    return dispatch(
+        _SEQUENTIAL_ALPHA_BETA, tree, 0,
+        backend=backend, executor=executor, shm_options=shm_options,
+        keep_batches=keep_batches, recorder=recorder,
     )
 
 
@@ -100,28 +82,14 @@ def parallel_alpha_beta(
     shared-memory worker pool over the arena columns, see
     :mod:`repro.core.shm`; requires ``backend="arena"``).
 
+    ``on_step`` hooks observe the object-graph state, so they need
+    ``backend="rescan"`` or ``"incremental"``.
+
     ``recorder`` attaches a telemetry sink (step spans with prune
     counts, degree samples, frontier counters).
     """
-    backend = resolve_backend(backend)
-    if resolve_executor(executor) == "shm":
-        check_shm_support("parallel-alpha-beta", backend, on_step=on_step)
-        from ..shm import shm_parallel_alpha_beta
-
-        return shm_parallel_alpha_beta(
-            tree, width,
-            keep_batches=keep_batches,
-            recorder=recorder,
-            options=shm_options,
-        )
-    if backend == "arena" and on_step is None:
-        return arena_alpha_beta(
-            tree, width, keep_batches=keep_batches, recorder=recorder
-        )
-    return run_minmax(
-        tree,
-        _width_policy(width, backend, recorder),
-        keep_batches=keep_batches,
-        on_step=on_step,
-        recorder=recorder,
+    return dispatch(
+        _PARALLEL_ALPHA_BETA, tree, width,
+        backend=backend, executor=executor, shm_options=shm_options,
+        keep_batches=keep_batches, recorder=recorder, on_step=on_step,
     )

@@ -12,9 +12,15 @@ level-batched sweeps over those columns:
 * the Boolean leaf-evaluation engines (Parallel/Bounded/Team/
   Saturation SOLVE) in :mod:`.boolean`;
 * the MIN/MAX pruning process (sequential and parallel alpha-beta)
-  in :mod:`.alphabeta`;
-* event-fed hybrid policies (used when callers pass ``on_step=``
-  hooks that need the object-graph state) in :mod:`.policies`.
+  in :mod:`.alphabeta`.
+
+Each model has exactly one step loop
+(:func:`~.boolean.run_solve`, :func:`~.alphabeta.run_alpha_beta`),
+and it takes a leaf evaluator: the inline engines gather leaf values
+from the lowered column, the shared-memory executor
+(:mod:`repro.core.shm`) passes its worker pool.  The arena never
+builds the object-graph state, so ``on_step=`` hooks need the
+``rescan`` or ``incremental`` backend.
 
 Everything here is step-for-step identical to the ``rescan`` and
 ``incremental`` backends: same per-step batches, same step/work
@@ -32,13 +38,6 @@ from .boolean import (
     arena_saturation_solve,
     arena_team_solve,
 )
-from .policies import (
-    ArenaAlphaBetaWidthPolicy,
-    ArenaBoundedWidthPolicy,
-    ArenaSaturationPolicy,
-    ArenaTeamPolicy,
-    ArenaWidthPolicy,
-)
 from .selection import most_urgent, select_frontier, select_width
 
 __all__ = [
@@ -46,11 +45,6 @@ __all__ = [
     "arena_saturation_solve",
     "arena_team_solve",
     "arena_alpha_beta",
-    "ArenaWidthPolicy",
-    "ArenaBoundedWidthPolicy",
-    "ArenaTeamPolicy",
-    "ArenaSaturationPolicy",
-    "ArenaAlphaBetaWidthPolicy",
     "select_width",
     "select_frontier",
     "most_urgent",

@@ -3,6 +3,9 @@
 Mirrors :func:`repro.core.alphabeta.engine.run_minmax` step for step:
 select unfinished leaves of the pruned tree by pruning number, finish
 them, then apply free propagation/pruning to fixpoint.
+:func:`run_alpha_beta` is the only alpha-beta arena loop; like the
+Boolean one it takes a leaf evaluator, so the inline engine and the
+shared-memory executor (:mod:`repro.core.shm`) share it.
 
 The key equivalence: one pass of
 :func:`~repro.core.alphabeta.engine._prune_pass` is a *pure top-down
@@ -29,6 +32,7 @@ from ...models.accounting import EvalResult, ExecutionTrace
 from ...telemetry import Recorder, live
 from ...trees.base import GameTree, NodeId
 from ...trees.canonical import CanonicalArrays, canonical_arrays
+from .boolean import LeafEvaluator
 from .selection import children_of_many, select_width
 
 __all__ = ["arena_alpha_beta"]
@@ -56,23 +60,16 @@ class _AlphaBetaArena:
         self.beta = np.zeros(n, dtype=np.float64)
 
     # -- finishing ---------------------------------------------------------
-    def finish_leaves(
-        self,
-        batch: np.ndarray,
-        values: Optional[np.ndarray] = None,
-    ) -> None:
+    def finish_leaves(self, batch: np.ndarray, values: np.ndarray) -> None:
         """Finish a batch of distinct unfinished leaves and cascade.
 
-        ``values`` supplies the batch's leaf values from an external
-        evaluator (the shared-memory executor); the default reads the
-        lowered column — a pure oracle makes the two paths identical.
+        ``values`` holds the batch's leaf values in batch order, as the
+        run's leaf evaluator returned them.
         """
         self._mark_touched(batch)
         self.finished[batch] = True
         self.settled[batch] = True
-        self.finished_value[batch] = (
-            self.arrays.values[batch] if values is None else values
-        )
+        self.finished_value[batch] = values
         depths = self.arrays.depths[batch]
         buckets: Dict[int, List[np.ndarray]] = {}
         for depth in np.unique(depths).tolist():
@@ -212,23 +209,24 @@ class _AlphaBetaArena:
         return count
 
 
-def arena_alpha_beta(
-    tree: GameTree,
-    width: int = 0,
+def run_alpha_beta(
+    arrays: CanonicalArrays,
+    width: int,
+    evaluate: LeafEvaluator,
     *,
-    keep_batches: bool = False,
-    recorder: Optional[Recorder] = None,
+    keep_batches: bool,
+    recorder: Optional[Recorder],
     max_steps: Optional[int] = None,
 ) -> EvalResult:
-    """The pruning process of width ``width`` on the arena backend.
+    """The pruning-process step loop of width ``width`` on the arena.
 
-    Width 0 is Sequential alpha-beta; the step loop mirrors
-    :func:`~repro.core.alphabeta.engine.run_minmax` call for call.
+    Mirrors :func:`~repro.core.alphabeta.engine.run_minmax` call for
+    call; ``evaluate`` supplies each step's leaf values (see
+    :func:`~repro.core.arena.boolean.run_solve`).
     """
     if width < 0:
         raise ValueError("width must be >= 0")
     rec = live(recorder)
-    arrays = canonical_arrays(tree)
     arena = _AlphaBetaArena(arrays)
     trace = ExecutionTrace(keep_batches=keep_batches)
     evaluated: List[NodeId] = []
@@ -243,7 +241,7 @@ def arena_alpha_beta(
                 f"policy {name!r} selected no leaves while the root is "
                 f"unfinished"
             )
-        arena.finish_leaves(batch_idx)
+        arena.finish_leaves(batch_idx, evaluate(batch_idx))
         pruned = arena.prune_to_fixpoint()
         batch: List[NodeId] = node_ids[batch_idx].tolist()
         trace.record(batch)
@@ -266,3 +264,23 @@ def arena_alpha_beta(
         rec.count("alphabeta.steps", step)
         rec.gauge("alphabeta.processors", trace.processors)
     return EvalResult(float(arena.finished_value[0]), trace, evaluated)
+
+
+def arena_alpha_beta(
+    tree: GameTree,
+    width: int = 0,
+    *,
+    keep_batches: bool = False,
+    recorder: Optional[Recorder] = None,
+    max_steps: Optional[int] = None,
+) -> EvalResult:
+    """The pruning process of width ``width`` on the arena backend.
+
+    Width 0 is Sequential alpha-beta.  Leaves are evaluated inline, by
+    a gather from the lowered ``values`` column.
+    """
+    arrays = canonical_arrays(tree)
+    return run_alpha_beta(
+        arrays, width, arrays.values.take,
+        keep_batches=keep_batches, recorder=recorder, max_steps=max_steps,
+    )

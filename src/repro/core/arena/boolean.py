@@ -3,8 +3,11 @@
 The same step loop as :func:`repro.core.solve_engine.run_boolean` —
 select a batch of live leaves, evaluate all of them, cascade
 determination for free — but over the struct-of-arrays columns: the
-batch is a numpy index vector, leaf evaluation is one gather, and the
-settle cascade is a level-batched bottom-up sweep.
+batch is a numpy index vector, leaf evaluation is one call of a
+:data:`LeafEvaluator`, and the settle cascade is a level-batched
+bottom-up sweep.  :func:`run_solve` is the only Boolean arena loop: the
+inline engines here and the shared-memory executor
+(:mod:`repro.core.shm`) run it with different evaluators.
 
 Equivalence to the per-leaf cascade in
 :class:`~repro.core.status.BooleanState`: within one step, a parent
@@ -20,11 +23,11 @@ step counts and recorder calls are therefore bit-identical.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...errors import ModelViolationError
+from ...errors import ModelViolationError, TreeStructureError
 from ...models.accounting import EvalResult, ExecutionTrace
 from ...telemetry import Recorder, live
 from ...trees.base import GameTree, NodeId
@@ -37,13 +40,17 @@ __all__ = [
     "arena_team_solve",
 ]
 
+#: One step's leaf evaluation: preorder leaf indices -> their values,
+#: in batch order.
+LeafEvaluator = Callable[[np.ndarray], np.ndarray]
+
 
 class _BooleanArena:
     """Mutable run state of one Boolean arena evaluation."""
 
     def __init__(self, arrays: CanonicalArrays) -> None:
         if arrays.gate_absorbing is None:
-            raise ValueError("Boolean arena needs a Boolean tree")
+            raise TreeStructureError("Boolean arena needs a Boolean tree")
         self.arrays = arrays
         n = arrays.n_nodes
         self.settled = np.zeros(n, dtype=bool)
@@ -52,17 +59,14 @@ class _BooleanArena:
         self.undetermined = arrays.arities.astype(np.int64)
         #: width-walk budget scratch (written before read each call).
         self.budget = np.zeros(n, dtype=np.int64)
-        #: leaf values as int8 (internal entries are never read).
-        self.leaf_values = np.where(
-            arrays.is_leaf, arrays.values, 0.0
-        ).astype(np.int8)
 
-    def evaluate_batch(self, batch: np.ndarray) -> None:
-        """Evaluate a batch of live leaves and cascade determination.
+    def evaluate_batch(self, batch: np.ndarray, values: np.ndarray) -> None:
+        """Settle a batch of live leaves to ``values`` and cascade.
 
-        ``batch`` holds distinct preorder leaf indices; the cascade
-        runs one level at a time, deepest first, so parents always see
-        their newly settled children in a single sweep.
+        ``batch`` holds distinct preorder leaf indices and ``values``
+        their 0/1 values in batch order; the cascade runs one level at
+        a time, deepest first, so parents always see their newly
+        settled children in a single sweep.
         """
         arrays = self.arrays
         settled, value = self.settled, self.value
@@ -75,7 +79,7 @@ class _BooleanArena:
         assert gate_other is not None
 
         settled[batch] = True
-        value[batch] = self.leaf_values[batch]
+        value[batch] = values
 
         # Bucket the newly settled nodes by depth and sweep upward;
         # parents settled at depth d-1 join that bucket.
@@ -114,18 +118,27 @@ class _BooleanArena:
                 buckets.setdefault(depth - 1, []).append(newly)
 
 
-def _run(
-    tree: GameTree,
-    select: "Callable[[_BooleanArena], np.ndarray]",
-    policy_name: str,
+#: A selection rule: its policy name and ``arena -> batch`` closure.
+Selection = Tuple[str, Callable[[_BooleanArena], np.ndarray]]
+
+
+def run_solve(
+    arrays: CanonicalArrays,
+    selection: Selection,
+    evaluate: LeafEvaluator,
     *,
     keep_batches: bool,
     recorder: Optional[Recorder],
     max_steps: Optional[int] = None,
 ) -> EvalResult:
-    """The arena step loop — mirrors ``run_boolean`` call for call."""
+    """The arena step loop — mirrors ``run_boolean`` call for call.
+
+    ``evaluate`` is the only seam between executors: the inline engines
+    below pass ``arrays.values.take`` (a gather from the lowered
+    column), a :class:`~repro.core.shm.ShmSession` passes its pool.
+    """
     rec = live(recorder)
-    arrays = canonical_arrays(tree)
+    policy_name, select = selection
     arena = _BooleanArena(arrays)
     trace = ExecutionTrace(keep_batches=keep_batches)
     evaluated: List[NodeId] = []
@@ -139,7 +152,7 @@ def _run(
                 f"policy {policy_name!r} selected no leaves while the "
                 f"root is undetermined"
             )
-        arena.evaluate_batch(batch_idx)
+        arena.evaluate_batch(batch_idx, evaluate(batch_idx))
         batch: List[NodeId] = node_ids[batch_idx].tolist()
         trace.record(batch)
         evaluated.extend(batch)
@@ -160,6 +173,79 @@ def _run(
     return EvalResult(int(arena.value[0]), trace, evaluated)
 
 
+# -- selection --------------------------------------------------------------
+def width_selection(
+    width: int, max_processors: Optional[int] = None
+) -> Selection:
+    """Parallel SOLVE's width-``width`` selection.
+
+    With ``max_processors`` the per-step batch is capped at the most
+    urgent leaves, exactly like
+    :class:`~repro.core.policies.BoundedWidthPolicy`.
+    """
+    if width < 0:
+        raise ValueError("width must be >= 0")
+    if max_processors is None:
+
+        def select(arena: _BooleanArena) -> np.ndarray:
+            return select_width(
+                arena.arrays, arena.settled, width, arena.budget
+            )
+
+        return f"parallel-solve(w={width}, arena)", select
+
+    if max_processors < 1:
+        raise ValueError("need at least one processor")
+
+    def select_bounded(arena: _BooleanArena) -> np.ndarray:
+        leaves = select_width(
+            arena.arrays, arena.settled, width, arena.budget
+        )
+        scores = width - arena.budget[leaves]
+        return most_urgent(leaves, scores, width, max_processors)
+
+    return (
+        f"parallel-solve(w={width}, p={max_processors}, arena)",
+        select_bounded,
+    )
+
+
+def team_selection(processors: int) -> Selection:
+    """Team SOLVE's selection: the leftmost ``processors`` live leaves."""
+    if processors < 1:
+        raise ValueError("Team SOLVE needs at least one processor")
+
+    def select(arena: _BooleanArena) -> np.ndarray:
+        return select_frontier(arena.arrays, arena.settled)[:processors]
+
+    return f"team-solve(p={processors}, arena)", select
+
+
+def saturation_selection() -> Selection:
+    """Saturation SOLVE's selection: every live leaf."""
+
+    def select(arena: _BooleanArena) -> np.ndarray:
+        return select_frontier(arena.arrays, arena.settled)
+
+    return "saturation-solve(arena)", select
+
+
+# -- inline engines ---------------------------------------------------------
+def _run_inline(
+    tree: GameTree,
+    selection: Selection,
+    *,
+    keep_batches: bool,
+    recorder: Optional[Recorder],
+    max_steps: Optional[int],
+) -> EvalResult:
+    arrays = canonical_arrays(tree)
+    return run_solve(
+        arrays, selection, arrays.values.take,
+        keep_batches=keep_batches, recorder=recorder, max_steps=max_steps,
+    )
+
+
 def arena_parallel_solve(
     tree: GameTree,
     width: int = 1,
@@ -172,33 +258,10 @@ def arena_parallel_solve(
     """Parallel SOLVE of width ``width`` on the arena backend.
 
     With ``max_processors`` the per-step batch is capped at the most
-    urgent leaves, exactly like
-    :class:`~repro.core.policies.BoundedWidthPolicy`.
+    urgent leaves (see :func:`width_selection`).
     """
-    if width < 0:
-        raise ValueError("width must be >= 0")
-    if max_processors is None:
-        name = f"parallel-solve(w={width}, arena)"
-
-        def select(arena: _BooleanArena) -> np.ndarray:
-            return select_width(
-                arena.arrays, arena.settled, width, arena.budget
-            )
-
-    else:
-        if max_processors < 1:
-            raise ValueError("need at least one processor")
-        name = f"parallel-solve(w={width}, p={max_processors}, arena)"
-
-        def select(arena: _BooleanArena) -> np.ndarray:
-            leaves = select_width(
-                arena.arrays, arena.settled, width, arena.budget
-            )
-            scores = width - arena.budget[leaves]
-            return most_urgent(leaves, scores, width, max_processors)
-
-    return _run(
-        tree, select, name,
+    return _run_inline(
+        tree, width_selection(width, max_processors),
         keep_batches=keep_batches, recorder=recorder, max_steps=max_steps,
     )
 
@@ -212,14 +275,8 @@ def arena_team_solve(
     max_steps: Optional[int] = None,
 ) -> EvalResult:
     """Team SOLVE (leftmost ``processors`` live leaves) on the arena."""
-    if processors < 1:
-        raise ValueError("Team SOLVE needs at least one processor")
-
-    def select(arena: _BooleanArena) -> np.ndarray:
-        return select_frontier(arena.arrays, arena.settled)[:processors]
-
-    return _run(
-        tree, select, f"team-solve(p={processors}, arena)",
+    return _run_inline(
+        tree, team_selection(processors),
         keep_batches=keep_batches, recorder=recorder, max_steps=max_steps,
     )
 
@@ -232,11 +289,7 @@ def arena_saturation_solve(
     max_steps: Optional[int] = None,
 ) -> EvalResult:
     """Saturation SOLVE (every live leaf each step) on the arena."""
-
-    def select(arena: _BooleanArena) -> np.ndarray:
-        return select_frontier(arena.arrays, arena.settled)
-
-    return _run(
-        tree, select, "saturation-solve(arena)",
+    return _run_inline(
+        tree, saturation_selection(),
         keep_batches=keep_batches, recorder=recorder, max_steps=max_steps,
     )

@@ -21,25 +21,21 @@ definition, kept as the reference implementation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
 
-from ..errors import BackendUnsupportedError
+from ..errors import BackendUnsupportedError, TreeStructureError
 from ..models.accounting import EvalResult
 from ..telemetry import Recorder
 from ..trees.base import GameTree
-from .arena import (
-    ArenaBoundedWidthPolicy,
-    ArenaWidthPolicy,
-    arena_parallel_solve,
-    arena_saturation_solve,
-)
+from ..types import TreeKind
+from .arena import arena_parallel_solve, arena_saturation_solve
 from .frontier import (
     IncrementalBoundedWidthPolicy,
     IncrementalSaturationPolicy,
     IncrementalWidthPolicy,
 )
 from .policies import BoundedWidthPolicy, SaturationPolicy, WidthPolicy
-from .solve_engine import Policy, run_boolean
+from .solve_engine import run_boolean
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .shm import ShmOptions
@@ -72,34 +68,127 @@ def resolve_executor(executor: str) -> str:
     return executor
 
 
-def check_shm_support(
-    engine: str,
-    backend: str,
-    *,
-    on_step=None,
-) -> None:
-    """Reject engine configurations the shm executor cannot honour.
+class Route(NamedTuple):
+    """Where one solver entry point runs on each backend and executor.
 
-    The shared-memory pool maps the arena's flat columns, so only
-    ``backend="arena"`` can feed it; ``on_step`` hooks observe the
-    in-process object-graph state, which a cross-process run does not
-    materialise.  Raises
-    :class:`~repro.errors.BackendUnsupportedError` naming the engine
-    and the rejected combination.
+    Every route takes the engine's own arguments (``*args`` and
+    ``**params`` of :func:`dispatch`) unchanged.
     """
-    if backend != "arena":
+
+    #: Engine name carried by :class:`~repro.errors.BackendUnsupportedError`.
+    engine: str
+    #: Tree kind the engine needs (``None``: any kind).
+    kind: Optional[TreeKind]
+    #: ``"rescan"`` / ``"incremental"`` -> selection-policy factory.
+    policies: Mapping[str, Callable[..., Any]]
+    #: The object-graph step loop (``run_boolean`` or ``run_minmax``).
+    run: Callable[..., EvalResult]
+    #: The arena engine, which evaluates leaves inline.
+    arena: Callable[..., EvalResult]
+    #: The :class:`~repro.core.shm.ShmSession` method running the same
+    #: arena loop with the session's pool as leaf evaluator.
+    session: str
+
+
+def dispatch(
+    route: Route,
+    tree: GameTree,
+    *args: Any,
+    backend: str,
+    executor: str,
+    shm_options: "Optional[ShmOptions]",
+    keep_batches: bool,
+    recorder: Optional[Recorder],
+    on_step=None,
+    **params: Any,
+) -> EvalResult:
+    """Validate one solver call, then run it on its backend/executor.
+
+    Every check happens before any lowering, shared memory or worker
+    process exists: backend and executor names, the support matrix
+    (:class:`~repro.errors.BackendUnsupportedError`), the engine's
+    arguments and the tree kind
+    (:class:`~repro.errors.TreeStructureError`).  Then:
+
+    * ``rescan`` / ``incremental``: a selection policy plus the
+      object-graph step loop;
+    * ``arena``: the arena step loop, leaves evaluated inline;
+    * ``arena`` + ``shm``: a :class:`~repro.core.shm.ShmSession` running
+      the same arena loop with its worker pool as leaf evaluator.
+    """
+    engine = route.engine
+    backend = resolve_backend(backend)
+    executor = resolve_executor(executor)
+    if executor == "shm" and backend != "arena":
         raise BackendUnsupportedError(
             f"engine {engine!r} supports executor='shm' only on the "
             f"arena backend (shared memory maps the lowered columns); "
             f"got backend={backend!r}",
-            engine=engine, backend=backend, executor="shm",
+            engine=engine, backend=backend, executor=executor,
         )
-    if on_step is not None:
+    if on_step is not None and backend == "arena":
         raise BackendUnsupportedError(
-            f"engine {engine!r} cannot combine executor='shm' with an "
-            f"on_step hook (the hook observes in-process state)",
-            engine=engine, backend=backend, executor="shm",
+            f"engine {engine!r} cannot combine backend='arena' with an "
+            f"on_step hook (the hook observes the object-graph state, "
+            f"which the arena never builds); use backend='rescan' or "
+            f"'incremental'",
+            engine=engine, backend=backend, executor=executor,
         )
+    # Building the policy checks the engine's arguments, with the same
+    # messages on every backend; the arena backends build the reference
+    # (rescan) policy for that check alone.
+    policy = route.policies["rescan" if backend == "arena" else backend](
+        *args, **params
+    )
+    if route.kind is not None and tree.kind is not route.kind:
+        raise TreeStructureError(
+            f"engine {engine!r} needs a {route.kind.value} tree, got a "
+            f"{tree.kind.value} tree"
+        )
+    if backend != "arena":
+        if backend == "incremental":
+            policy.recorder = recorder
+        return route.run(
+            tree, policy,
+            keep_batches=keep_batches, on_step=on_step, recorder=recorder,
+        )
+    if executor == "inline":
+        return route.arena(
+            tree, *args,
+            keep_batches=keep_batches, recorder=recorder, **params,
+        )
+    from .shm import ShmSession
+
+    with ShmSession(tree, shm_options, recorder=recorder) as session:
+        run = getattr(session, route.session)
+        return run(*args, keep_batches=keep_batches, **params)
+
+
+def _width_policy(width: int, max_processors: Optional[int] = None):
+    if max_processors is None:
+        return WidthPolicy(width)
+    return BoundedWidthPolicy(width, max_processors)
+
+
+def _incremental_width_policy(
+    width: int, max_processors: Optional[int] = None
+):
+    if max_processors is None:
+        return IncrementalWidthPolicy(width)
+    return IncrementalBoundedWidthPolicy(width, max_processors)
+
+
+_PARALLEL_SOLVE = Route(
+    "parallel-solve", TreeKind.BOOLEAN,
+    {"rescan": _width_policy, "incremental": _incremental_width_policy},
+    run_boolean, arena_parallel_solve, "parallel_solve",
+)
+
+_SATURATION_SOLVE = Route(
+    "saturation-solve", TreeKind.BOOLEAN,
+    {"rescan": SaturationPolicy, "incremental": IncrementalSaturationPolicy},
+    run_boolean, arena_saturation_solve, "saturation_solve",
+)
 
 
 def parallel_solve(
@@ -132,52 +221,17 @@ def parallel_solve(
     ``shm_options``).  Batches, steps and values are identical across
     executors for pure oracles.
 
+    ``on_step`` hooks observe the object-graph state, so they need
+    ``backend="rescan"`` or ``"incremental"``.
+
     ``recorder`` attaches a telemetry sink (step spans, degree
     samples, frontier counters); the default records nothing.
     """
-    policy: Policy
-    backend = resolve_backend(backend)
-    if resolve_executor(executor) == "shm":
-        check_shm_support("parallel-solve", backend, on_step=on_step)
-        from .shm import shm_parallel_solve
-
-        return shm_parallel_solve(
-            tree, width,
-            max_processors=max_processors,
-            keep_batches=keep_batches,
-            recorder=recorder,
-            options=shm_options,
-        )
-    if backend == "arena":
-        if on_step is None:
-            return arena_parallel_solve(
-                tree, width,
-                max_processors=max_processors,
-                keep_batches=keep_batches,
-                recorder=recorder,
-            )
-        # on_step hooks receive the real BooleanState, so the engine
-        # loop stays object-graph with arena-backed selection.
-        if max_processors is None:
-            policy = ArenaWidthPolicy(width)
-        else:
-            policy = ArenaBoundedWidthPolicy(width, max_processors)
-    elif backend == "incremental":
-        if max_processors is None:
-            policy = IncrementalWidthPolicy(width)
-        else:
-            policy = IncrementalBoundedWidthPolicy(width, max_processors)
-        policy.recorder = recorder
-    elif max_processors is None:
-        policy = WidthPolicy(width)
-    else:
-        policy = BoundedWidthPolicy(width, max_processors)
-    return run_boolean(
-        tree,
-        policy,
-        keep_batches=keep_batches,
-        on_step=on_step,
-        recorder=recorder,
+    return dispatch(
+        _PARALLEL_SOLVE, tree, width,
+        max_processors=max_processors,
+        backend=backend, executor=executor, shm_options=shm_options,
+        keep_batches=keep_batches, recorder=recorder, on_step=on_step,
     )
 
 
@@ -191,29 +245,10 @@ def saturation_solve(
     recorder: Optional[Recorder] = None,
 ) -> EvalResult:
     """Evaluate every live leaf at every step (unbounded parallelism)."""
-    policy: Policy
-    backend = resolve_backend(backend)
-    if resolve_executor(executor) == "shm":
-        check_shm_support("saturation-solve", backend)
-        from .shm import shm_saturation_solve
-
-        return shm_saturation_solve(
-            tree,
-            keep_batches=keep_batches,
-            recorder=recorder,
-            options=shm_options,
-        )
-    if backend == "arena":
-        return arena_saturation_solve(
-            tree, keep_batches=keep_batches, recorder=recorder
-        )
-    if backend == "incremental":
-        policy = IncrementalSaturationPolicy()
-        policy.recorder = recorder
-    else:
-        policy = SaturationPolicy()
-    return run_boolean(
-        tree, policy, keep_batches=keep_batches, recorder=recorder
+    return dispatch(
+        _SATURATION_SOLVE, tree,
+        backend=backend, executor=executor, shm_options=shm_options,
+        keep_batches=keep_batches, recorder=recorder,
     )
 
 

@@ -6,23 +6,16 @@ to measured hardware: the arena's
 into :mod:`multiprocessing.shared_memory` blocks once per tree
 (:mod:`~repro.core.shm.segments`), a persistent worker pool built on
 :class:`~repro.models.executors.OracleRuntime` evaluates each step's
-leaf batch in place (:mod:`~repro.core.shm.pool`), and the arena step
-loops run the paper's synchronous rounds over that barrier
-(:mod:`~repro.core.shm.engine`).  The solver entry points expose it as
-``backend="arena", executor="shm"``; experiment e28 measures the
-resulting wall-clock speed-up curve against the c·(n+1) prediction.
+leaf batch in place (:mod:`~repro.core.shm.pool`), and a session
+(:mod:`~repro.core.shm.engine`) runs the arena's own step loops with
+that pool as their leaf evaluator — the same schedule code as
+``backend="arena"``, with leaves evaluated in other processes.  The
+solver entry points expose it as ``backend="arena", executor="shm"``;
+experiment e28 measures the resulting wall-clock speed-up curve
+against the c·(n+1) prediction.
 """
 
-from .engine import (
-    ShmOptions,
-    ShmRunResult,
-    ShmSession,
-    shm_parallel_alpha_beta,
-    shm_parallel_solve,
-    shm_saturation_solve,
-    shm_sequential_alpha_beta,
-    shm_team_solve,
-)
+from .engine import ShmOptions, ShmRunResult, ShmSession
 from .oracle import CalibratedOracle, identity_oracle
 from .pool import ShmPool
 from .segments import ArenaSegments, SegmentSpec
@@ -36,9 +29,4 @@ __all__ = [
     "ShmRunResult",
     "ShmSession",
     "identity_oracle",
-    "shm_parallel_alpha_beta",
-    "shm_parallel_solve",
-    "shm_saturation_solve",
-    "shm_sequential_alpha_beta",
-    "shm_team_solve",
 ]

@@ -1,42 +1,52 @@
 """Shared-memory arena engines: the paper's rounds on real processors.
 
-These are the arena step loops of :mod:`repro.core.arena` with one
-substitution: instead of gathering leaf values out of the lowered
-columns in-process, each step's batch is evaluated *in place* across
-OS worker processes through a :class:`~repro.core.shm.pool.ShmPool`,
-with the pool's ordered-result return acting as the step barrier.
-Selection, settle cascades, pruning sweeps, trace accounting and
-telemetry are byte-for-byte the serial arena code paths, so for any
-pure leaf oracle the value, per-step batches, step count and work of a
-shm run are bit-identical to ``backend="arena"`` — the determinism
-contract the differential and golden suites pin.  Wall-clock numbers
-(:class:`ShmRunResult.oracle_seconds` / ``total_seconds`` and the
-runtime stats) are where real hardware shows up.
+A shm run is an arena step loop of :mod:`repro.core.arena` —
+:func:`~repro.core.arena.boolean.run_solve` or
+:func:`~repro.core.arena.alphabeta.run_alpha_beta` — with a different
+leaf evaluator: instead of gathering leaf values out of the lowered
+column in-process, each step's batch is evaluated *in place* across OS
+worker processes by :meth:`ShmPool.evaluate_batch
+<repro.core.shm.pool.ShmPool.evaluate_batch>`, whose ordered-result
+return is the step barrier.  Selection, settle cascades, pruning
+sweeps, trace accounting and telemetry are the arena's own code, so
+for any pure leaf oracle the value, per-step batches, step count and
+work of a shm run are bit-identical to ``backend="arena"`` — the
+determinism contract the differential and golden suites pin.
+Wall-clock numbers (:class:`ShmRunResult.oracle_seconds` /
+``total_seconds`` and the runtime stats) are where real hardware shows
+up.
 
 A :class:`ShmSession` owns the published segments and the pool for one
 tree and can run any number of engines over them (e28 runs the whole
-speed-up curve in one session); the ``shm_*`` one-shot functions wrap
-a session around a single run and are what the solver entry points
-dispatch to for ``executor="shm"``.
+speed-up curve in one session); the solver entry points open one
+session per call for ``executor="shm"``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ...errors import DegradedRunError, ModelViolationError
-from ...models.accounting import EvalResult, ExecutionTrace
+from ...errors import DegradedRunError
+from ...models.accounting import EvalResult
 from ...models.executors import RuntimeStats
 from ...telemetry import Recorder, live, record_runtime_stats
-from ...trees.base import GameTree, NodeId
+from ...trees.base import GameTree
 from ...trees.canonical import canonical_arrays
-from ..arena.alphabeta import _AlphaBetaArena
-from ..arena.boolean import _BooleanArena
-from ..arena.selection import most_urgent, select_frontier, select_width
+from ..arena.alphabeta import run_alpha_beta
+from ..arena.boolean import (
+    run_solve,
+    saturation_selection,
+    team_selection,
+    width_selection,
+)
+
+# Unused here (selection runs in the arena modules), but the perfbench
+# tracer (perfbench/tracing.py) patches these names on this module.
+from ..arena.selection import most_urgent, select_frontier, select_width  # noqa: F401
 from .pool import ExecutorFactory, LeafOracle, ShmPool
 from .segments import ArenaSegments
 
@@ -44,11 +54,6 @@ __all__ = [
     "ShmOptions",
     "ShmRunResult",
     "ShmSession",
-    "shm_parallel_alpha_beta",
-    "shm_parallel_solve",
-    "shm_saturation_solve",
-    "shm_sequential_alpha_beta",
-    "shm_team_solve",
 ]
 
 
@@ -160,85 +165,46 @@ class ShmSession:
         finally:
             self.segments.close()
 
-    # -- shared plumbing ---------------------------------------------------
-    def _evaluate(
-        self, batch_idx: np.ndarray, trace: ExecutionTrace
-    ) -> np.ndarray:
-        try:
-            return self.pool.evaluate_batch(batch_idx)
-        except DegradedRunError as exc:
-            exc.steps_completed = trace.num_steps
-            raise
-
-    def _finish(
+    # -- engines -----------------------------------------------------------
+    def _run(
         self,
-        value,
-        trace: ExecutionTrace,
-        evaluated: List[NodeId],
-        start: float,
+        loop: Callable[..., EvalResult],
+        *args: Any,
+        keep_batches: bool,
+        max_steps: Optional[int],
     ) -> ShmRunResult:
+        """Run an arena step loop with the pool as its leaf evaluator."""
+        rec = self._rec
+        # The loop calls the evaluator once per step, so the calls that
+        # returned are the steps a tripped circuit breaker reports.
+        steps_done = 0
+
+        def evaluate(batch_idx: np.ndarray) -> np.ndarray:
+            nonlocal steps_done
+            try:
+                values = self.pool.evaluate_batch(batch_idx)
+            except DegradedRunError as exc:
+                exc.steps_completed = steps_done
+                raise
+            steps_done += 1
+            return values
+
+        start = time.perf_counter()  # lint: disable=R7
+        result = loop(
+            self.arrays, *args, evaluate,
+            keep_batches=keep_batches, recorder=rec, max_steps=max_steps,
+        )
+        if rec is not None and rec.wallclock:
+            record_runtime_stats(rec, self.pool.stats)
         stats = replace(self.pool.stats)
         return ShmRunResult(
-            value,
-            trace,
-            evaluated,
+            result.value,
+            result.trace,
+            result.evaluated,
             stats=stats,
             oracle_seconds=stats.oracle_seconds,
             total_seconds=time.perf_counter() - start,  # lint: disable=R7
         )
-
-    # -- Boolean engines ---------------------------------------------------
-    def _run_boolean(
-        self,
-        select: "Callable[[_BooleanArena], np.ndarray]",
-        policy_name: str,
-        *,
-        keep_batches: bool,
-        max_steps: Optional[int] = None,
-    ) -> ShmRunResult:
-        """The arena Boolean step loop with a shared-memory barrier."""
-        rec = self._rec
-        arena = _BooleanArena(self.arrays)
-        trace = ExecutionTrace(keep_batches=keep_batches)
-        evaluated: List[NodeId] = []
-        node_ids = self.arrays.node_ids
-        start = time.perf_counter()  # lint: disable=R7
-
-        step = 0
-        while not arena.settled[0]:
-            batch_idx = select(arena)
-            if batch_idx.shape[0] == 0:
-                raise ModelViolationError(
-                    f"policy {policy_name!r} selected no leaves while "
-                    f"the root is undetermined"
-                )
-            values = self._evaluate(batch_idx, trace)
-            # The oracle round-trips the stored 0/1 values, so this
-            # write-back is numerically a no-op — the point is that it
-            # came through shared memory, not the local column.
-            arena.leaf_values[batch_idx] = values.astype(np.int8)
-            arena.evaluate_batch(batch_idx)
-            batch: List[NodeId] = node_ids[batch_idx].tolist()
-            trace.record(batch)
-            evaluated.extend(batch)
-            if rec is not None:
-                rec.advance(step + 1)
-                rec.add_span(
-                    "step", step, step + 1, track="solve",
-                    degree=len(batch),
-                )
-                rec.count("solve.leaves_evaluated", len(batch))
-                rec.sample("solve.degree", len(batch), track="solve")
-            step += 1
-            if max_steps is not None and step > max_steps:
-                raise ModelViolationError(f"exceeded {max_steps} steps")
-
-        if rec is not None:
-            rec.count("solve.steps", step)
-            rec.gauge("solve.processors", trace.processors)
-            if rec.wallclock:
-                record_runtime_stats(rec, self.pool.stats)
-        return self._finish(int(arena.value[0]), trace, evaluated, start)
 
     def parallel_solve(
         self,
@@ -249,32 +215,9 @@ class ShmSession:
         max_steps: Optional[int] = None,
     ) -> ShmRunResult:
         """Parallel SOLVE of the given width over the session's pool."""
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        if max_processors is None:
-            name = f"parallel-solve(w={width}, arena+shm)"
-
-            def select(arena: _BooleanArena) -> np.ndarray:
-                return select_width(
-                    arena.arrays, arena.settled, width, arena.budget
-                )
-
-        else:
-            if max_processors < 1:
-                raise ValueError("need at least one processor")
-            name = (
-                f"parallel-solve(w={width}, p={max_processors}, arena+shm)"
-            )
-
-            def select(arena: _BooleanArena) -> np.ndarray:
-                leaves = select_width(
-                    arena.arrays, arena.settled, width, arena.budget
-                )
-                scores = width - arena.budget[leaves]
-                return most_urgent(leaves, scores, width, max_processors)
-
-        return self._run_boolean(
-            select, name, keep_batches=keep_batches, max_steps=max_steps
+        return self._run(
+            run_solve, width_selection(width, max_processors),
+            keep_batches=keep_batches, max_steps=max_steps,
         )
 
     def team_solve(
@@ -285,16 +228,8 @@ class ShmSession:
         max_steps: Optional[int] = None,
     ) -> ShmRunResult:
         """Team SOLVE (leftmost ``processors`` live leaves)."""
-        if processors < 1:
-            raise ValueError("Team SOLVE needs at least one processor")
-
-        def select(arena: _BooleanArena) -> np.ndarray:
-            return select_frontier(arena.arrays, arena.settled)[
-                :processors
-            ]
-
-        return self._run_boolean(
-            select, f"team-solve(p={processors}, arena+shm)",
+        return self._run(
+            run_solve, team_selection(processors),
             keep_batches=keep_batches, max_steps=max_steps,
         )
 
@@ -305,16 +240,11 @@ class ShmSession:
         max_steps: Optional[int] = None,
     ) -> ShmRunResult:
         """Saturation SOLVE (every live leaf each step)."""
-
-        def select(arena: _BooleanArena) -> np.ndarray:
-            return select_frontier(arena.arrays, arena.settled)
-
-        return self._run_boolean(
-            select, "saturation-solve(arena+shm)",
+        return self._run(
+            run_solve, saturation_selection(),
             keep_batches=keep_batches, max_steps=max_steps,
         )
 
-    # -- MIN/MAX engine ----------------------------------------------------
     def alpha_beta(
         self,
         width: int = 0,
@@ -323,137 +253,7 @@ class ShmSession:
         max_steps: Optional[int] = None,
     ) -> ShmRunResult:
         """The pruning process of the given width (0 = sequential)."""
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        rec = self._rec
-        arrays = self.arrays
-        arena = _AlphaBetaArena(arrays)
-        trace = ExecutionTrace(keep_batches=keep_batches)
-        evaluated: List[NodeId] = []
-        node_ids = arrays.node_ids
-        name = f"parallel-alpha-beta(w={width}, arena+shm)"
-        start = time.perf_counter()  # lint: disable=R7
-
-        step = 0
-        while not arena.finished[0]:
-            batch_idx = select_width(
-                arrays, arena.settled, width, arena.budget
-            )
-            if batch_idx.shape[0] == 0:
-                raise ModelViolationError(
-                    f"policy {name!r} selected no leaves while the root "
-                    f"is unfinished"
-                )
-            values = self._evaluate(batch_idx, trace)
-            arena.finish_leaves(batch_idx, values=values)
-            pruned = arena.prune_to_fixpoint()
-            batch: List[NodeId] = node_ids[batch_idx].tolist()
-            trace.record(batch)
-            evaluated.extend(batch)
-            if rec is not None:
-                rec.advance(step + 1)
-                rec.add_span(
-                    "step", step, step + 1, track="alphabeta",
-                    degree=len(batch), pruned=pruned,
-                )
-                rec.count("alphabeta.leaves_evaluated", len(batch))
-                if pruned:
-                    rec.count("alphabeta.pruned", pruned)
-                rec.sample(
-                    "alphabeta.degree", len(batch), track="alphabeta"
-                )
-            step += 1
-            if max_steps is not None and step > max_steps:
-                raise ModelViolationError(f"exceeded {max_steps} steps")
-
-        if rec is not None:
-            rec.count("alphabeta.steps", step)
-            rec.gauge("alphabeta.processors", trace.processors)
-            if rec.wallclock:
-                record_runtime_stats(rec, self.pool.stats)
-        return self._finish(
-            float(arena.finished_value[0]), trace, evaluated, start
-        )
-
-
-# -- one-shot entry points -------------------------------------------------
-def shm_parallel_solve(
-    tree: GameTree,
-    width: int = 1,
-    *,
-    max_processors: Optional[int] = None,
-    keep_batches: bool = False,
-    recorder: Optional[Recorder] = None,
-    options: Optional[ShmOptions] = None,
-    max_steps: Optional[int] = None,
-) -> ShmRunResult:
-    """Parallel SOLVE through a one-run shared-memory session."""
-    with ShmSession(tree, options, recorder=recorder) as session:
-        return session.parallel_solve(
-            width,
-            max_processors=max_processors,
-            keep_batches=keep_batches,
-            max_steps=max_steps,
-        )
-
-
-def shm_team_solve(
-    tree: GameTree,
-    processors: int,
-    *,
-    keep_batches: bool = False,
-    recorder: Optional[Recorder] = None,
-    options: Optional[ShmOptions] = None,
-    max_steps: Optional[int] = None,
-) -> ShmRunResult:
-    """Team SOLVE through a one-run shared-memory session."""
-    with ShmSession(tree, options, recorder=recorder) as session:
-        return session.team_solve(
-            processors, keep_batches=keep_batches, max_steps=max_steps
-        )
-
-
-def shm_saturation_solve(
-    tree: GameTree,
-    *,
-    keep_batches: bool = False,
-    recorder: Optional[Recorder] = None,
-    options: Optional[ShmOptions] = None,
-    max_steps: Optional[int] = None,
-) -> ShmRunResult:
-    """Saturation SOLVE through a one-run shared-memory session."""
-    with ShmSession(tree, options, recorder=recorder) as session:
-        return session.saturation_solve(
-            keep_batches=keep_batches, max_steps=max_steps
-        )
-
-
-def shm_sequential_alpha_beta(
-    tree: GameTree,
-    *,
-    keep_batches: bool = False,
-    recorder: Optional[Recorder] = None,
-    options: Optional[ShmOptions] = None,
-    max_steps: Optional[int] = None,
-) -> ShmRunResult:
-    """Sequential alpha-beta through a one-run shared-memory session."""
-    with ShmSession(tree, options, recorder=recorder) as session:
-        return session.alpha_beta(
-            0, keep_batches=keep_batches, max_steps=max_steps
-        )
-
-
-def shm_parallel_alpha_beta(
-    tree: GameTree,
-    width: int = 1,
-    *,
-    keep_batches: bool = False,
-    recorder: Optional[Recorder] = None,
-    options: Optional[ShmOptions] = None,
-    max_steps: Optional[int] = None,
-) -> ShmRunResult:
-    """Parallel alpha-beta through a one-run shared-memory session."""
-    with ShmSession(tree, options, recorder=recorder) as session:
-        return session.alpha_beta(
-            width, keep_batches=keep_batches, max_steps=max_steps
+        return self._run(
+            run_alpha_beta, width,
+            keep_batches=keep_batches, max_steps=max_steps,
         )

@@ -14,18 +14,21 @@ from typing import TYPE_CHECKING, Optional
 from ..models.accounting import EvalResult
 from ..telemetry import Recorder
 from ..trees.base import GameTree
+from ..types import TreeKind
 from .arena import arena_team_solve
 from .frontier import IncrementalTeamPolicy
-from .parallel_solve import (
-    check_shm_support,
-    resolve_backend,
-    resolve_executor,
-)
+from .parallel_solve import Route, dispatch
 from .policies import TeamPolicy
-from .solve_engine import Policy, run_boolean
+from .solve_engine import run_boolean
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .shm import ShmOptions
+
+_TEAM_SOLVE = Route(
+    "team-solve", TreeKind.BOOLEAN,
+    {"rescan": TeamPolicy, "incremental": IncrementalTeamPolicy},
+    run_boolean, arena_team_solve, "team_solve",
+)
 
 
 def team_solve(
@@ -44,27 +47,8 @@ def team_solve(
     evaluation site (see
     :func:`repro.core.parallel_solve.parallel_solve`).
     """
-    policy: Policy
-    backend = resolve_backend(backend)
-    if resolve_executor(executor) == "shm":
-        check_shm_support("team-solve", backend)
-        from .shm import shm_team_solve
-
-        return shm_team_solve(
-            tree, processors,
-            keep_batches=keep_batches,
-            recorder=recorder,
-            options=shm_options,
-        )
-    if backend == "arena":
-        return arena_team_solve(
-            tree, processors, keep_batches=keep_batches, recorder=recorder
-        )
-    if backend == "incremental":
-        policy = IncrementalTeamPolicy(processors)
-        policy.recorder = recorder
-    else:
-        policy = TeamPolicy(processors)
-    return run_boolean(
-        tree, policy, keep_batches=keep_batches, recorder=recorder
+    return dispatch(
+        _TEAM_SOLVE, tree, processors,
+        backend=backend, executor=executor, shm_options=shm_options,
+        keep_batches=keep_batches, recorder=recorder,
     )

@@ -1,14 +1,11 @@
 """Unit tests for the columnar arena engines and selection kernels."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro.core import (
-    ArenaAlphaBetaWidthPolicy,
-    ArenaBoundedWidthPolicy,
-    ArenaSaturationPolicy,
-    ArenaTeamPolicy,
-    ArenaWidthPolicy,
     arena_parallel_solve,
     arena_saturation_solve,
     arena_team_solve,
@@ -24,7 +21,13 @@ from repro.core.arena import arena_alpha_beta
 from repro.core.arena import most_urgent, select_width
 from repro.core.arena.selection import children_of_many
 from repro.core.nodeexpansion import n_parallel_solve
-from repro.errors import ModelViolationError
+from repro.core.shm import ShmOptions
+from repro.core.shm.pool import _worker_init
+from repro.errors import (
+    BackendUnsupportedError,
+    ModelViolationError,
+    TreeStructureError,
+)
 from repro.telemetry import InMemoryRecorder
 from repro.trees import ExplicitTree, UniformTree, canonical_arrays
 from repro.trees.generators import (
@@ -108,25 +111,13 @@ def test_alpha_beta_width0_is_sequential(minmax_tree):
     assert arena.num_steps == reference.num_steps
 
 
-def test_policy_names_tag_the_arena():
-    assert ArenaWidthPolicy(2).name == "parallel-solve(w=2, arena)"
-    assert ArenaBoundedWidthPolicy(2, 3).name == (
-        "parallel-solve(w=2, p=3, arena)"
-    )
-    assert ArenaTeamPolicy(2).name == "team-solve(p=2, arena)"
-    assert ArenaSaturationPolicy().name == "saturation-solve(arena)"
-    assert ArenaAlphaBetaWidthPolicy(1).name == (
-        "parallel-alpha-beta(w=1, arena)"
-    )
-
-
 def test_max_steps_enforced(boolean_tree):
     with pytest.raises(ModelViolationError):
         arena_parallel_solve(boolean_tree, 0, max_steps=2)
 
 
 def test_boolean_engine_rejects_minmax(minmax_tree):
-    with pytest.raises(ValueError):
+    with pytest.raises(TreeStructureError):
         arena_parallel_solve(minmax_tree, 1)
 
 
@@ -135,22 +126,27 @@ def test_nodeexpansion_rejects_arena(boolean_tree):
         n_parallel_solve(boolean_tree, 1, backend="arena")
 
 
-def test_hybrid_on_step_sees_real_state(boolean_tree):
-    seen = []
-
-    def on_step(state, step, batch):
-        seen.append((step, len(batch)))
-        assert hasattr(state, "value")  # a real BooleanState
-
-    hybrid = parallel_solve(
-        boolean_tree, 2, keep_batches=True, backend="arena",
-        on_step=on_step,
-    )
-    reference = parallel_solve(
-        boolean_tree, 2, keep_batches=True, backend="incremental"
-    )
-    assert _signature(hybrid) == _signature(reference)
-    assert len(seen) == hybrid.num_steps
+@pytest.mark.parametrize(
+    "engine,tree_fixture",
+    [
+        (parallel_solve, "boolean_tree"),
+        (parallel_alpha_beta, "minmax_tree"),
+    ],
+    ids=["parallel-solve", "parallel-alpha-beta"],
+)
+def test_on_step_rejected_on_arena(engine, tree_fixture, request):
+    # The arena never builds the object-graph state an on_step hook
+    # observes, so the hook needs rescan or incremental.
+    tree = request.getfixturevalue(tree_fixture)
+    calls = []
+    with pytest.raises(BackendUnsupportedError) as exc_info:
+        engine(
+            tree, 2, backend="arena",
+            on_step=lambda *a: calls.append(a),
+        )
+    assert exc_info.value.backend == "arena"
+    assert exc_info.value.executor == "inline"
+    assert calls == []
 
 
 def test_recorder_streams_match_modulo_frontier_counters(boolean_tree):
@@ -227,19 +223,39 @@ def _events(recorder):
     return [e for e in recorder.events if not e.name.startswith("frontier.")]
 
 
+def _thread_factory(spec, oracle):
+    """In-process stand-in for the shm worker pool: same initializer,
+    same shared-memory reads and writes, no fork cost."""
+    return ThreadPoolExecutor(
+        max_workers=2, initializer=_worker_init, initargs=(spec, oracle)
+    )
+
+
+#: Each backend/executor the degenerate corpus runs through.
+_CONFIGS = (
+    {"backend": "arena"},
+    {"backend": "incremental"},
+    {
+        "backend": "arena", "executor": "shm",
+        "shm_options": ShmOptions(
+            workers=2, executor_factory=_thread_factory
+        ),
+    },
+)
+
+
 def _assert_backends_agree(engine, *args):
-    """Arena and incremental: same batches, accounting and telemetry."""
+    """Arena, incremental and arena over shm: same batches, accounting
+    and logical-clock telemetry."""
     runs = []
-    for backend in ("arena", "incremental"):
+    for config in _CONFIGS:
         rec = InMemoryRecorder()
-        result = engine(
-            *args, keep_batches=True, recorder=rec, backend=backend
-        )
+        result = engine(*args, keep_batches=True, recorder=rec, **config)
         runs.append((
             _signature(result), result.evaluated, result.num_steps,
             _events(rec),
         ))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE_BOOLEAN))

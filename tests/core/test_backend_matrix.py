@@ -21,10 +21,17 @@ from repro.core.alphabeta import (
 )
 from repro.core.nodeexpansion import n_parallel_solve
 from repro.core.parallel_solve import BACKENDS, EXECUTORS
-from repro.core.shm import ShmOptions
-from repro.errors import BackendUnsupportedError, ReproError
+from repro.core.shm import ArenaSegments, ShmOptions
+from repro.errors import (
+    BackendUnsupportedError,
+    ReproError,
+    TreeStructureError,
+)
+from repro.telemetry import InMemoryRecorder
+from repro.trees import ExplicitTree
 from repro.trees.generators import iid_boolean
 from repro.trees.generators.iid import iid_minmax, level_invariant_bias
+from repro.types import TreeKind
 
 #: (label, callable(tree, backend, executor)) per Boolean engine.
 BOOLEAN_ENGINES = [
@@ -153,6 +160,114 @@ class TestRejectedCells:
             run(tree, lambda *a: hook_calls.append(a))
         assert exc_info.value.engine == engine
         assert not hook_calls
+
+
+#: Every (backend, executor) cell an engine can run on.
+SUPPORTED_CELLS = [
+    (backend, executor)
+    for backend in BACKENDS
+    for executor in EXECUTORS
+    if executor == "inline" or backend == "arena"
+]
+
+
+@pytest.fixture
+def publish_calls(monkeypatch):
+    """Records every ArenaSegments.publish, i.e. every shm session."""
+    calls = []
+    original = ArenaSegments.publish
+
+    def spy(arrays):
+        calls.append(arrays)
+        return original(arrays)
+
+    monkeypatch.setattr(ArenaSegments, "publish", staticmethod(spy))
+    return calls
+
+
+class TestTreeKind:
+    """Boolean engines reject MIN/MAX trees before step 0, everywhere."""
+
+    @pytest.mark.parametrize("backend,executor", SUPPORTED_CELLS)
+    @pytest.mark.parametrize("label,run", BOOLEAN_ENGINES)
+    @pytest.mark.parametrize("height", [0, 4])
+    def test_boolean_engine_rejects_minmax_tree(
+        self, label, run, backend, executor, height, minmax_tree,
+        publish_calls,
+    ):
+        tree = (
+            ExplicitTree([[]], {0: 1.0}, kind=TreeKind.MINMAX)
+            if height == 0 else minmax_tree
+        )
+        with pytest.raises(TreeStructureError, match=label):
+            run(tree, backend, executor)
+        assert publish_calls == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rejection_precedes_any_step(self, backend, minmax_tree):
+        rec = InMemoryRecorder()
+        with pytest.raises(TreeStructureError):
+            parallel_solve(minmax_tree, 1, backend=backend, recorder=rec)
+        assert rec.events == []
+
+
+#: (label, tree fixture, call(tree, **backend_kwargs)) — an invalid
+#: input per shm-capable engine (Sequential alpha-beta takes no
+#: argument that can be invalid).
+INVALID_INPUTS = [
+    (
+        "parallel-solve-width",
+        "boolean_tree",
+        lambda t, **kw: parallel_solve(t, -1, **kw),
+    ),
+    (
+        "parallel-solve-processors",
+        "boolean_tree",
+        lambda t, **kw: parallel_solve(t, 1, max_processors=0, **kw),
+    ),
+    (
+        "parallel-solve-minmax",
+        "minmax_tree",
+        lambda t, **kw: parallel_solve(t, 1, **kw),
+    ),
+    (
+        "saturation-solve-minmax",
+        "minmax_tree",
+        lambda t, **kw: saturation_solve(t, **kw),
+    ),
+    (
+        "team-solve-processors",
+        "boolean_tree",
+        lambda t, **kw: team_solve(t, 0, **kw),
+    ),
+    (
+        "team-solve-minmax",
+        "minmax_tree",
+        lambda t, **kw: team_solve(t, 2, **kw),
+    ),
+    (
+        "parallel-alpha-beta-width",
+        "minmax_tree",
+        lambda t, **kw: parallel_alpha_beta(t, -1, **kw),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "label,tree_fixture,run", INVALID_INPUTS,
+    ids=[label for label, _, _ in INVALID_INPUTS],
+)
+def test_shm_rejects_bad_input_before_publishing(
+    label, tree_fixture, run, request, publish_calls
+):
+    tree = request.getfixturevalue(tree_fixture)
+    with pytest.raises(Exception) as inline:
+        run(tree, backend="arena")
+    with pytest.raises(Exception) as shm:
+        run(tree, backend="arena", executor="shm")
+    assert type(shm.value) is type(inline.value)
+    assert str(shm.value) == str(inline.value)
+    assert publish_calls == []
 
 
 class TestErrorShape:
