@@ -35,8 +35,7 @@ from ...gateway import (
     open_loop_arrivals,
     summarize,
 )
-from ...serve.engines import run_algorithm
-from ...serve.request import request_key
+from ...serve import direct_mismatches
 from ..registry import Band, BenchSpec, Gate, SpecResult, register_spec
 
 #: Deterministic logical-tick metrics: zero drift tolerated.
@@ -83,29 +82,11 @@ def _wrong_answers(
     report: GatewayReport,
     arrivals: List[Tuple[int, GatewayRequest]],
 ) -> int:
-    by_id = {
-        greq.request.request_id: greq.request
-        for _tick, greq in arrivals
-    }
-    expected: Dict[str, Tuple[float, int, int]] = {}
-    wrong = 0
-    for outcome in report.outcomes:
-        if outcome.status != "ok":
-            continue
-        req = by_id[outcome.request_id]
-        key = request_key(req)
-        if key not in expected:
-            value, steps, work = run_algorithm(
-                req.algo, req.tree, req.params_dict()
-            )
-            expected[key] = (float(value), steps, work)
-        if (
-            outcome.key != key
-            or (outcome.value, outcome.steps, outcome.work)
-            != expected[key]
-        ):
-            wrong += 1
-    return wrong
+    by_id = {g.request.request_id: g.request for _t, g in arrivals}
+    return sum(1 for _ in direct_mismatches(
+        (by_id[o.request_id], o)
+        for o in report.outcomes if o.status == "ok"
+    ))
 
 
 def _run_e26(params: Dict[str, Any], wallclock: bool) -> SpecResult:

@@ -101,6 +101,15 @@ class BackendUnsupportedError(ReproError, ValueError):
         self.executor = executor
 
 
+class InvalidRequestError(ReproError, ValueError):
+    """A serve request fails the engine table's check.
+
+    Raised where the request is built (see
+    :func:`repro.serve.engines.check_request`), so a bad request never
+    reaches a shard.  The message names the algorithm and the entry.
+    """
+
+
 class DegradedRunError(ReproError):
     """The oracle runtime's circuit breaker tripped.
 

@@ -17,6 +17,7 @@ import sys
 from typing import Optional
 
 from ..faults import FaultPlan, ScheduleEntry
+from ..serve import direct_mismatches
 from .gateway import Gateway, GatewayConfig
 from .loadgen import open_loop_arrivals, render_report, summarize
 
@@ -73,47 +74,6 @@ def add_gateway_arguments(parser: argparse.ArgumentParser) -> None:
         "--tick-seconds", type=float, default=0.001,
         help="real seconds per tick in --wallclock mode",
     )
-
-
-def _count_mismatches(outcomes, arrivals) -> int:
-    """Compare every completed outcome against direct evaluation.
-
-    Results are memoised by canonical key, so each unique computation
-    is re-run once no matter how hot the zipf stream is.
-    """
-    from ..serve.engines import run_algorithm
-    from ..serve.request import request_key
-
-    by_id = {
-        greq.request.request_id: greq.request
-        for _tick, greq in arrivals
-    }
-    expected: dict = {}
-    wrong = 0
-    for outcome in outcomes:
-        if outcome.status != "ok":
-            continue
-        req = by_id[outcome.request_id]
-        key = request_key(req)
-        if key not in expected:
-            value, steps, work = run_algorithm(
-                req.algo, req.tree, req.params_dict()
-            )
-            expected[key] = (float(value), steps, work)
-        if (
-            outcome.key != key
-            or (outcome.value, outcome.steps, outcome.work)
-            != expected[key]
-        ):
-            wrong += 1
-            print(
-                f"MISMATCH id={outcome.request_id} "
-                f"algo={outcome.algo}: served "
-                f"({outcome.value}, {outcome.steps}, {outcome.work})"
-                f" != direct {expected[key]}",
-                file=sys.stderr,
-            )
-    return wrong
 
 
 def run_gateway(args: argparse.Namespace) -> int:
@@ -196,7 +156,20 @@ def run_gateway(args: argparse.Namespace) -> int:
         )
 
     if args.verify:
-        wrong = _count_mismatches(report.outcomes, arrivals)
+        by_id = {g.request.request_id: g.request for _t, g in arrivals}
+        wrong = 0
+        for _req, outcome, direct in direct_mismatches(
+            (by_id[o.request_id], o)
+            for o in report.outcomes if o.status == "ok"
+        ):
+            wrong += 1
+            print(
+                f"MISMATCH id={outcome.request_id} "
+                f"algo={outcome.algo}: served "
+                f"({outcome.value}, {outcome.steps}, {outcome.work})"
+                f" != direct {direct}",
+                file=sys.stderr,
+            )
         if wrong:
             print(
                 f"verify: {wrong} mismatch(es)", file=sys.stderr

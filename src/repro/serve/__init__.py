@@ -15,8 +15,6 @@ drives it from the command line; see ``docs/serving.md``.
 from .cache import CacheStats, ResultCache
 from .engines import (
     ALGORITHMS,
-    BOOLEAN_ALGORITHMS,
-    MINMAX_ALGORITHMS,
     evaluate_payload,
     run_algorithm,
 )
@@ -31,12 +29,11 @@ from .request import (
     shard_of,
 )
 from .service import SerialExecutor, ServeStats, ShardedBatchService
+from .service import direct_mismatches
 from .stream import make_tree_pool, synthetic_stream, zipf_weights
 
 __all__ = [
     "ALGORITHMS",
-    "BOOLEAN_ALGORITHMS",
-    "MINMAX_ALGORITHMS",
     "CacheStats",
     "EvalRequest",
     "EvalResponse",
@@ -44,6 +41,7 @@ __all__ = [
     "SerialExecutor",
     "ServeStats",
     "ShardedBatchService",
+    "direct_mismatches",
     "evaluate_payload",
     "load_requests",
     "make_tree_pool",

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
-from ..errors import AllShardsDegradedError
+from ..errors import AllShardsDegradedError, InvalidRequestError
 from .engines import evaluate_payload
-from .request import EvalRequest, EvalResponse, load_requests
+from .request import load_requests
 from .request import response_log as render_response_log
 from .request import save_requests
-from .service import POOLS, ShardedBatchService
+from .service import POOLS, ShardedBatchService, direct_mismatches
 from .stream import synthetic_stream
 
 __all__ = ["add_serve_arguments", "run_serve"]
@@ -108,32 +108,6 @@ def _chaos_oracle_for_shard(
     return for_shard
 
 
-def _verify_responses(
-    requests: List[EvalRequest], responses: List[EvalResponse]
-) -> int:
-    """Inline re-evaluation cross-check; returns mismatch count."""
-    from .engines import run_algorithm
-
-    wrong = 0
-    for req, resp in zip(requests, responses):
-        value, steps, work = run_algorithm(
-            req.algo, req.tree, req.params_dict()
-        )
-        if (
-            float(value) != resp.value
-            or steps != resp.steps
-            or work != resp.work
-        ):
-            wrong += 1
-            print(
-                f"MISMATCH id={req.request_id} algo={req.algo}: "
-                f"served ({resp.value}, {resp.steps}, {resp.work}) "
-                f"!= direct ({value}, {steps}, {work})",
-                file=sys.stderr,
-            )
-    return wrong
-
-
 def _report_collapse(exc: AllShardsDegradedError) -> None:
     """Human-readable summary of a total-degradation failure."""
     print(f"serve: {exc}", file=sys.stderr)
@@ -152,7 +126,11 @@ def run_serve(args: argparse.Namespace) -> int:
     cache_size = _parse_cache_size(args.cache_size)
 
     if args.requests is not None:
-        requests = load_requests(args.requests)
+        try:
+            requests = load_requests(args.requests)
+        except InvalidRequestError as exc:
+            print(f"serve: {exc}", file=sys.stderr)
+            return 2
     else:
         requests = synthetic_stream(
             args.num_requests,
@@ -228,7 +206,15 @@ def run_serve(args: argparse.Namespace) -> int:
         print(f"  failover re-dispatched {stats.failovers} request(s)")
 
     if args.verify:
-        wrong = _verify_responses(requests, responses)
+        wrong = 0
+        for req, resp, direct in direct_mismatches(zip(requests, responses)):
+            wrong += 1
+            print(
+                f"MISMATCH id={req.request_id} algo={req.algo}: "
+                f"served ({resp.value}, {resp.steps}, {resp.work}) "
+                f"!= direct {direct}",
+                file=sys.stderr,
+            )
         if wrong:
             print(f"verify: {wrong} mismatch(es)", file=sys.stderr)
             return 1

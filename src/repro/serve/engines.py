@@ -1,10 +1,15 @@
 """Algorithm dispatch for the batch-evaluation service.
 
-Maps the wire-level algorithm names onto the repository's engines and
-normalises their heterogeneous result types to one ``(value, steps,
-work)`` triple.  :func:`evaluate_payload` is the module-level worker
-function the per-shard :class:`~repro.models.executors.OracleRuntime`
-pools execute — it takes a plain dict (picklable across process
+:data:`ALGORITHMS` is the engine table: one :class:`EngineSpec` per
+wire-level algorithm name, declaring the tree kinds, wire parameters
+and entry point of its engine.  :func:`check_request` validates a
+request against it, both where an
+:class:`~repro.serve.request.EvalRequest` is built and in
+:func:`run_algorithm`, which normalises the engines' heterogeneous
+result types to one ``(value, steps, work)`` triple.
+:func:`evaluate_payload` is the module-level worker function the
+per-shard :class:`~repro.models.executors.OracleRuntime` pools
+execute — it takes a plain dict (picklable across process
 boundaries), rebuilds the tree, runs the engine and returns a plain
 dict, so a shard worker needs nothing but this module importable.
 
@@ -15,195 +20,169 @@ indistinguishable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
+from ..core import parallel_solve, sequential_solve, team_solve
+from ..core.alphabeta import (
+    alpha_beta,
+    minimax,
+    parallel_alpha_beta,
+    scout,
+    sequential_alpha_beta,
+    sss_star,
+)
+from ..core.nodeexpansion import (
+    n_parallel_alpha_beta,
+    n_parallel_solve,
+    n_sequential_alpha_beta,
+    n_sequential_solve,
+)
+from ..errors import InvalidRequestError
+from ..simulator import simulate
 from ..trees.base import GameTree
 from ..trees.io import tree_from_dict
+from ..types import TreeKind
 
 __all__ = [
     "ALGORITHMS",
-    "BOOLEAN_ALGORITHMS",
-    "MINMAX_ALGORITHMS",
+    "ROUTE_KEYWORDS",
+    "EngineSpec",
+    "Param",
+    "check_request",
     "run_algorithm",
     "evaluate_payload",
 ]
 
 #: value, model steps (ticks for the machine), total work.
 EngineOutcome = Tuple[float, int, int]
-#: Params are wire-level: widths/processor counts plus an optional
-#: ``backend`` string for the frontier-backend-capable engines.
-EngineFn = Callable[[GameTree, Mapping[str, Any]], EngineOutcome]
+
+#: ``run_algorithm``-only keywords, forwarded to the routed engines
+#: (those that go through ``core.parallel_solve.dispatch``).  They are
+#: not wire parameters; ``dispatch`` alone checks their values and
+#: supplies their defaults.
+ROUTE_KEYWORDS = ("backend", "executor")
 
 
-def _backend(params: Mapping[str, Any]) -> str:
-    backend: str = params.get("backend", "incremental")
-    return backend
+@dataclass(frozen=True)
+class Param:
+    """One wire parameter: its value when absent, its smallest value."""
+
+    default: Optional[int]
+    minimum: int
 
 
-def _executor(params: Mapping[str, Any]) -> str:
-    executor: str = params.get("executor", "inline")
-    return executor
+@dataclass(frozen=True)
+class EngineSpec:
+    """One wire algorithm: what it accepts and how to run it.
+
+    ``entry`` is called with the tree, then the ``params`` values in
+    declaration order (every engine takes at most one), then the
+    route keywords if ``routed``.  ``counters`` names the result
+    attributes reported as ``(steps, work)``.
+    """
+
+    entry: Callable[..., Any]
+    kinds: FrozenSet[TreeKind]
+    params: Mapping[str, Param] = field(default_factory=dict)
+    routed: bool = False
+    counters: Tuple[str, str] = ("num_steps", "total_work")
+
+    def run(self, tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
+        """Run the engine on already-checked ``params``."""
+        args = [params.get(n, p.default) for n, p in self.params.items()]
+        route = {k: params[k] for k in ROUTE_KEYWORDS if k in params}
+        res = self.entry(tree, *args, **route)
+        steps, work = self.counters
+        return float(res.value), getattr(res, steps), getattr(res, work)
 
 
-def _sequential(tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
-    from ..core import sequential_solve
+_BOOLEAN = frozenset({TreeKind.BOOLEAN})
+_ANY = frozenset(TreeKind)
+_WIDTH = {"width": Param(default=1, minimum=0)}
 
-    res = sequential_solve(tree)
-    return float(res.value), res.num_steps, res.total_work
-
-
-def _team(tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
-    from ..core import team_solve
-
-    res = team_solve(
-        tree, params.get("processors", 4), backend=_backend(params),
-        executor=_executor(params),
-    )
-    return float(res.value), res.num_steps, res.total_work
-
-
-def _parallel(tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
-    from ..core import parallel_solve
-
-    res = parallel_solve(
-        tree, params.get("width", 1), backend=_backend(params),
-        executor=_executor(params),
-    )
-    return float(res.value), res.num_steps, res.total_work
-
-
-def _nsequential(
-    tree: GameTree, params: Mapping[str, Any]
-) -> EngineOutcome:
-    from ..core.nodeexpansion import n_sequential_solve
-
-    res = n_sequential_solve(tree)
-    return float(res.value), res.num_steps, res.total_work
-
-
-def _nparallel(tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
-    from ..core.nodeexpansion import n_parallel_solve
-
-    res = n_parallel_solve(tree, params.get("width", 1))
-    return float(res.value), res.num_steps, res.total_work
-
-
-def _machine(tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
-    from ..simulator import simulate
-
-    res = simulate(tree, physical_processors=params.get("processors"))
-    return float(res.value), res.ticks, res.expansions
-
-
-def _alphabeta(tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
-    from ..core.alphabeta import alpha_beta
-
-    res = alpha_beta(tree)
-    return float(res.value), res.num_steps, res.total_work
-
-
-def _sequential_ab(
-    tree: GameTree, params: Mapping[str, Any]
-) -> EngineOutcome:
-    from ..core.alphabeta import sequential_alpha_beta
-
-    res = sequential_alpha_beta(
-        tree, backend=_backend(params), executor=_executor(params)
-    )
-    return float(res.value), res.num_steps, res.total_work
-
-
-def _nsequential_ab(
-    tree: GameTree, params: Mapping[str, Any]
-) -> EngineOutcome:
-    from ..core.nodeexpansion import n_sequential_alpha_beta
-
-    res = n_sequential_alpha_beta(tree)
-    return float(res.value), res.num_steps, res.total_work
-
-
-def _nparallel_ab(
-    tree: GameTree, params: Mapping[str, Any]
-) -> EngineOutcome:
-    from ..core.nodeexpansion import n_parallel_alpha_beta
-
-    res = n_parallel_alpha_beta(tree, params.get("width", 1))
-    return float(res.value), res.num_steps, res.total_work
-
-
-def _parallel_ab(tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
-    from ..core.alphabeta import parallel_alpha_beta
-
-    res = parallel_alpha_beta(
-        tree, params.get("width", 1), backend=_backend(params),
-        executor=_executor(params),
-    )
-    return float(res.value), res.num_steps, res.total_work
-
-
-def _scout(tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
-    from ..core.alphabeta import scout
-
-    res = scout(tree)
-    return float(res.value), res.num_steps, res.total_work
-
-
-def _sss(tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
-    from ..core.alphabeta import sss_star
-
-    res = sss_star(tree)
-    return float(res.value), res.num_steps, res.total_work
-
-
-def _minimax(tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
-    from ..core.alphabeta import minimax
-
-    res = minimax(tree)
-    return float(res.value), res.num_steps, res.total_work
-
-
-#: Wire names -> engine adapters.  Boolean-tree algorithms first,
-#: then the MIN/MAX family.
-ALGORITHMS: Dict[str, EngineFn] = {
-    "sequential": _sequential,
-    "team": _team,
-    "parallel": _parallel,
-    "nsequential": _nsequential,
-    "nparallel": _nparallel,
-    "machine": _machine,
-    "alphabeta": _alphabeta,
-    "sequential_ab": _sequential_ab,
-    "parallel_ab": _parallel_ab,
-    "nsequential_ab": _nsequential_ab,
-    "nparallel_ab": _nparallel_ab,
-    "scout": _scout,
-    "sss": _sss,
-    "minimax": _minimax,
+#: Wire names -> engine specs.  Boolean-only engines first, then the
+#: MIN/MAX family (which also evaluates Boolean trees, except SSS*).
+ALGORITHMS: Dict[str, EngineSpec] = {
+    "sequential": EngineSpec(sequential_solve, _BOOLEAN),
+    "team": EngineSpec(
+        team_solve, _BOOLEAN, {"processors": Param(default=4, minimum=1)},
+        routed=True,
+    ),
+    "parallel": EngineSpec(parallel_solve, _BOOLEAN, _WIDTH, routed=True),
+    "nsequential": EngineSpec(n_sequential_solve, _BOOLEAN),
+    "nparallel": EngineSpec(n_parallel_solve, _BOOLEAN, _WIDTH),
+    "machine": EngineSpec(
+        simulate, _BOOLEAN, {"processors": Param(default=None, minimum=1)},
+        counters=("ticks", "expansions"),
+    ),
+    "alphabeta": EngineSpec(alpha_beta, _ANY),
+    "sequential_ab": EngineSpec(sequential_alpha_beta, _ANY, routed=True),
+    "parallel_ab": EngineSpec(parallel_alpha_beta, _ANY, _WIDTH, routed=True),
+    "nsequential_ab": EngineSpec(n_sequential_alpha_beta, _ANY),
+    "nparallel_ab": EngineSpec(n_parallel_alpha_beta, _ANY, _WIDTH),
+    "scout": EngineSpec(scout, _ANY),
+    "sss": EngineSpec(sss_star, frozenset({TreeKind.MINMAX})),
+    "minimax": EngineSpec(minimax, _ANY),
 }
 
-#: Algorithms applicable per tree kind (used by the stream generator).
-BOOLEAN_ALGORITHMS = (
-    "sequential", "team", "parallel", "nsequential", "nparallel",
-    "machine",
-)
-MINMAX_ALGORITHMS = (
-    "alphabeta", "sequential_ab", "parallel_ab", "nsequential_ab",
-    "nparallel_ab", "scout", "sss", "minimax",
-)
+
+def check_request(
+    algo: str,
+    kind: TreeKind,
+    params: Mapping[str, Any],
+    *,
+    routing: bool = False,
+) -> EngineSpec:
+    """The spec of ``algo`` if it can run ``params`` on a ``kind`` tree.
+
+    Raises :class:`~repro.errors.InvalidRequestError` for an unknown
+    algorithm or parameter, a value that is not an ``int`` (``bool``
+    is not) or is below its minimum, and a tree kind the engine does
+    not take.  ``routing`` also admits :data:`ROUTE_KEYWORDS` for the
+    routed engines, with their values left to ``dispatch``.
+    """
+    spec = ALGORITHMS.get(algo)
+    if spec is None:
+        raise InvalidRequestError(
+            f"unknown algorithm {algo!r}; expected one of "
+            f"{sorted(ALGORITHMS)}"
+        )
+    for key, value in params.items():
+        param = spec.params.get(key)
+        if param is None:
+            if routing and spec.routed and key in ROUTE_KEYWORDS:
+                continue
+            raise InvalidRequestError(
+                f"{algo}: unknown parameter {key!r}; expected one of "
+                f"{sorted(spec.params)}"
+            )
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidRequestError(
+                f"{algo}: parameter {key!r} must be an int, got {value!r}"
+            )
+        if value < param.minimum:
+            raise InvalidRequestError(
+                f"{algo}: parameter {key!r} must be >= {param.minimum}, "
+                f"got {value}"
+            )
+    if kind not in spec.kinds:
+        raise InvalidRequestError(
+            f"{algo} does not evaluate {kind.value} trees"
+        )
+    return spec
 
 
 def run_algorithm(
     algo: str, tree: GameTree, params: Mapping[str, Any]
 ) -> EngineOutcome:
-    """Dispatch one evaluation; raises ``KeyError`` on unknown names."""
-    try:
-        fn = ALGORITHMS[algo]
-    except KeyError:
-        raise KeyError(
-            f"unknown algorithm {algo!r}; expected one of "
-            f"{sorted(ALGORITHMS)}"
-        ) from None
-    return fn(tree, params)
+    """Check one evaluation against the table, then run it.
+
+    Besides the wire parameters, ``params`` may carry the
+    :data:`ROUTE_KEYWORDS` for the routed engines.
+    """
+    spec = check_request(algo, tree.kind, params, routing=True)
+    return spec.run(tree, params)
 
 
 def evaluate_payload(payload: Dict[str, Any]) -> Dict[str, Any]:

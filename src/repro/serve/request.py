@@ -20,10 +20,12 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
+from ..errors import InvalidRequestError
 from ..trees.canonical import canonical_hash
 from ..trees.explicit import ExplicitTree
 from ..trees.io import tree_from_dict, tree_to_dict
 from ..trees.uniform import UniformTree
+from .engines import check_request
 
 __all__ = [
     "EvalRequest",
@@ -45,13 +47,19 @@ ConcreteTree = Union[UniformTree, ExplicitTree]
 
 @dataclass(frozen=True)
 class EvalRequest:
-    """One unit of work for the batch-evaluation service."""
+    """One unit of work for the batch-evaluation service.
+
+    Checked against the engine table when built.
+    """
 
     request_id: int
     algo: str
     tree: ConcreteTree
     #: algorithm parameters (width, processors, ...), order-free.
     params: Tuple[Tuple[str, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        check_request(self.algo, self.tree.kind, dict(self.params))
 
     @classmethod
     def make(
@@ -119,12 +127,14 @@ def request_to_dict(req: EvalRequest) -> Dict[str, Any]:
 
 
 def request_from_dict(data: Dict[str, Any]) -> EvalRequest:
+    """Inverse of :func:`request_to_dict`; parameter values are taken
+    as they are, so anything but a JSON integer is rejected."""
     return EvalRequest(
         request_id=int(data["id"]),
         algo=str(data["algo"]),
         tree=tree_from_dict(data["tree"]),
         params=tuple(sorted(
-            (str(k), int(v)) for k, v in data.get("params", {}).items()
+            (str(k), v) for k, v in data.get("params", {}).items()
         )),
     )
 
@@ -141,13 +151,21 @@ def save_requests(path: str, requests: Sequence[EvalRequest]) -> None:
 
 
 def load_requests(path: str) -> List[EvalRequest]:
-    """Read a JSONL request stream written by :func:`save_requests`."""
+    """Read a JSONL request stream written by :func:`save_requests`.
+
+    A line that is not JSON or not a valid request raises
+    :class:`~repro.errors.InvalidRequestError` prefixed ``path:line:``.
+    """
     requests: List[EvalRequest] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 requests.append(request_from_dict(json.loads(line)))
+            except ValueError as exc:
+                raise InvalidRequestError(f"{path}:{lineno}: {exc}") from exc
     return requests
 
 

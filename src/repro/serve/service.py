@@ -37,6 +37,7 @@ all of them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from concurrent.futures import Executor, Future
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,7 +51,7 @@ from ..errors import (
 from ..models.executors import OracleRuntime, PipePool, RuntimeStats
 from ..telemetry import Recorder, live
 from .cache import CacheStats, ResultCache
-from .engines import evaluate_payload
+from .engines import EngineOutcome, evaluate_payload, run_algorithm
 from .request import (
     EvalRequest,
     EvalResponse,
@@ -59,7 +60,12 @@ from .request import (
     shard_of,
 )
 
-__all__ = ["ServeStats", "ShardedBatchService", "SerialExecutor"]
+__all__ = [
+    "ServeStats",
+    "ShardedBatchService",
+    "SerialExecutor",
+    "direct_mismatches",
+]
 
 
 class SerialExecutor(Executor):
@@ -401,3 +407,28 @@ class ShardedBatchService:
     @property
     def degraded_shards(self) -> List[int]:
         return list(self.stats.degraded_shards)
+
+
+def direct_mismatches(
+    served: Iterable[Tuple[EvalRequest, Any]],
+) -> Iterator[Tuple[EvalRequest, Any, EngineOutcome]]:
+    """Re-evaluate served requests inline; yield the ones served wrong.
+
+    ``served`` pairs each request with its answer: anything with
+    ``key``, ``value``, ``steps`` and ``work`` (an
+    :class:`~repro.serve.request.EvalResponse` or a gateway outcome).
+    Direct results are memoised by request key, so each unique
+    computation runs once however hot the stream is.  Yields
+    ``(request, served, direct)`` for every answer whose key or
+    ``(value, steps, work)`` differs from direct evaluation.
+    """
+    direct: Dict[str, EngineOutcome] = {}
+    for req, answer in served:
+        key = request_key(req)
+        if key not in direct:
+            direct[key] = run_algorithm(req.algo, req.tree, req.params_dict())
+        if (
+            answer.key != key
+            or (answer.value, answer.steps, answer.work) != direct[key]
+        ):
+            yield req, answer, direct[key]

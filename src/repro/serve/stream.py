@@ -20,10 +20,17 @@ import numpy as np
 from ..trees.generators import iid_boolean, iid_minmax_integers
 from ..trees.uniform import UniformTree
 from ..types import TreeKind
-from .engines import BOOLEAN_ALGORITHMS, MINMAX_ALGORITHMS
+from .engines import ALGORITHMS
 from .request import ConcreteTree, EvalRequest
 
 __all__ = ["make_tree_pool", "synthetic_stream", "zipf_weights"]
+
+#: Algorithms drawn per tree kind, in table order: the MIN/MAX family
+#: for MIN/MAX trees, the Boolean-only engines for Boolean trees.
+_MINMAX_FAMILY = tuple(
+    a for a, spec in ALGORITHMS.items() if TreeKind.MINMAX in spec.kinds
+)
+_BOOLEAN_ONLY = tuple(a for a in ALGORITHMS if a not in _MINMAX_FAMILY)
 
 
 def zipf_weights(n: int, s: float) -> np.ndarray:
@@ -71,13 +78,13 @@ def _algo_for(
 ) -> Tuple[str, Tuple[Tuple[str, int], ...]]:
     """Draw an applicable algorithm (+ params) for one tree."""
     if tree.kind is TreeKind.BOOLEAN:
-        candidates = [a for a in BOOLEAN_ALGORITHMS if a != "machine"]
+        candidates = [a for a in _BOOLEAN_ONLY if a != "machine"]
         # The Section-7 machine implementation is binary-NOR only.
         if isinstance(tree, UniformTree) and tree.branching == 2:
             candidates.append("machine")
         algo = candidates[int(rng.integers(len(candidates)))]
     else:
-        algo = MINMAX_ALGORITHMS[int(rng.integers(len(MINMAX_ALGORITHMS)))]
+        algo = _MINMAX_FAMILY[int(rng.integers(len(_MINMAX_FAMILY)))]
     params: Tuple[Tuple[str, int], ...] = ()
     if algo in ("parallel", "nparallel", "parallel_ab"):
         params = (("width", int(rng.integers(1, 4))),)
