@@ -7,14 +7,15 @@ bridge to actual parallel hardware: when evaluating a leaf costs real
 CPU time — here an iterated-hash proof-of-work stands in for a
 position evaluator — the width-1 batches are embarrassingly parallel,
 and running them on a process pool yields genuine wall-clock speed-up
-in ordinary CPython.
+in ordinary CPython.  ``run_with_oracle`` is ``run_boolean`` with the
+pool as its leaf evaluator, so both runs take the same schedule.
 """
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.core import WidthPolicy
+from repro.models.executors import PipePool
 from repro.models.oracle_runner import run_with_oracle
 from repro.trees.generators import iid_boolean
 from repro.trees.generators.iid import level_invariant_bias
@@ -39,31 +40,24 @@ def main() -> None:
     n = 10
     tree = iid_boolean(2, n, level_invariant_bias(2), seed=7)
 
-    def payload(t, leaf):
-        # 2*value + leaf parity: value recoverable as payload % 2.
-        return int(t.leaf_value(leaf))
-
     cores = os.cpu_count() or 1
     print(f"binary NOR tree, height {n}; oracle ~{WORK_FACTOR} hashes "
           f"per leaf; {cores} CPU core(s) available")
     print("expected wall-clock speed-up ~ min(cores, mean batch "
           "size); on a single-core machine the two runs tie.\n")
 
-    serial = run_with_oracle(
-        tree, expensive_oracle, WidthPolicy(1), None, payload=payload
-    )
+    serial = run_with_oracle(tree, expensive_oracle, WidthPolicy(1))
     print(
         f"serial batches:   {serial.total_seconds:6.2f}s "
         f"({serial.total_work} leaf evaluations, "
         f"{serial.num_steps} steps)"
     )
 
-    with ProcessPoolExecutor() as pool:
-        # Warm the pool so fork/spawn cost is not billed to the run.
+    with PipePool() as pool:
+        # Warm the pool so fork cost is not billed to the run.
         list(pool.map(expensive_oracle, [0, 1]))
         parallel = run_with_oracle(
-            tree, expensive_oracle, WidthPolicy(1), pool,
-            payload=payload,
+            tree, expensive_oracle, WidthPolicy(1), pool
         )
     print(
         f"process-pool batches: {parallel.total_seconds:6.2f}s "
@@ -71,6 +65,7 @@ def main() -> None:
         f"{parallel.num_steps} steps)"
     )
     assert serial.value == parallel.value
+    assert serial.evaluated == parallel.evaluated
     print(
         f"\nwall-clock speed-up: "
         f"{serial.total_seconds / parallel.total_seconds:.2f}x "

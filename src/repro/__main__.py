@@ -18,13 +18,13 @@ lint
     Static-analysis pass enforcing the model invariants (R1-R12).
 chaos
     Fault-injection sweep: convergence and overhead under seeded
-    message/processor faults, plus oracle-runtime fault drills.
+    message/processor faults, plus OracleRuntime fault drills.
 trace
     Record an instrumented run under the deterministic telemetry
     recorder and export it as a Chrome ``trace_event`` file or JSONL.
 serve
     Batch-evaluation service: canonical-tree result cache in front of
-    hash-sharded oracle-runtime pools, with deterministic response
+    hash-sharded OracleRuntime pools, with deterministic response
     logs and an optional chaos (crashing-shard) mode.
 gateway
     Overload-safe request gateway in front of the sharded service:

@@ -228,9 +228,11 @@ def oracle_wallclock_table(
         )
     if serial.value != pooled.value:
         raise AssertionError("oracle runtime changed the computed value")
+    if serial.evaluated != pooled.evaluated:
+        raise AssertionError("oracle runtime changed the evaluated leaves")
     table.add_note(
-        f"per-leaf oracle spins {oracle_iters} iterations; values "
-        f"identical across modes"
+        f"per-leaf oracle spins {oracle_iters} iterations; values and "
+        f"evaluated leaves identical across modes"
     )
     return table
 

@@ -8,7 +8,7 @@ statements ("At each step, evaluate ...").
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..errors import ModelViolationError
 from ..models.accounting import EvalResult, ExecutionTrace
@@ -19,6 +19,9 @@ from .status import BooleanState
 #: A selection policy: (tree, state) -> batch of live leaves.
 Policy = Callable[[GameTree, BooleanState], List[NodeId]]
 
+#: A leaf evaluator: batch of leaves -> their 0/1 values, in batch order.
+LeafEvaluator = Callable[[List[NodeId]], Sequence[int]]
+
 #: Optional per-step instrumentation hook: (state, step index, batch).
 StepHook = Callable[[BooleanState, int, List[NodeId]], None]
 
@@ -27,6 +30,7 @@ def run_boolean(
     tree: GameTree,
     policy: Policy,
     *,
+    evaluate: Optional[LeafEvaluator] = None,
     keep_batches: bool = False,
     on_step: Optional[StepHook] = None,
     max_steps: Optional[int] = None,
@@ -37,6 +41,11 @@ def run_boolean(
 
     Parameters
     ----------
+    evaluate:
+        Where leaf values come from, one call per step with the
+        (validated) batch; ``None`` reads the tree's own
+        ``leaf_value``.  An external oracle plugs in here
+        (:func:`repro.models.oracle_runner.run_with_oracle`).
     keep_batches:
         Store the full batch at every step in the trace (needed by the
         base-path/code analyses; off by default to save memory).
@@ -72,8 +81,12 @@ def run_boolean(
             )
         if validate_batches:
             _validate_batch(tree, state, batch)
-        for leaf in batch:
-            state.evaluate_leaf(leaf)
+        if evaluate is None:
+            for leaf in batch:
+                state.evaluate_leaf(leaf)
+        else:
+            for leaf, val in zip(batch, evaluate(batch), strict=True):
+                state.settle_leaf(leaf, val)
         trace.record(batch)
         evaluated.extend(batch)
         if rec is not None:

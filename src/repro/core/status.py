@@ -78,14 +78,26 @@ class BooleanState:
     # -- updates -----------------------------------------------------------
     def evaluate_leaf(self, leaf: NodeId) -> int:
         """Evaluate ``leaf`` and propagate determinations upward."""
+        self._claim(leaf)
+        val = int(self.tree.leaf_value(leaf))
+        self._determine(leaf, val)
+        return val
+
+    def settle_leaf(self, leaf: NodeId, value: int) -> int:
+        """:meth:`evaluate_leaf` with ``value`` supplied by the caller
+        (an external leaf oracle) instead of read from the tree."""
+        self._claim(leaf)
+        val = int(value)
+        self._determine(leaf, val)
+        return val
+
+    def _claim(self, leaf: NodeId) -> None:
+        """Mark ``leaf`` evaluated; reject repeats and non-leaves."""
         if leaf in self.evaluated:
             raise ModelViolationError(f"leaf {leaf!r} evaluated twice")
         if not self.tree.is_leaf(leaf):
             raise ModelViolationError(f"{leaf!r} is not a leaf")
         self.evaluated.add(leaf)
-        val = int(self.tree.leaf_value(leaf))
-        self._determine(leaf, val)
-        return val
 
     def _determine(self, node: NodeId, val: int) -> None:
         """Record ``node``'s value and cascade to ancestors."""

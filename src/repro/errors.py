@@ -127,9 +127,11 @@ class DegradedRunError(ReproError):
     completed / pending:
         How many payloads finished / are still outstanding.
     steps_completed:
-        Filled in by :func:`repro.models.oracle_runner.run_with_oracle`
-        when the breaker trips mid-run: the number of basic steps that
-        completed before the failing batch.
+        Filled in by the leaf evaluator of
+        :func:`repro.models.oracle_runner.run_with_oracle` (and of
+        :class:`repro.core.shm.ShmSession`) when the breaker trips
+        mid-run: the number of evaluator calls that returned, which is
+        the number of basic steps completed before the failing batch.
     """
 
     def __init__(

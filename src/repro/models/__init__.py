@@ -1,13 +1,12 @@
 """Cost models: accounting primitives and optional executors."""
 
 from .accounting import EvalResult, ExecutionTrace
-from .executors import BatchEvaluator, OracleRuntime, RuntimeStats
+from .executors import OracleRuntime, RuntimeStats
 from .oracle_runner import OracleRunResult, run_with_oracle
 
 __all__ = [
     "EvalResult",
     "ExecutionTrace",
-    "BatchEvaluator",
     "OracleRuntime",
     "RuntimeStats",
     "OracleRunResult",

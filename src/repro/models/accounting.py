@@ -40,7 +40,7 @@ class ExecutionTrace:
         """Record one basic step that processed ``batch`` units.
 
         ``seconds`` optionally attaches the step's wall-clock cost
-        (oracle-runtime runs); model-step runs leave it unset.
+        (oracle-backed runs); model-step runs leave it unset.
         """
         if not batch:
             raise ModelViolationError("a basic step must do some work")

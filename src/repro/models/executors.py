@@ -1,4 +1,4 @@
-"""OS-level parallel leaf evaluation: batch evaluator and runtime.
+"""OS-level parallel leaf evaluation: process pool and oracle runtime.
 
 The paper's models charge one unit per leaf evaluation and assume the
 batch is evaluated simultaneously.  All measurements in this repository
@@ -7,7 +7,7 @@ Python unobservable), but when the *leaf oracle itself* is expensive —
 a game-position evaluator, a SAT call — evaluating a step's batch
 across OS processes is real parallelism.
 
-Three pieces are provided:
+Two pieces are provided:
 
 * :class:`PipePool` — the process transport every process-backed
   runtime here uses: a minimal :class:`~concurrent.futures.Executor`
@@ -16,10 +16,6 @@ Three pieces are provided:
   ``Future.result``, so a step costs one pickle, one pipe write and
   one pipe read per chunk, with no manager or feeder thread between
   the coordinator and its workers.
-* :class:`BatchEvaluator` — the thin original wrapper: one
-  ``executor.map`` per batch, no failure handling.  Kept as the
-  simplest demonstration that width-w batches are embarrassingly
-  parallel.
 * :class:`OracleRuntime` — a persistent process-pool runtime for whole
   runs: batches are split into chunks (one pickled task per chunk, not
   per leaf), failed chunks are retried with bounded exponential
@@ -349,44 +345,6 @@ class PipePool(Executor):
             worker.process.join()
             worker.process.close()
         self._workers = []
-
-
-class BatchEvaluator:
-    """Evaluate per-step leaf batches through an executor.
-
-    Parameters
-    ----------
-    oracle:
-        Picklable function mapping a leaf payload to its value.
-    executor:
-        Any :class:`concurrent.futures.Executor`; defaults to a
-        :class:`PipePool` sized by the OS.
-    """
-
-    def __init__(
-        self,
-        oracle: Callable,
-        executor: Optional[Executor] = None,
-    ):
-        self.oracle = oracle
-        self._executor = executor
-        self._owned = executor is None
-
-    def __enter__(self) -> "BatchEvaluator":
-        if self._executor is None:
-            self._executor = PipePool()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._owned and self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def evaluate(self, payloads: Sequence) -> List:
-        """Evaluate one batch; order of results matches ``payloads``."""
-        if self._executor is None:
-            raise RuntimeError("use BatchEvaluator as a context manager")
-        return list(self._executor.map(self.oracle, payloads))
 
 
 def _eval_chunk(oracle: Callable[[Any], Any], chunk: List[Any]) -> List[Any]:

@@ -4,10 +4,16 @@ The model-step measurements elsewhere in this library are exactly what
 the paper analyses; this module is the bridge to *wall-clock* parallel
 speed-up, which in CPython requires the expensive part — the leaf
 oracle — to run outside the GIL (in worker processes) or inside
-C code.  Each basic step's batch is evaluated through an executor
-before the (cheap, serial) determination bookkeeping runs, so the
-parallel structure is exactly the width-w schedule: per-step wall time
-~ max over the batch instead of the sum.
+C code.
+
+:func:`run_with_oracle` is :func:`~repro.core.solve_engine.run_boolean`
+with a leaf evaluator that sends each basic step's batch through the
+oracle — serially, through an executor, or through an
+:class:`~repro.models.executors.OracleRuntime` — before the (cheap,
+serial) determination bookkeeping runs.  The schedule, trace and
+logical-clock telemetry are therefore the model run's own; only the
+wall time changes: per-step wall time ~ max over the batch instead of
+the sum.
 
 Usage::
 
@@ -18,9 +24,6 @@ Usage::
 
     with PipePool() as pool:
         result = run_with_oracle(tree, oracle, WidthPolicy(1), pool)
-
-``tree`` supplies structure and per-leaf payloads; oracle values are
-cached so a leaf is never paid for twice.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from __future__ import annotations
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
-from ..core.solve_engine import Policy
-from ..core.status import BooleanState
+from ..core.solve_engine import Policy, run_boolean
 from ..errors import DegradedRunError, ModelViolationError
 from ..models.accounting import ExecutionTrace
 from ..models.executors import OracleRuntime
@@ -60,25 +62,6 @@ class OracleRunResult:
         return self.trace.total_work
 
 
-class _OracleLeafView:
-    """Tree wrapper substituting oracle outputs for leaf values."""
-
-    def __init__(self, tree: GameTree, cache: Dict[NodeId, int]):
-        self._tree = tree
-        self._cache = cache
-
-    def __getattr__(self, name):
-        return getattr(self._tree, name)
-
-    def leaf_value(self, node: NodeId) -> int:
-        try:
-            return self._cache[node]
-        except KeyError:
-            raise ModelViolationError(
-                f"leaf {node!r} evaluated before its oracle batch ran"
-            )
-
-
 def run_with_oracle(
     tree: GameTree,
     oracle: Callable[[Any], int],
@@ -95,8 +78,10 @@ def run_with_oracle(
     Parameters
     ----------
     oracle:
-        Maps a leaf payload to 0/1.  With an executor it must be
-        picklable (module-level function).
+        Maps a leaf payload to 0/1 (``True``, ``1.0`` and numpy
+        integers are accepted; any other output raises
+        :class:`~repro.errors.ModelViolationError` naming the leaf).
+        With an executor it must be picklable (module-level function).
     executor:
         Where batches run; ``None`` evaluates serially (the baseline
         for measuring real speed-up).
@@ -114,78 +99,60 @@ def run_with_oracle(
         ``steps_completed`` set to the number of basic steps that
         finished before the failing batch.
 
-    Per-step wall-clock times are recorded in the trace's
-    ``step_seconds``.  ``recorder`` attaches a telemetry sink (step
-    spans keyed on the basic-step count, with wall-clock step
-    durations as an opt-in histogram when the recorder was built with
-    ``wallclock=True``).
+    Per-step oracle wall-clock times are recorded in the trace's
+    ``step_seconds``.  ``recorder`` receives ``run_boolean``'s
+    ``solve`` telemetry, plus an ``oracle_run.step_seconds`` histogram
+    when built with ``wallclock=True`` and the runtime's
+    ``RuntimeStats`` at run end when ``runtime`` is given.
     """
     if payload is None:
         payload = lambda t, leaf: t.leaf_value(leaf)  # noqa: E731
     if runtime is not None and executor is not None:
         raise ValueError("pass either executor or runtime, not both")
+    if runtime is not None:
+        call = runtime.evaluate
+    elif executor is None:
+        call = lambda inputs: [oracle(x) for x in inputs]  # noqa: E731
+    else:
+        call = lambda inputs: list(executor.map(oracle, inputs))  # noqa: E731
 
     rec = live(recorder)
-    cache: Dict[NodeId, int] = {}
-    view = _OracleLeafView(tree, cache)
-    state = BooleanState(view)
-    trace = ExecutionTrace()
-    evaluated: List[NodeId] = []
-    start = time.perf_counter()  # lint: disable=R7
-    oracle_time = 0.0
-    root = tree.root
+    # One entry per evaluator call that returned, so its length is also
+    # the step count a tripped circuit breaker reports.
+    step_seconds: List[float] = []
 
-    def eval_batch(batch: List[NodeId]) -> float:
-        nonlocal oracle_time
+    def evaluate(batch: List[NodeId]) -> List[Any]:
         inputs = [payload(tree, leaf) for leaf in batch]
         t0 = time.perf_counter()  # lint: disable=R7
-        if runtime is not None:
-            try:
-                outputs = runtime.evaluate(inputs)
-            except DegradedRunError as exc:
-                exc.steps_completed = trace.num_steps
-                raise
-        elif executor is None:
-            outputs = [oracle(x) for x in inputs]
-        else:
-            outputs = list(executor.map(oracle, inputs))
-        elapsed = time.perf_counter() - t0  # lint: disable=R7
-        oracle_time += elapsed
+        try:
+            outputs = call(inputs)
+        except DegradedRunError as exc:
+            exc.steps_completed = len(step_seconds)
+            raise
+        seconds = time.perf_counter() - t0  # lint: disable=R7
+        step_seconds.append(seconds)
+        if rec is not None and rec.wallclock:
+            rec.observe("oracle_run.step_seconds", seconds)
         for leaf, out in zip(batch, outputs):
-            cache[leaf] = int(out)
-        return elapsed
+            if out not in (0, 1):
+                raise ModelViolationError(
+                    f"oracle returned {out!r} for leaf {leaf!r}; a "
+                    f"Boolean leaf takes 0 or 1"
+                )
+        return outputs
 
-    # Height-0 trees take the normal loop: every policy selects the
-    # root leaf itself.
-    step = 0
-    while root not in state.value:
-        batch = policy(view, state)
-        if not batch:
-            raise ModelViolationError("policy selected no leaves")
-        seconds = eval_batch(batch)
-        for leaf in batch:
-            state.evaluate_leaf(leaf)
-        trace.record(batch, seconds=seconds)
-        evaluated.extend(batch)
-        if rec is not None:
-            rec.advance(step + 1)
-            rec.add_span(
-                "step", step, step + 1, track="oracle-run",
-                degree=len(batch),
-            )
-            rec.count("oracle_run.leaves_evaluated", len(batch))
-            if rec.wallclock:
-                rec.observe("oracle_run.step_seconds", seconds)
-        step += 1
-        if max_steps is not None and step > max_steps:
-            raise ModelViolationError(f"exceeded {max_steps} steps")
-
+    start = time.perf_counter()  # lint: disable=R7
+    result = run_boolean(
+        tree, policy, evaluate=evaluate, max_steps=max_steps,
+        recorder=recorder,
+    )
+    result.trace.step_seconds = step_seconds
     if rec is not None and runtime is not None:
         record_runtime_stats(rec, runtime.stats)
     return OracleRunResult(
-        value=state.value[root],
-        trace=trace,
-        oracle_seconds=oracle_time,
+        value=result.value,
+        trace=result.trace,
+        oracle_seconds=sum(step_seconds),
         total_seconds=time.perf_counter() - start,  # lint: disable=R7
-        evaluated=evaluated,
+        evaluated=result.evaluated,
     )

@@ -1,47 +1,14 @@
-"""Unit tests for the optional batch evaluator."""
+"""Unit tests for the process pool and the oracle runtime."""
 
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.models.executors import BatchEvaluator, PipePool
+from repro.models.executors import PipePool
 
 
 def square(x):
     return x * x
-
-
-class TestBatchEvaluator:
-    def test_thread_pool_round_trip(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with BatchEvaluator(square, executor=pool) as ev:
-                assert ev.evaluate([1, 2, 3]) == [1, 4, 9]
-
-    def test_results_ordered(self):
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            with BatchEvaluator(square, executor=pool) as ev:
-                assert ev.evaluate(range(20)) == [
-                    i * i for i in range(20)
-                ]
-
-    def test_default_executor_is_an_owned_pipe_pool(self):
-        with BatchEvaluator(square) as ev:
-            assert isinstance(ev._executor, PipePool)
-            assert ev.evaluate(range(5)) == [0, 1, 4, 9, 16]
-        assert ev._executor is None
-
-    def test_use_outside_context_raises(self):
-        ev = BatchEvaluator(square)
-        with pytest.raises(RuntimeError):
-            ev.evaluate([1])
-
-    def test_external_executor_not_shut_down(self):
-        pool = ThreadPoolExecutor(max_workers=1)
-        with BatchEvaluator(square, executor=pool) as ev:
-            ev.evaluate([2])
-        # Still usable: BatchEvaluator must not own it.
-        assert pool.submit(square, 3).result() == 9
-        pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
