@@ -19,13 +19,16 @@ instrumentation hook and returns the per-step records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple, TypeVar
 
-from ..core.policies import select_leftmost_live
+from ..core.policies import WidthPolicy, select_leftmost_live
 from ..core.solve_engine import run_boolean
 from ..core.status import BooleanState
-from ..core.policies import WidthPolicy
 from ..trees.base import GameTree, NodeId
+
+
+#: The shadow state's type: a BooleanState or the expansion model's.
+S = TypeVar("S", bound=BooleanState)
 
 
 @dataclass
@@ -59,37 +62,58 @@ def _code_of_path(
     return tuple(code)
 
 
+def _trace_base_paths(
+    tree: GameTree,
+    pre_state: S,
+    run: Callable[[Callable[..., None]], object],
+    select: Callable[[GameTree, S, int], List[NodeId]],
+    advance: Callable[[S, NodeId], object],
+) -> List[StepCode]:
+    """Record each step's base path and code during ``run(on_step)``.
+
+    ``pre_state`` is a shadow of the engine state kept one step behind
+    by ``advance``, so codes are computed against the state *prior* to
+    the step, exactly as in the paper's definition; ``select`` picks
+    the base path's end (the leftmost selectable node) in it.
+    """
+    records: List[StepCode] = []
+
+    def on_step(state: S, step: int, batch) -> None:
+        # Base node: leftmost selectable node prior to this step =
+        # first selected node (selection is left-to-right).
+        base = select(tree, pre_state, 1)
+        assert base and base[0] == batch[0], "selection lost left order"
+        path = tree.path_from_root(base[0])
+        records.append(
+            StepCode(
+                step=step,
+                base_leaf=base[0],
+                path=path,
+                code=_code_of_path(tree, pre_state, path),
+                degree=len(batch),
+            )
+        )
+        # Advance the shadow state to match.
+        for node in batch:
+            advance(pre_state, node)
+
+    run(on_step)
+    return records
+
+
 def trace_codes(tree: GameTree, width: int = 1) -> List[StepCode]:
     """Run Parallel SOLVE recording the base path and code of each step.
 
     The code is computed against the state *prior* to the step, exactly
     as in the paper's definition.
     """
-    records: List[StepCode] = []
-    pre_state = BooleanState(tree)  # shadow state, one step behind
-
-    def on_step(state: BooleanState, step: int, batch) -> None:
-        # Base leaf: leftmost live leaf prior to this step = first
-        # selected leaf (selection is left-to-right).
-        base = select_leftmost_live(tree, pre_state, 1)
-        assert base and base[0] == batch[0], "selection lost left order"
-        path = tree.path_from_root(base[0])
-        code = _code_of_path(tree, pre_state, path)
-        records.append(
-            StepCode(
-                step=step,
-                base_leaf=base[0],
-                path=path,
-                code=code,
-                degree=len(batch),
-            )
-        )
-        # Advance the shadow state to match.
-        for leaf in batch:
-            pre_state.evaluate_leaf(leaf)
-
-    run_boolean(tree, WidthPolicy(width), on_step=on_step)
-    return records
+    return _trace_base_paths(
+        tree, BooleanState(tree),
+        lambda on_step: run_boolean(
+            tree, WidthPolicy(width), on_step=on_step
+        ),
+        select_leftmost_live, BooleanState.evaluate_leaf,
+    )
 
 
 def codes_lex_decreasing(records: List[StepCode]) -> bool:
@@ -131,38 +155,16 @@ def trace_expansion_codes(tree: GameTree, width: int = 1) -> List[StepCode]:
     nodes prior to the step.
     """
     from ..core.nodeexpansion import (
+        ExpansionState,
         NWidthPolicy,
         run_expansion,
         select_leftmost_frontier,
     )
-    from ..core.nodeexpansion.state import ExpansionState
 
-    records: List[StepCode] = []
-    pre_state = ExpansionState(tree)
-
-    def on_step(state, step: int, batch) -> None:
-        base = select_leftmost_frontier(tree, pre_state, 1)
-        assert base and base[0] == batch[0], "selection lost left order"
-        path = tree.path_from_root(base[0])
-        code = []
-        for node in path[1:]:
-            live = sum(
-                1
-                for sib in tree.right_siblings(node)
-                if sib not in pre_state.value
-            )
-            code.append(live)
-        records.append(
-            StepCode(
-                step=step,
-                base_leaf=base[0],
-                path=path,
-                code=tuple(code),
-                degree=len(batch),
-            )
-        )
-        for node in batch:
-            pre_state.expand(node)
-
-    run_expansion(tree, NWidthPolicy(width), on_step=on_step)
-    return records
+    return _trace_base_paths(
+        tree, ExpansionState(tree),
+        lambda on_step: run_expansion(
+            tree, NWidthPolicy(width), on_step=on_step
+        ),
+        select_leftmost_frontier, ExpansionState.expand,
+    )

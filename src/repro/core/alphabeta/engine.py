@@ -27,14 +27,16 @@ the next round of the fixpoint loop — it never prunes wrongly.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
-from ...errors import ModelViolationError
-from ...models.accounting import EvalResult, ExecutionTrace
-from ...telemetry import Recorder, live
+from ...models.accounting import EvalResult
+from ...telemetry import Recorder
 from ...trees.base import GameTree, NodeId
 from ...types import NodeType
 from ..frontier import FrontierIndex, _IncrementalPolicy
+from ..policies import budgeted_walk, check_count
+from ..steps import ALPHABETA, run_steps
 from .state import AlphaBetaState
 
 #: A selection policy: (tree, state) -> batch of unfinished leaves.
@@ -59,21 +61,34 @@ def prune_to_fixpoint(state: AlphaBetaState) -> int:
 
 
 def _prune_pass(state: AlphaBetaState) -> int:
+    """One top-down sweep of the pruning rule; returns the prune count.
+
+    The sweep descends only into *touched* children — those with an
+    evaluated leaf below them.  Every other subtree has no finished
+    node, so its bounds are the ones inherited from its parent and
+    nothing inside it can be pruned before its root is.  A touched
+    leaf is finished, so the descent never reaches a terminal; in the
+    node-expansion model a touched node is expanded.  While the root
+    is untouched every bound is infinite and the pass prunes nothing.
+    """
     tree = state.tree
     root = tree.root
-    if state.is_finished(root):
+    settled, pruned = state.settled, state.pruned
+    touched = state.touched
+    finished = state.finished_value
+    if root in finished or root not in touched:
         return 0
     count = 0
     stack = [(root, -math.inf, math.inf)]
     while stack:
         node, alpha, beta = stack.pop()
-        if node in state.pruned or node in state.finished_value:
+        if node in settled:
             continue  # settled by a cascade after being pushed
         is_max = tree.node_type(node) is NodeType.MAX
         finished_vals = [
-            state.finished_value[c]
+            finished[c]
             for c in tree.children(node)
-            if c in state.finished_value and c not in state.pruned
+            if c in finished and c not in pruned
         ]
         if is_max:
             child_alpha = max([alpha] + finished_vals)
@@ -82,15 +97,15 @@ def _prune_pass(state: AlphaBetaState) -> int:
             child_alpha = alpha
             child_beta = min([beta] + finished_vals)
         for child in tree.children(node):
-            if child in state.pruned or child in state.finished_value:
+            if child in settled:
                 continue
             if child_alpha >= child_beta:
                 state.prune(child)
                 count += 1
-                if node in state.finished_value or node in state.pruned:
+                if node in settled:
                     break  # the prune cascaded; siblings are settled
                 continue
-            if not tree.is_leaf(child) and child in state.touched:
+            if child in touched:
                 stack.append((child, child_alpha, child_beta))
     return count
 
@@ -102,41 +117,16 @@ def select_unfinished_by_pruning_number(
 
     Same budgeted DFS as the Boolean case, with "determined" replaced by
     "finished" and pruned children excluded from both the walk and the
-    sibling counts.
+    sibling counts: the walk's ``settled`` set is finished-or-pruned.
     """
-    out: List[NodeId] = []
-    root = tree.root
-    if state.is_finished(root) or root in state.pruned:
-        return out
-    stack = [(root, width)]
-    while stack:
-        node, budget = stack.pop()
-        if tree.is_leaf(node):
-            out.append(node)
-            continue
-        frames = []
-        unfinished_seen = 0
-        for child in tree.children(node):
-            if child in state.pruned:
-                continue  # not part of T-tilde
-            if child in state.finished_value:
-                continue  # finished: not an unfinished sibling
-            remaining = budget - unfinished_seen
-            if remaining < 0:
-                break
-            frames.append((child, remaining))
-            unfinished_seen += 1
-        stack.extend(reversed(frames))
-    return out
+    return [leaf for leaf, _pn in budgeted_walk(tree, width, state.settled)]
 
 
 class AlphaBetaWidthPolicy:
     """Parallel alpha-beta of width w (w = 0: Sequential alpha-beta)."""
 
     def __init__(self, width: int):
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        self.width = width
+        self.width = width = check_count(width, 0, "width must be >= 0")
         self.name = f"parallel-alpha-beta(w={width})"
 
     def __call__(
@@ -156,20 +146,15 @@ class IncrementalAlphaBetaWidthPolicy(_IncrementalPolicy):
 
     def __init__(self, width: int):
         super().__init__()
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        self.width = width
+        self.width = width = check_count(width, 0, "width must be >= 0")
         self.name = f"parallel-alpha-beta(w={width}, incremental)"
 
     def _bind(self, tree: GameTree, state: object) -> FrontierIndex:
         assert isinstance(state, AlphaBetaState)
-        finished = state.finished_value
-        pruned = state.pruned
-
-        def settled(node: NodeId) -> bool:
-            return node in finished or node in pruned
-
-        idx = FrontierIndex(tree, state, width=self.width, settled=settled)
+        idx = FrontierIndex(
+            tree, state, width=self.width,
+            settled=state.settled.__contains__,
+        )
         state.subscribe(idx.on_settled)
         return idx
 
@@ -189,42 +174,19 @@ def run_minmax(
     recorder: Optional[Recorder] = None,
 ) -> EvalResult:
     """Run the pruning process under ``policy``; return value and trace."""
-    rec = live(recorder)
     state = AlphaBetaState(tree)
-    trace = ExecutionTrace(keep_batches=keep_batches)
-    evaluated: List[NodeId] = []
     root = tree.root
 
-    step = 0
-    while not state.is_finished(root):
-        batch = policy(tree, state)
-        if not batch:
-            raise ModelViolationError(
-                f"policy {getattr(policy, 'name', policy)!r} selected no "
-                f"leaves while the root is unfinished"
-            )
+    def apply(batch: List[NodeId]) -> Tuple[List[NodeId], int]:
         for leaf in batch:
             state.finish_leaf(leaf)
-        pruned = prune_to_fixpoint(state)
-        trace.record(batch)
-        evaluated.extend(batch)
-        if rec is not None:
-            rec.advance(step + 1)
-            rec.add_span(
-                "step", step, step + 1, track="alphabeta",
-                degree=len(batch), pruned=pruned,
-            )
-            rec.count("alphabeta.leaves_evaluated", len(batch))
-            if pruned:
-                rec.count("alphabeta.pruned", pruned)
-            rec.sample("alphabeta.degree", len(batch), track="alphabeta")
-        if on_step is not None:
-            on_step(state, step, batch)
-        step += 1
-        if max_steps is not None and step > max_steps:
-            raise ModelViolationError(f"exceeded {max_steps} steps")
+        return batch, prune_to_fixpoint(state)
 
-    if rec is not None:
-        rec.count("alphabeta.steps", step)
-        rec.gauge("alphabeta.processors", trace.processors)
+    trace, evaluated = run_steps(
+        ALPHABETA, policy, partial(policy, tree, state), apply,
+        lambda: root in state.finished_value,
+        keep_batches=keep_batches,
+        on_step=None if on_step is None else partial(on_step, state),
+        max_steps=max_steps, recorder=recorder,
+    )
     return EvalResult(state.finished_value[root], trace, evaluated)

@@ -36,6 +36,8 @@ class AlphaBetaState:
         self.finished_value: Dict[NodeId, float] = {}
         #: nodes deleted by the pruning rule (subtree roots).
         self.pruned: Set[NodeId] = set()
+        #: finished or pruned: the nodes that left the selection walks.
+        self.settled: Set[NodeId] = set()
         #: leaves that have been evaluated.
         self.evaluated: Set[NodeId] = set()
         #: nodes with at least one evaluated leaf in their subtree; the
@@ -107,6 +109,7 @@ class AlphaBetaState:
                 f"pruning rule applies only to unfinished nodes: {node!r}"
             )
         self.pruned.add(node)
+        self.settled.add(node)
         for notify in self._observers:
             notify(node)
         parent = self.tree.parent(node)
@@ -124,6 +127,7 @@ class AlphaBetaState:
         if node in self.finished_value:
             return
         self.finished_value[node] = val
+        self.settled.add(node)
         for notify in self._observers:
             notify(node)
         parent = self.tree.parent(node)
@@ -132,7 +136,7 @@ class AlphaBetaState:
 
     def _child_settled(self, node: NodeId) -> None:
         """A child of ``node`` was finished or pruned; update the count."""
-        if node in self.finished_value or node in self.pruned:
+        if node in self.settled:
             return
         remaining = self._unfinished_children.get(node)
         if remaining is None:

@@ -3,9 +3,10 @@
 Mirrors :func:`repro.core.alphabeta.engine.run_minmax` step for step:
 select unfinished leaves of the pruned tree by pruning number, finish
 them, then apply free propagation/pruning to fixpoint.
-:func:`run_alpha_beta` is the only alpha-beta arena loop; like the
-Boolean one it takes a leaf evaluator, so the inline engine and the
-shared-memory executor (:mod:`repro.core.shm`) share it.
+:func:`run_alpha_beta` is the only alpha-beta arena run, on the same
+step driver (:func:`repro.core.steps.run_steps`); like the Boolean one
+it takes a leaf evaluator, so the inline engine and the shared-memory
+executor (:mod:`repro.core.shm`) share it.
 
 The key equivalence: one pass of
 :func:`~repro.core.alphabeta.engine._prune_pass` is a *pure top-down
@@ -23,15 +24,17 @@ finish cascade is applied level-batched bottom-up afterwards.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...errors import ModelViolationError, PruningInvariantError
-from ...models.accounting import EvalResult, ExecutionTrace
-from ...telemetry import Recorder, live
+from ...errors import PruningInvariantError
+from ...models.accounting import EvalResult
+from ...telemetry import Recorder
 from ...trees.base import GameTree, NodeId
 from ...trees.canonical import CanonicalArrays, canonical_arrays
+from ..policies import check_count
+from ..steps import ALPHABETA, run_steps
 from .boolean import LeafEvaluator
 from .selection import children_of_many, select_width
 
@@ -224,45 +227,20 @@ def run_alpha_beta(
     call; ``evaluate`` supplies each step's leaf values (see
     :func:`~repro.core.arena.boolean.run_solve`).
     """
-    if width < 0:
-        raise ValueError("width must be >= 0")
-    rec = live(recorder)
+    width = check_count(width, 0, "width must be >= 0")
     arena = _AlphaBetaArena(arrays)
-    trace = ExecutionTrace(keep_batches=keep_batches)
-    evaluated: List[NodeId] = []
     node_ids = arrays.node_ids
-    name = f"parallel-alpha-beta(w={width}, arena)"
 
-    step = 0
-    while not arena.finished[0]:
-        batch_idx = select_width(arrays, arena.settled, width, arena.budget)
-        if batch_idx.shape[0] == 0:
-            raise ModelViolationError(
-                f"policy {name!r} selected no leaves while the root is "
-                f"unfinished"
-            )
+    def apply(batch_idx: np.ndarray) -> Tuple[List[NodeId], int]:
         arena.finish_leaves(batch_idx, evaluate(batch_idx))
-        pruned = arena.prune_to_fixpoint()
-        batch: List[NodeId] = node_ids[batch_idx].tolist()
-        trace.record(batch)
-        evaluated.extend(batch)
-        if rec is not None:
-            rec.advance(step + 1)
-            rec.add_span(
-                "step", step, step + 1, track="alphabeta",
-                degree=len(batch), pruned=pruned,
-            )
-            rec.count("alphabeta.leaves_evaluated", len(batch))
-            if pruned:
-                rec.count("alphabeta.pruned", pruned)
-            rec.sample("alphabeta.degree", len(batch), track="alphabeta")
-        step += 1
-        if max_steps is not None and step > max_steps:
-            raise ModelViolationError(f"exceeded {max_steps} steps")
+        return node_ids[batch_idx].tolist(), arena.prune_to_fixpoint()
 
-    if rec is not None:
-        rec.count("alphabeta.steps", step)
-        rec.gauge("alphabeta.processors", trace.processors)
+    trace, evaluated = run_steps(
+        ALPHABETA, f"parallel-alpha-beta(w={width}, arena)",
+        lambda: select_width(arrays, arena.settled, width, arena.budget),
+        apply, lambda: arena.finished[0],
+        keep_batches=keep_batches, max_steps=max_steps, recorder=recorder,
+    )
     return EvalResult(float(arena.finished_value[0]), trace, evaluated)
 
 

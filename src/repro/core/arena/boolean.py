@@ -1,13 +1,14 @@
 """Arena engines for the Boolean leaf-evaluation model.
 
-The same step loop as :func:`repro.core.solve_engine.run_boolean` —
-select a batch of live leaves, evaluate all of them, cascade
-determination for free — but over the struct-of-arrays columns: the
-batch is a numpy index vector, leaf evaluation is one call of a
-:data:`LeafEvaluator`, and the settle cascade is a level-batched
-bottom-up sweep.  :func:`run_solve` is the only Boolean arena loop: the
-inline engines here and the shared-memory executor
-(:mod:`repro.core.shm`) run it with different evaluators.
+The same basic step as :func:`repro.core.solve_engine.run_boolean`, run
+by the same driver (:func:`repro.core.steps.run_steps`) — select a
+batch of live leaves, evaluate all of them, cascade determination for
+free — but over the struct-of-arrays columns: the batch is a numpy
+index vector, leaf evaluation is one call of a :data:`LeafEvaluator`,
+and the settle cascade is a level-batched bottom-up sweep.
+:func:`run_solve` is the only Boolean arena run: the inline engines
+here and the shared-memory executor (:mod:`repro.core.shm`) call it
+with different evaluators.
 
 Equivalence to the per-leaf cascade in
 :class:`~repro.core.status.BooleanState`: within one step, a parent
@@ -27,11 +28,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...errors import ModelViolationError, TreeStructureError
-from ...models.accounting import EvalResult, ExecutionTrace
-from ...telemetry import Recorder, live
+from ...errors import TreeStructureError
+from ...models.accounting import EvalResult
+from ...telemetry import Recorder
 from ...trees.base import GameTree, NodeId
 from ...trees.canonical import CanonicalArrays, canonical_arrays
+from ..policies import check_count
+from ..steps import SOLVE, run_steps
 from .selection import most_urgent, select_frontier, select_width
 
 __all__ = [
@@ -131,45 +134,25 @@ def run_solve(
     recorder: Optional[Recorder],
     max_steps: Optional[int] = None,
 ) -> EvalResult:
-    """The arena step loop — mirrors ``run_boolean`` call for call.
+    """The Boolean arena run — ``run_boolean``'s step driver over columns.
 
     ``evaluate`` is the only seam between executors: the inline engines
     below pass ``arrays.values.take`` (a gather from the lowered
     column), a :class:`~repro.core.shm.ShmSession` passes its pool.
     """
-    rec = live(recorder)
     policy_name, select = selection
     arena = _BooleanArena(arrays)
-    trace = ExecutionTrace(keep_batches=keep_batches)
-    evaluated: List[NodeId] = []
     node_ids = arrays.node_ids
 
-    step = 0
-    while not arena.settled[0]:
-        batch_idx = select(arena)
-        if batch_idx.shape[0] == 0:
-            raise ModelViolationError(
-                f"policy {policy_name!r} selected no leaves while the "
-                f"root is undetermined"
-            )
+    def apply(batch_idx: np.ndarray) -> Tuple[List[NodeId], None]:
         arena.evaluate_batch(batch_idx, evaluate(batch_idx))
-        batch: List[NodeId] = node_ids[batch_idx].tolist()
-        trace.record(batch)
-        evaluated.extend(batch)
-        if rec is not None:
-            rec.advance(step + 1)
-            rec.add_span(
-                "step", step, step + 1, track="solve", degree=len(batch)
-            )
-            rec.count("solve.leaves_evaluated", len(batch))
-            rec.sample("solve.degree", len(batch), track="solve")
-        step += 1
-        if max_steps is not None and step > max_steps:
-            raise ModelViolationError(f"exceeded {max_steps} steps")
+        return node_ids[batch_idx].tolist(), None
 
-    if rec is not None:
-        rec.count("solve.steps", step)
-        rec.gauge("solve.processors", trace.processors)
+    trace, evaluated = run_steps(
+        SOLVE, policy_name, lambda: select(arena), apply,
+        lambda: arena.settled[0],
+        keep_batches=keep_batches, max_steps=max_steps, recorder=recorder,
+    )
     return EvalResult(int(arena.value[0]), trace, evaluated)
 
 
@@ -183,8 +166,7 @@ def width_selection(
     urgent leaves, exactly like
     :class:`~repro.core.policies.BoundedWidthPolicy`.
     """
-    if width < 0:
-        raise ValueError("width must be >= 0")
+    width = check_count(width, 0, "width must be >= 0")
     if max_processors is None:
 
         def select(arena: _BooleanArena) -> np.ndarray:
@@ -194,26 +176,28 @@ def width_selection(
 
         return f"parallel-solve(w={width}, arena)", select
 
-    if max_processors < 1:
-        raise ValueError("need at least one processor")
+    processors = check_count(
+        max_processors, 1, "need at least one processor"
+    )
 
     def select_bounded(arena: _BooleanArena) -> np.ndarray:
         leaves = select_width(
             arena.arrays, arena.settled, width, arena.budget
         )
         scores = width - arena.budget[leaves]
-        return most_urgent(leaves, scores, width, max_processors)
+        return most_urgent(leaves, scores, width, processors)
 
     return (
-        f"parallel-solve(w={width}, p={max_processors}, arena)",
+        f"parallel-solve(w={width}, p={processors}, arena)",
         select_bounded,
     )
 
 
 def team_selection(processors: int) -> Selection:
     """Team SOLVE's selection: the leftmost ``processors`` live leaves."""
-    if processors < 1:
-        raise ValueError("Team SOLVE needs at least one processor")
+    processors = check_count(
+        processors, 1, "Team SOLVE needs at least one processor"
+    )
 
     def select(arena: _BooleanArena) -> np.ndarray:
         return select_frontier(arena.arrays, arena.settled)[:processors]

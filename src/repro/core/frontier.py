@@ -70,6 +70,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..telemetry import Recorder
 from ..telemetry import live as _live_recorder
 from ..trees.base import GameTree, NodeId
+from .policies import check_count
 from .status import BooleanState
 
 #: Root-path child positions; lexicographic order == left-to-right order.
@@ -110,8 +111,8 @@ class FrontierIndex:
         terminal: Optional[Callable[[NodeId], bool]] = None,
         recorder: Optional[Recorder] = None,
     ):
-        if width is not None and width < 0:
-            raise ValueError("width must be >= 0")
+        if width is not None:
+            width = check_count(width, 0, "width must be >= 0")
         self._rec = _live_recorder(recorder)
         self.tree = tree
         self.state = state
@@ -477,9 +478,7 @@ class IncrementalWidthPolicy(_IncrementalPolicy):
 
     def __init__(self, width: int):
         super().__init__()
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        self.width = width
+        self.width = width = check_count(width, 0, "width must be >= 0")
         self.name = f"parallel-solve(w={width}, incremental)"
 
     def _bind(self, tree: GameTree, state: object) -> FrontierIndex:
@@ -499,12 +498,10 @@ class IncrementalBoundedWidthPolicy(_IncrementalPolicy):
 
     def __init__(self, width: int, processors: int):
         super().__init__()
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        if processors < 1:
-            raise ValueError("need at least one processor")
-        self.width = width
-        self.processors = processors
+        self.width = width = check_count(width, 0, "width must be >= 0")
+        self.processors = processors = check_count(
+            processors, 1, "need at least one processor"
+        )
         self.name = (
             f"parallel-solve(w={width}, p={processors}, incremental)"
         )
@@ -525,9 +522,9 @@ class IncrementalTeamPolicy(_IncrementalPolicy):
 
     def __init__(self, processors: int):
         super().__init__()
-        if processors < 1:
-            raise ValueError("Team SOLVE needs at least one processor")
-        self.processors = processors
+        self.processors = processors = check_count(
+            processors, 1, "Team SOLVE needs at least one processor"
+        )
         self.name = f"team-solve(p={processors}, incremental)"
 
     def _bind(self, tree: GameTree, state: object) -> FrontierIndex:

@@ -10,32 +10,34 @@ leaves as the selectable unit, and expansion of a leaf finishes it.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Set
+from functools import partial
+from typing import Callable, List, Optional, Set, Tuple
 
-from ...errors import ModelViolationError, PruningInvariantError
-from ...models.accounting import EvalResult, ExecutionTrace
+from ...errors import ModelViolationError
+from ...models.accounting import EvalResult
 from ...trees.base import GameTree, NodeId
-from ...types import NodeType
+from ..alphabeta.engine import prune_to_fixpoint
+from ..alphabeta.state import AlphaBetaState
+from ..policies import budgeted_walk, check_count
+from ..steps import EXPANSION_ALPHABETA, run_steps
 
 
-class ExpansionAlphaBetaState:
-    """T* plus pruned-tree bookkeeping for MIN/MAX node expansion."""
+class ExpansionAlphaBetaState(AlphaBetaState):
+    """T* plus pruned-tree bookkeeping for MIN/MAX node expansion.
+
+    Finishing, pruning and their cascades are the
+    :class:`~repro.core.alphabeta.state.AlphaBetaState` ones; this
+    class adds only the expanded set and the expansion operation.
+    """
 
     def __init__(self, tree: GameTree):
-        self.tree = tree
+        super().__init__(tree)
+        #: nodes on which the expansion operation has been applied.
         self.expanded: Set[NodeId] = set()
-        self.finished_value: Dict[NodeId, float] = {}
-        self.pruned: Set[NodeId] = set()
-        self.touched: Set[NodeId] = set()
-        self._unfinished_children: Dict[NodeId, int] = {}
-
-    # -- queries ----------------------------------------------------------
-    def is_finished(self, node: NodeId) -> bool:
-        return node in self.finished_value
 
     # -- updates ------------------------------------------------------------
     def expand(self, node: NodeId) -> None:
+        """Apply the node-expansion operation; a leaf finishes."""
         if node in self.expanded:
             raise ModelViolationError(f"node {node!r} expanded twice")
         self.expanded.add(node)
@@ -43,143 +45,22 @@ class ExpansionAlphaBetaState:
             self._mark_touched(node)
             self._finish(node, float(self.tree.leaf_value(node)))
 
-    def prune(self, node: NodeId) -> None:
-        if node in self.pruned:
-            return
-        if node in self.finished_value:
-            raise ModelViolationError(
-                f"pruning rule applies only to unfinished nodes: {node!r}"
-            )
-        self.pruned.add(node)
-        parent = self.tree.parent(node)
-        if parent is not None:
-            self._child_settled(parent)
-
-    def _mark_touched(self, node: NodeId) -> None:
-        for anc in self.tree.ancestors(node):
-            if anc in self.touched:
-                break
-            self.touched.add(anc)
-
-    def _finish(self, node: NodeId, val: float) -> None:
-        if node in self.finished_value:
-            return
-        self.finished_value[node] = val
-        parent = self.tree.parent(node)
-        if parent is not None:
-            self._child_settled(parent)
-
-    def _child_settled(self, node: NodeId) -> None:
-        if node in self.finished_value or node in self.pruned:
-            return
-        if node not in self.expanded:  # pragma: no cover - defensive
-            raise ModelViolationError(
-                f"child of unexpanded node {node!r} settled"
-            )
-        remaining = self._unfinished_children.get(node)
-        if remaining is None:
-            remaining = self.tree.arity(node)
-        remaining -= 1
-        self._unfinished_children[node] = remaining
-        if remaining > 0:
-            return
-        vals = [
-            self.finished_value[c]
-            for c in self.tree.children(node)
-            if c not in self.pruned
-        ]
-        if not vals:
-            raise PruningInvariantError(
-                f"every child of {node!r} was pruned while it survived"
-            )
-        if self.tree.node_type(node) is NodeType.MAX:
-            self._finish(node, max(vals))
-        else:
-            self._finish(node, min(vals))
-
-
-def prune_expansion_to_fixpoint(state: ExpansionAlphaBetaState) -> int:
-    """Apply the pruning rule over T* until fixpoint; free in the model."""
-    total = 0
-    while True:
-        pruned_now = _prune_pass(state)
-        total += pruned_now
-        if pruned_now == 0:
-            return total
-
-
-def _prune_pass(state: ExpansionAlphaBetaState) -> int:
-    tree = state.tree
-    root = tree.root
-    if state.is_finished(root) or root not in state.expanded:
-        return 0
-    count = 0
-    stack = [(root, -math.inf, math.inf)]
-    while stack:
-        node, alpha, beta = stack.pop()
-        if node in state.pruned or node in state.finished_value:
-            continue
-        is_max = tree.node_type(node) is NodeType.MAX
-        finished_vals = [
-            state.finished_value[c]
-            for c in tree.children(node)
-            if c in state.finished_value and c not in state.pruned
-        ]
-        if is_max:
-            child_alpha = max([alpha] + finished_vals)
-            child_beta = beta
-        else:
-            child_alpha = alpha
-            child_beta = min([beta] + finished_vals)
-        for child in tree.children(node):
-            if child in state.pruned or child in state.finished_value:
-                continue
-            if child_alpha >= child_beta:
-                state.prune(child)
-                count += 1
-                if node in state.finished_value or node in state.pruned:
-                    break
-                continue
-            if child in state.expanded and child in state.touched:
-                stack.append((child, child_alpha, child_beta))
-    return count
-
 
 def select_expansion_frontier(
     tree: GameTree, state: ExpansionAlphaBetaState, width: int
 ) -> List[NodeId]:
     """Frontier nodes of T-tilde over T* with pruning number <= width."""
-    out: List[NodeId] = []
-    root = tree.root
-    if state.is_finished(root) or root in state.pruned:
-        return out
-    stack = [(root, width)]
-    while stack:
-        node, budget = stack.pop()
-        if node not in state.expanded:
-            out.append(node)
-            continue
-        frames = []
-        unfinished_seen = 0
-        for child in tree.children(node):
-            if child in state.pruned or child in state.finished_value:
-                continue
-            remaining = budget - unfinished_seen
-            if remaining < 0:
-                break
-            frames.append((child, remaining))
-            unfinished_seen += 1
-        stack.extend(reversed(frames))
-    return out
+    return [
+        node for node, _pn in
+        budgeted_walk(tree, width, state.settled, state.expanded)
+    ]
 
 
 class NAlphaBetaWidthPolicy:
     """N-Parallel alpha-beta of width w (w = 0: N-Sequential)."""
 
     def __init__(self, width: int):
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        self.width = width
+        self.width = width = check_count(width, 0, "width must be >= 0")
         self.name = f"n-parallel-alpha-beta(w={width})"
 
     def __call__(self, tree: GameTree, state: ExpansionAlphaBetaState):
@@ -194,31 +75,27 @@ def run_expansion_minmax(
     on_step=None,
     max_steps: Optional[int] = None,
 ) -> EvalResult:
-    """Run a node-expansion alpha-beta policy; return value and trace."""
+    """Run a node-expansion alpha-beta policy; return value and trace.
+
+    The pruning pass is the leaf model's
+    :func:`~repro.core.alphabeta.engine.prune_to_fixpoint`: it descends
+    only into touched nodes, which are expanded.
+    """
     state = ExpansionAlphaBetaState(tree)
-    trace = ExecutionTrace(keep_batches=keep_batches)
-    expanded_order: List[NodeId] = []
     root = tree.root
 
-    step = 0
-    while not state.is_finished(root):
-        batch = policy(tree, state)
-        if not batch:
-            raise ModelViolationError(
-                f"policy {getattr(policy, 'name', policy)!r} selected no "
-                f"frontier nodes while the root is unfinished"
-            )
+    def apply(batch: List[NodeId]) -> Tuple[List[NodeId], int]:
         for node in batch:
             state.expand(node)
-        prune_expansion_to_fixpoint(state)
-        trace.record(batch)
-        expanded_order.extend(batch)
-        if on_step is not None:
-            on_step(state, step, batch)
-        step += 1
-        if max_steps is not None and step > max_steps:
-            raise ModelViolationError(f"exceeded {max_steps} steps")
+        return batch, prune_to_fixpoint(state)
 
+    trace, expanded_order = run_steps(
+        EXPANSION_ALPHABETA, policy, partial(policy, tree, state), apply,
+        lambda: root in state.finished_value,
+        keep_batches=keep_batches,
+        on_step=None if on_step is None else partial(on_step, state),
+        max_steps=max_steps,
+    )
     return EvalResult(state.finished_value[root], trace, expanded_order)
 
 

@@ -7,13 +7,15 @@ total work the number of expansions, processors the maximum batch size.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
-from ...errors import ModelViolationError
-from ...models.accounting import EvalResult, ExecutionTrace
-from ...telemetry import Recorder, live
+from ...models.accounting import EvalResult
+from ...telemetry import Recorder
 from ...trees.base import GameTree, NodeId
 from ..frontier import FrontierIndex, _IncrementalPolicy
+from ..policies import budgeted_walk, check_count, leftmost_walk
+from ..steps import EXPANSION, run_steps
 from .state import ExpansionState
 
 ExpansionPolicy = Callable[[GameTree, ExpansionState], List[NodeId]]
@@ -30,47 +32,17 @@ def select_frontier_by_pruning_number(
     are *unexpanded* live nodes rather than leaves — an expanded node is
     an interior point of T* and the walk descends through it.
     """
-    out: List[NodeId] = []
-    root = tree.root
-    if root in state.value:
-        return out
-    stack = [(root, width)]
-    while stack:
-        node, budget = stack.pop()
-        if node not in state.expanded:
-            out.append(node)
-            continue
-        frames = []
-        live_seen = 0
-        for child in tree.children(node):
-            if child in state.value:
-                continue
-            remaining = budget - live_seen
-            if remaining < 0:
-                break
-            frames.append((child, remaining))
-            live_seen += 1
-        stack.extend(reversed(frames))
-    return out
+    return [
+        node for node, _pn in
+        budgeted_walk(tree, width, state.value, state.expanded)
+    ]
 
 
 def select_leftmost_frontier(
     tree: GameTree, state: ExpansionState, limit: int
 ) -> List[NodeId]:
     """The leftmost ``limit`` frontier nodes of T*."""
-    out: List[NodeId] = []
-    root = tree.root
-    if root in state.value:
-        return out
-    stack = [root]
-    while stack and len(out) < limit:
-        node = stack.pop()
-        if node not in state.expanded:
-            out.append(node)
-            continue
-        kids = [c for c in tree.children(node) if c not in state.value]
-        stack.extend(reversed(kids))
-    return out
+    return leftmost_walk(tree, limit, state.value, state.expanded)
 
 
 class NSequentialPolicy:
@@ -86,9 +58,7 @@ class NWidthPolicy:
     """N-Parallel SOLVE of width w (w = 0: N-Sequential SOLVE)."""
 
     def __init__(self, width: int):
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        self.width = width
+        self.width = width = check_count(width, 0, "width must be >= 0")
         self.name = f"n-parallel-solve(w={width})"
 
     def __call__(self, tree: GameTree, state: ExpansionState):
@@ -106,9 +76,7 @@ class IncrementalNWidthPolicy(_IncrementalPolicy):
 
     def __init__(self, width: int):
         super().__init__()
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        self.width = width
+        self.width = width = check_count(width, 0, "width must be >= 0")
         self.name = f"n-parallel-solve(w={width}, incremental)"
 
     def _bind(self, tree: GameTree, state: object) -> FrontierIndex:
@@ -142,39 +110,19 @@ def run_expansion(
     recorder: Optional[Recorder] = None,
 ) -> EvalResult:
     """Evaluate a Boolean tree in the node-expansion model."""
-    rec = live(recorder)
     state = ExpansionState(tree)
-    trace = ExecutionTrace(keep_batches=keep_batches)
-    expanded_order: List[NodeId] = []
     root = tree.root
 
-    step = 0
-    while root not in state.value:
-        batch = policy(tree, state)
-        if not batch:
-            raise ModelViolationError(
-                f"policy {getattr(policy, 'name', policy)!r} selected no "
-                f"frontier nodes while the root is undetermined"
-            )
+    def apply(batch: List[NodeId]) -> Tuple[List[NodeId], None]:
         for node in batch:
             state.expand(node)
-        trace.record(batch)
-        expanded_order.extend(batch)
-        if rec is not None:
-            rec.advance(step + 1)
-            rec.add_span(
-                "step", step, step + 1, track="expansion",
-                degree=len(batch),
-            )
-            rec.count("expansion.nodes_expanded", len(batch))
-            rec.sample("expansion.degree", len(batch), track="expansion")
-        if on_step is not None:
-            on_step(state, step, batch)
-        step += 1
-        if max_steps is not None and step > max_steps:
-            raise ModelViolationError(f"exceeded {max_steps} steps")
+        return batch, None
 
-    if rec is not None:
-        rec.count("expansion.steps", step)
-        rec.gauge("expansion.processors", trace.processors)
+    trace, expanded_order = run_steps(
+        EXPANSION, policy, partial(policy, tree, state), apply,
+        lambda: root in state.value,
+        keep_batches=keep_batches,
+        on_step=None if on_step is None else partial(on_step, state),
+        max_steps=max_steps, recorder=recorder,
+    )
     return EvalResult(state.value[root], trace, expanded_order)

@@ -16,33 +16,119 @@ through undetermined nodes.  For :class:`WidthPolicy` the DFS carries a
 and branches whose cumulative cost exceeds the width are cut — this
 enumerates exactly the live leaves with pruning number <= w, touching
 only their ancestors.
+
+The two DFS walks, :func:`leftmost_walk` and :func:`budgeted_walk`,
+are the only object-graph copies: the pruning process and the
+node-expansion model call them with their own ``settled`` container
+(finished-or-pruned) and terminals (unexpanded nodes).
 """
 
 from __future__ import annotations
 
-from typing import List
+import operator
+from typing import Collection, List, Optional, Tuple
 
 from ..trees.base import GameTree, NodeId
 from .status import BooleanState
+
+
+def check_count(value: object, minimum: int, message: str) -> int:
+    """``value`` as an ``int`` of at least ``minimum``.
+
+    The one check behind every width and processor-count argument, on
+    every backend: a non-integer (``2.5``, ``"2"``) raises
+    :class:`ValueError` instead of running as some backend's rounding
+    of it; integer-like values (``numpy.int64``) pass through
+    :func:`operator.index`.  ``message`` is the out-of-range error.
+    """
+    try:
+        count = operator.index(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise ValueError(f"{message}; got non-integer {value!r}") from None
+    if count < minimum:
+        raise ValueError(message)
+    return count
+
+
+def budgeted_walk(
+    tree: GameTree,
+    width: int,
+    settled: Collection[NodeId],
+    expanded: Optional[Collection[NodeId]] = None,
+) -> List[Tuple[NodeId, int]]:
+    """Terminals with pruning number <= ``width``, as (node, number).
+
+    The walk every width-w selection shares.  It descends left to right
+    through nodes not in ``settled`` (determined, or finished-or-pruned
+    in the pruning process); its terminals are leaves, or with
+    ``expanded`` the unexpanded nodes of the node-expansion model.
+    Stepping past ``c`` unsettled left-siblings at a node costs ``c``
+    of the budget and branches that overdraw it are cut, so the budget
+    spent on the way down *is* the terminal's exact pruning number.
+    Left-to-right order.
+    """
+    out: List[Tuple[NodeId, int]] = []
+    root = tree.root
+    if root in settled:
+        return out
+    # Stack of (node, remaining budget); node is always unsettled.
+    stack = [(root, width)]
+    while stack:
+        node, budget = stack.pop()
+        if (
+            tree.is_leaf(node) if expanded is None
+            else node not in expanded
+        ):
+            out.append((node, width - budget))
+            continue
+        frames = []
+        live_seen = 0
+        for child in tree.children(node):
+            if child in settled:
+                continue  # not a live sibling, never descended
+            remaining = budget - live_seen
+            if remaining < 0:
+                break
+            frames.append((child, remaining))
+            live_seen += 1
+        stack.extend(reversed(frames))
+    return out
+
+
+def leftmost_walk(
+    tree: GameTree,
+    limit: float,
+    settled: Collection[NodeId],
+    expanded: Optional[Collection[NodeId]] = None,
+) -> List[NodeId]:
+    """The leftmost ``limit`` terminals not below a settled node.
+
+    Same terminals and ``settled`` container as :func:`budgeted_walk`,
+    without the budget.
+    """
+    out: List[NodeId] = []
+    root = tree.root
+    if root in settled:
+        return out
+    stack = [root]
+    while stack and len(out) < limit:
+        node = stack.pop()
+        if (
+            tree.is_leaf(node) if expanded is None
+            else node not in expanded
+        ):
+            out.append(node)
+            continue
+        kids = [c for c in tree.children(node) if c not in settled]
+        stack.extend(reversed(kids))
+    return out
 
 
 def select_leftmost_live(
     tree: GameTree, state: BooleanState, limit: int
 ) -> List[NodeId]:
     """The leftmost ``limit`` live leaves, in left-to-right order."""
-    out: List[NodeId] = []
-    value = state.value
-    stack = [tree.root]
-    if tree.root in value:
-        return out
-    while stack and len(out) < limit:
-        node = stack.pop()
-        if tree.is_leaf(node):
-            out.append(node)
-            continue
-        kids = [c for c in tree.children(node) if c not in value]
-        stack.extend(reversed(kids))
-    return out
+    return leftmost_walk(tree, limit, state.value)
 
 
 def select_by_pruning_number(
@@ -53,43 +139,15 @@ def select_by_pruning_number(
     Returned in left-to-right order.
     """
     return [
-        leaf for leaf, _pn in
-        select_with_pruning_numbers(tree, state, width)
+        leaf for leaf, _pn in budgeted_walk(tree, width, state.value)
     ]
 
 
 def select_with_pruning_numbers(
     tree: GameTree, state: BooleanState, width: int
-) -> List[tuple]:
-    """Live leaves with pruning number <= ``width``, as (leaf, number).
-
-    The budget consumed on the way down *is* the leaf's exact pruning
-    number, so the numbers come free with the walk.  Left-to-right
-    order.
-    """
-    out: List[tuple] = []
-    value = state.value
-    if tree.root in value:
-        return out
-    # Stack of (node, remaining budget); node is always undetermined.
-    stack = [(tree.root, width)]
-    while stack:
-        node, budget = stack.pop()
-        if tree.is_leaf(node):
-            out.append((node, width - budget))
-            continue
-        frames = []
-        live_seen = 0
-        for child in tree.children(node):
-            if child in value:
-                continue  # dead: not a live sibling, never descended
-            remaining = budget - live_seen
-            if remaining < 0:
-                break
-            frames.append((child, remaining))
-            live_seen += 1
-        stack.extend(reversed(frames))
-    return out
+) -> List[Tuple[NodeId, int]]:
+    """Live leaves with pruning number <= ``width``, as (leaf, number)."""
+    return budgeted_walk(tree, width, state.value)
 
 
 def rank_by_urgency(scored: List[tuple], processors: int) -> List[NodeId]:
@@ -118,9 +176,9 @@ class TeamPolicy:
     """Team SOLVE with p processors: the leftmost p live leaves."""
 
     def __init__(self, processors: int):
-        if processors < 1:
-            raise ValueError("Team SOLVE needs at least one processor")
-        self.processors = processors
+        self.processors = processors = check_count(
+            processors, 1, "Team SOLVE needs at least one processor"
+        )
         self.name = f"team-solve(p={processors})"
 
     def __call__(self, tree: GameTree, state: BooleanState) -> List[NodeId]:
@@ -131,9 +189,7 @@ class WidthPolicy:
     """Parallel SOLVE of width w: live leaves with pruning number <= w."""
 
     def __init__(self, width: int):
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        self.width = width
+        self.width = width = check_count(width, 0, "width must be >= 0")
         self.name = f"parallel-solve(w={width})"
 
     def __call__(self, tree: GameTree, state: BooleanState) -> List[NodeId]:
@@ -151,12 +207,10 @@ class BoundedWidthPolicy:
     """
 
     def __init__(self, width: int, processors: int):
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        if processors < 1:
-            raise ValueError("need at least one processor")
-        self.width = width
-        self.processors = processors
+        self.width = width = check_count(width, 0, "width must be >= 0")
+        self.processors = processors = check_count(
+            processors, 1, "need at least one processor"
+        )
         self.name = f"parallel-solve(w={width}, p={processors})"
 
     def __call__(self, tree: GameTree, state: BooleanState) -> List[NodeId]:

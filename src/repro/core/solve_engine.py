@@ -3,18 +3,21 @@
 One basic step = select a batch of live leaves (per policy), evaluate
 all of them simultaneously, and let determination propagate for free.
 The engine is the direct executable form of the paper's algorithm
-statements ("At each step, evaluate ...").
+statements ("At each step, evaluate ..."); the loop itself is
+:func:`repro.core.steps.run_steps`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ModelViolationError
-from ..models.accounting import EvalResult, ExecutionTrace
-from ..telemetry import Recorder, live
+from ..models.accounting import EvalResult
+from ..telemetry import Recorder
 from ..trees.base import GameTree, NodeId
 from .status import BooleanState
+from .steps import SOLVE, run_steps
 
 #: A selection policy: (tree, state) -> batch of live leaves.
 Policy = Callable[[GameTree, BooleanState], List[NodeId]]
@@ -62,23 +65,10 @@ def run_boolean(
     recorder:
         Telemetry sink; the logical clock is the basic-step count.
     """
-    rec = live(recorder)
     state = BooleanState(tree)
-    trace = ExecutionTrace(keep_batches=keep_batches)
-    evaluated: List[NodeId] = []
     root = tree.root
 
-    # Height-0 trees need no special case: every policy selects the
-    # root leaf itself, so the loop runs exactly one (validated,
-    # traced) step.
-    step = 0
-    while root not in state.value:
-        batch = policy(tree, state)
-        if not batch:
-            raise ModelViolationError(
-                f"policy {getattr(policy, 'name', policy)!r} selected no "
-                f"leaves while the root is undetermined"
-            )
+    def apply(batch: List[NodeId]) -> Tuple[List[NodeId], None]:
         if validate_batches:
             _validate_batch(tree, state, batch)
         if evaluate is None:
@@ -87,24 +77,18 @@ def run_boolean(
         else:
             for leaf, val in zip(batch, evaluate(batch), strict=True):
                 state.settle_leaf(leaf, val)
-        trace.record(batch)
-        evaluated.extend(batch)
-        if rec is not None:
-            rec.advance(step + 1)
-            rec.add_span(
-                "step", step, step + 1, track="solve", degree=len(batch)
-            )
-            rec.count("solve.leaves_evaluated", len(batch))
-            rec.sample("solve.degree", len(batch), track="solve")
-        if on_step is not None:
-            on_step(state, step, batch)
-        step += 1
-        if max_steps is not None and step > max_steps:
-            raise ModelViolationError(f"exceeded {max_steps} steps")
+        return batch, None
 
-    if rec is not None:
-        rec.count("solve.steps", step)
-        rec.gauge("solve.processors", trace.processors)
+    # Height-0 trees need no special case: every policy selects the
+    # root leaf itself, so the loop runs exactly one (validated,
+    # traced) step.
+    trace, evaluated = run_steps(
+        SOLVE, policy, partial(policy, tree, state), apply,
+        lambda: root in state.value,
+        keep_batches=keep_batches,
+        on_step=None if on_step is None else partial(on_step, state),
+        max_steps=max_steps, recorder=recorder,
+    )
     return EvalResult(state.value[root], trace, evaluated)
 
 
