@@ -45,34 +45,10 @@ def test_theorem1_shape(table, table_worst, benchmark):
 
 
 @pytest.mark.experiment("e03")
-def test_registry_gate_parity(table):
-    """Gate parity: the registry spec's verdicts on this very table."""
-    from repro.bench.registry import get_spec
-    from repro.bench.specs import metrics_from_table
-
-    spec = get_spec("e03")
-    metrics = metrics_from_table("e03", table)
-    assert spec.gates, "spec declares at least one gate"
-    for gate in spec.gates:
-        if gate.wallclock:
-            continue
-        assert gate.holds(metrics[gate.metric]), (
-            gate.name, metrics[gate.metric], gate.op, gate.bound
-        )
+def test_registry_gate_parity(table, gate_parity):
+    gate_parity(table)
 
 
 @pytest.mark.experiment("e03b")
-def test_registry_gate_parity_worst(table_worst):
-    """Gate parity: the registry spec's verdicts on this very table."""
-    from repro.bench.registry import get_spec
-    from repro.bench.specs import metrics_from_table
-
-    spec = get_spec("e03b")
-    metrics = metrics_from_table("e03b", table_worst)
-    assert spec.gates, "spec declares at least one gate"
-    for gate in spec.gates:
-        if gate.wallclock:
-            continue
-        assert gate.holds(metrics[gate.metric]), (
-            gate.name, metrics[gate.metric], gate.op, gate.bound
-        )
+def test_registry_gate_parity_worst(table_worst, gate_parity):
+    gate_parity(table_worst)

@@ -1,83 +1,31 @@
 """E21b — frontier backends: incremental engine vs per-step rescan.
 
-Step-identity first: both backends must produce the same per-step
-batches on every configuration checked here (the property suite under
-``tests/properties/`` covers randomised instances; this file pins the
-benchmark tree).  Then wall-clock: on a uniform d=4, n=8 tree the
-incremental engine must be at least 5x faster than the rescan
-reference on the bounded width-w schedule, where the rescan re-walks
-the whole in-range region every basic step while only ``p`` leaves
-run.
+The registry spec (:mod:`repro.bench.specs.infra`) checks that both
+backends produce the same runs — every unbounded width, the bounded
+machine and Team SOLVE — and then gates wall-clock: on a uniform d=4,
+n=8 tree the incremental engine must be at least 5x faster than the
+rescan reference on the bounded width-w schedule, where the rescan
+re-walks the whole in-range region every basic step while only ``p``
+leaves run.
 """
 
 import pytest
 
-from repro.bench.specs import gate_bound
-from repro.bench.wallclock import best_of
-from repro.core import parallel_solve, team_solve
-from repro.trees.generators import iid_boolean
-from repro.trees.generators.iid import level_invariant_bias
-
-BRANCHING = 4
-HEIGHT = 8
-
-
-@pytest.fixture(scope="module")
-def tree():
-    return iid_boolean(
-        BRANCHING, HEIGHT, level_invariant_bias(BRANCHING), seed=2026
-    )
-
-
-def _signature(result):
-    return (result.value, result.trace.degrees, result.trace.batches)
+from repro.bench.registry import get_spec
+from repro.bench.specs.infra import uniform_boolean
+from repro.core import parallel_solve
 
 
 @pytest.mark.experiment("e21b")
-def test_backends_step_identical(tree):
-    for width in (0, 1, 2, 4):
-        rescan = parallel_solve(
-            tree, width, keep_batches=True, backend="rescan"
-        )
-        incremental = parallel_solve(
-            tree, width, keep_batches=True, backend="incremental"
-        )
-        assert _signature(rescan) == _signature(incremental), width
-    for width, procs in ((4, 2), (4, 4), (2, 3)):
-        rescan = parallel_solve(
-            tree, width, max_processors=procs,
-            keep_batches=True, backend="rescan",
-        )
-        incremental = parallel_solve(
-            tree, width, max_processors=procs,
-            keep_batches=True, backend="incremental",
-        )
-        assert _signature(rescan) == _signature(incremental), (width, procs)
-    team_rescan = team_solve(tree, 8, keep_batches=True, backend="rescan")
-    team_incr = team_solve(tree, 8, keep_batches=True, backend="incremental")
-    assert _signature(team_rescan) == _signature(team_incr)
+def test_registry_gates(spec_gates):
+    spec_gates("e21b")
 
 
 @pytest.mark.experiment("e21b")
-def test_incremental_wallclock_speedup(tree, benchmark):
-    width, procs = 4, 2
-    t_rescan = best_of(lambda: parallel_solve(
-        tree, width, max_processors=procs, backend="rescan"
-    ), repeats=2)
-    t_incremental = best_of(lambda: parallel_solve(
-        tree, width, max_processors=procs, backend="incremental"
-    ), repeats=2)
-    speedup = t_rescan / t_incremental
-    print(
-        f"\nd={BRANCHING} n={HEIGHT} w={width} p={procs}: "
-        f"rescan={t_rescan:.3f}s incremental={t_incremental:.3f}s "
-        f"speedup={speedup:.1f}x"
-    )
-    # The acceptance bar; measured ~7-8x on this configuration.  The
-    # bound is owned by the registry spec so this file and
-    # `repro bench` can never disagree.
-    assert speedup >= gate_bound("e21b", "incremental_speedup")
-
+def test_bounded_incremental_kernel(benchmark):
+    params = get_spec("e21b").params
+    tree = uniform_boolean(params)
+    width, procs = params["gate_case"]
     benchmark(lambda: parallel_solve(
         tree, width, max_processors=procs, backend="incremental"
     ).num_steps)

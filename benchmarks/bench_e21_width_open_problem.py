@@ -38,17 +38,5 @@ def test_open_problem_evidence_shapes(table, benchmark):
 
 
 @pytest.mark.experiment("e21")
-def test_registry_gate_parity(table):
-    """Gate parity: the registry spec's verdicts on this very table."""
-    from repro.bench.registry import get_spec
-    from repro.bench.specs import metrics_from_table
-
-    spec = get_spec("e21")
-    metrics = metrics_from_table("e21", table)
-    assert spec.gates, "spec declares at least one gate"
-    for gate in spec.gates:
-        if gate.wallclock:
-            continue
-        assert gate.holds(metrics[gate.metric]), (
-            gate.name, metrics[gate.metric], gate.op, gate.bound
-        )
+def test_registry_gate_parity(table, gate_parity):
+    gate_parity(table)

@@ -2,83 +2,33 @@
 
 The recorder parameter threads through every engine hot loop, so its
 cost must be provably negligible when telemetry is off and bounded
-when it is on.  On the E21 benchmark tree (uniform d=4, n=8, the
-frontier-backend workload) this file gates:
+when it is on.  On the E21 benchmark tree (uniform d=4, n=8) the
+registry spec (:mod:`repro.bench.specs.infra`) checks that every
+recorder leaves the run unchanged, then gates median run time:
 
-* ``recorder=None`` / ``NullRecorder`` — ≤ 1.05x the pre-PR baseline
-  (the guard is one ``is not None`` test per basic step);
-* ``InMemoryRecorder`` — ≤ 1.5x median step time (one span append,
-  two registry updates and one counter sample per step).
-
-Both gates compare median-of-repeats step time on identical runs, and
-both directions are checked for step-identity first so a timing win
-can never hide a semantic regression.
+* ``NullRecorder`` — ≤ 1.05x the ``recorder=None`` run (the guard is
+  one ``is not None`` test per basic step);
+* ``InMemoryRecorder`` — ≤ 1.5x (one span append, two registry
+  updates and one counter sample per step).
 """
 
 import pytest
 
-from repro.bench.specs import gate_bound
-from repro.bench.wallclock import median_seconds
+from repro.bench.registry import get_spec
+from repro.bench.specs.infra import uniform_boolean
 from repro.core import parallel_solve
-from repro.telemetry import InMemoryRecorder, NullRecorder
-from repro.trees.generators import iid_boolean
-from repro.trees.generators.iid import level_invariant_bias
-
-BRANCHING = 4
-HEIGHT = 8
-WIDTH = 4
-REPEATS = 5
-
-
-@pytest.fixture(scope="module")
-def tree():
-    return iid_boolean(
-        BRANCHING, HEIGHT, level_invariant_bias(BRANCHING), seed=2026
-    )
-
-
-def _median_step_seconds(tree, recorder, repeats=REPEATS):
-    """Median over repeats of per-step wall time for one solve run."""
-    med, result = median_seconds(
-        lambda: parallel_solve(tree, WIDTH, recorder=recorder), repeats
-    )
-    return med / result.num_steps, result
+from repro.telemetry import InMemoryRecorder
 
 
 @pytest.mark.experiment("e24")
-def test_recorders_step_identical(tree):
-    baseline = parallel_solve(tree, WIDTH, keep_batches=True)
-    for recorder in (None, NullRecorder(), InMemoryRecorder()):
-        run = parallel_solve(
-            tree, WIDTH, keep_batches=True, recorder=recorder
-        )
-        assert run.value == baseline.value, recorder
-        assert run.trace.degrees == baseline.trace.degrees, recorder
-        assert run.trace.batches == baseline.trace.batches, recorder
+def test_registry_gates(spec_gates):
+    spec_gates("e24")
 
 
 @pytest.mark.experiment("e24")
-def test_null_recorder_overhead_gate(tree):
-    t_base, _ = _median_step_seconds(tree, None)
-    t_null, _ = _median_step_seconds(tree, NullRecorder())
-    ratio = t_null / t_base
-    print(f"\nNullRecorder overhead: {ratio:.3f}x "
-          f"(base {t_base * 1e6:.1f}us/step, null {t_null * 1e6:.1f}us)")
-    # Generous slack over the measured ~1.00x: the guard is a single
-    # `is not None` per step, so anything near the gate is a bug.
-    assert ratio <= gate_bound("e24", "null_overhead")
-
-
-@pytest.mark.experiment("e24")
-def test_inmemory_recorder_overhead_gate(tree, benchmark):
-    t_base, _ = _median_step_seconds(tree, None)
-    t_mem, run = _median_step_seconds(tree, InMemoryRecorder())
-    ratio = t_mem / t_base
-    print(f"\nInMemoryRecorder overhead: {ratio:.3f}x "
-          f"(base {t_base * 1e6:.1f}us/step, mem {t_mem * 1e6:.1f}us)")
-    assert ratio <= gate_bound("e24", "inmemory_overhead")
-    assert run.num_steps > 0
-
+def test_inmemory_recorder_kernel(benchmark):
+    params = get_spec("e24").params
+    tree = uniform_boolean(params)
     benchmark(lambda: parallel_solve(
-        tree, WIDTH, recorder=InMemoryRecorder()
+        tree, params["width"], recorder=InMemoryRecorder()
     ).num_steps)

@@ -2,81 +2,36 @@
 
 A zipf-skewed stream over a finite tree pool is the serving workload
 the cache exists for: a small set of hot (tree, algorithm) pairs
-dominates traffic.  This file gates the architecture's point —
-warm-cache serving must process the same stream at least **3x**
-faster than serving with the cache disabled — and re-pins the
-determinism contract on the way (the sped-up configuration answers
-byte-identically, so the win can never come from answering less).
+dominates traffic.  The registry spec (:mod:`repro.bench.specs.infra`)
+gates the architecture's point — warm-cache serving must process the
+same stream at least **3x** faster than serving with the cache
+disabled — and re-pins the determinism contract on the way: the warm
+pass answers byte-identically and is all cache hits, so the win can
+never come from answering less.
 
-Wall-clock lives here rather than in ``repro.serve`` itself: the
-serving core is wall-clock-free by lint rule R2, and benchmarks are
-the one place timing is allowed.
+Wall-clock lives in the bench layer rather than in ``repro.serve``
+itself: the serving core is wall-clock-free by lint rule R2.
 """
 
 import pytest
 
-from repro.bench.specs import gate_bound
-from repro.bench.wallclock import median_seconds
-from repro.serve import ShardedBatchService, response_log, synthetic_stream
-
-NUM_REQUESTS = 300
-NUM_TREES = 10
-HEIGHT = 6
-ZIPF_S = 1.2
-REPEATS = 3
-GATE = gate_bound("e25", "warm_speedup")
+from repro.bench.registry import get_spec
+from repro.serve import ShardedBatchService, synthetic_stream
 
 
-@pytest.fixture(scope="module")
-def stream():
-    return synthetic_stream(
-        NUM_REQUESTS, seed=2025, num_trees=NUM_TREES,
-        height=HEIGHT, zipf_s=ZIPF_S,
+@pytest.mark.experiment("e25")
+def test_registry_gates(spec_gates):
+    spec_gates("e25")
+
+
+@pytest.mark.experiment("e25")
+def test_warm_serving_kernel(benchmark):
+    params = get_spec("e25").params
+    stream = synthetic_stream(
+        params["num_requests"], seed=params["seed"],
+        num_trees=params["num_trees"], height=params["height"],
+        zipf_s=params["zipf_s"],
     )
-
-
-def _serve_seconds(service, stream, repeats=REPEATS):
-    """Median wall time to serve the stream (and the last log)."""
-    med, responses = median_seconds(
-        lambda: service.serve(stream), repeats
-    )
-    return med, response_log(responses)
-
-
-@pytest.mark.experiment("e25")
-def test_warm_cache_throughput_gate(stream):
-    with ShardedBatchService(2, cache_size=0) as cold_service:
-        t_cold, cold_log = _serve_seconds(cold_service, stream)
-
-    with ShardedBatchService(2, cache_size=None) as warm_service:
-        warm_service.serve(stream)  # populate the cache
-        t_warm, warm_log = _serve_seconds(warm_service, stream)
-
-    ratio = t_cold / t_warm
-    rps_cold = NUM_REQUESTS / t_cold
-    rps_warm = NUM_REQUESTS / t_warm
-    print(f"\ne25: cold {rps_cold:,.0f} req/s, warm {rps_warm:,.0f} "
-          f"req/s, speedup {ratio:.1f}x (gate >= {GATE}x)")
-
-    # Determinism before speed: the warm log answers identically.
-    assert warm_log == cold_log
-    # Only the populate pass missed; every timed pass was pure hits.
-    assert warm_service.stats.cache.misses == warm_service.stats.evaluated
-    assert ratio >= GATE
-
-
-@pytest.mark.experiment("e25")
-def test_zipf_skew_drives_the_hit_rate(stream):
-    # The workload premise: under zipf(1.2) over 10 trees, far fewer
-    # unique keys than requests — the cache's reason to exist.
-    with ShardedBatchService(1, cache_size=None) as service:
-        service.serve(stream)
-        unique = service.stats.evaluated
-    assert unique / NUM_REQUESTS <= gate_bound("e25", "zipf_dedup")
-
-
-@pytest.mark.experiment("e25")
-def test_warm_serving_kernel(stream, benchmark):
     with ShardedBatchService(1, cache_size=None) as service:
         service.serve(stream)
         benchmark(lambda: len(service.serve(stream)))

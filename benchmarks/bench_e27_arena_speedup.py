@@ -1,117 +1,19 @@
 """E27 — arena backend: vectorised columnar sweeps vs incremental.
 
-Step-identity first: the arena backend must replay exactly the
-per-step batches (and therefore steps, degrees and final values) the
-incremental engine produces, on both the SOLVE and the alpha-beta
-loops.  Then wall-clock: on uniform d=5 trees with batch-sized widths
-the arena's level-batched settle/cascade sweeps must beat the
-incremental object-graph engine by at least 10x on both loops.  The
-one-time lowering (``canonical_arrays``) is memoized per tree and paid
-outside the clock, mirroring how a caller amortises it over repeated
-solves.
+The registry spec (:mod:`repro.bench.specs.infra`) checks that the
+arena backend replays exactly the runs the incremental engine
+produces — batches, evaluation order, steps, degrees and values — on
+the SOLVE loop (bounded machine included) and the alpha-beta loop.
+Then wall-clock: on uniform d=5 trees with batch-sized widths the
+arena's level-batched settle/cascade sweeps must beat the incremental
+object-graph engine by at least 10x on both loops.  The one-time
+lowering (``canonical_arrays``) is memoized per tree and paid outside
+the clock, mirroring how a caller amortises it over repeated solves.
 """
 
 import pytest
 
-from repro.bench.specs import gate_bound
-from repro.bench.wallclock import best_of
-from repro.core import parallel_solve
-from repro.core.alphabeta import parallel_alpha_beta
-from repro.trees.canonical import canonical_arrays
-from repro.trees.generators import iid_boolean
-from repro.trees.generators.iid import iid_minmax, level_invariant_bias
-
-BRANCHING = 5
-HEIGHT = 7
-SOLVE_WIDTH = 8
-AB_WIDTH = 12
-
-
-@pytest.fixture(scope="module")
-def boolean_tree():
-    return iid_boolean(
-        BRANCHING, HEIGHT, level_invariant_bias(BRANCHING), seed=2027
-    )
-
-
-@pytest.fixture(scope="module")
-def minmax_tree():
-    return iid_minmax(BRANCHING, HEIGHT, seed=2027)
-
-
-def _signature(result):
-    return (result.value, result.trace.degrees, result.trace.batches)
-
 
 @pytest.mark.experiment("e27")
-def test_solve_step_identical(boolean_tree):
-    for width in (2, 4, SOLVE_WIDTH):
-        incremental = parallel_solve(
-            boolean_tree, width, keep_batches=True, backend="incremental"
-        )
-        arena = parallel_solve(
-            boolean_tree, width, keep_batches=True, backend="arena"
-        )
-        assert _signature(arena) == _signature(incremental), width
-    for width, procs in ((4, 2), (8, 5)):
-        incremental = parallel_solve(
-            boolean_tree, width, max_processors=procs,
-            keep_batches=True, backend="incremental",
-        )
-        arena = parallel_solve(
-            boolean_tree, width, max_processors=procs,
-            keep_batches=True, backend="arena",
-        )
-        assert _signature(arena) == _signature(incremental), (width, procs)
-
-
-@pytest.mark.experiment("e27")
-def test_alphabeta_step_identical(minmax_tree):
-    for width in (2, 4):
-        incremental = parallel_alpha_beta(
-            minmax_tree, width, keep_batches=True, backend="incremental"
-        )
-        arena = parallel_alpha_beta(
-            minmax_tree, width, keep_batches=True, backend="arena"
-        )
-        assert _signature(arena) == _signature(incremental), width
-        assert arena.evaluated == incremental.evaluated, width
-
-
-@pytest.mark.experiment("e27")
-def test_solve_wallclock_speedup(boolean_tree, benchmark):
-    canonical_arrays(boolean_tree)
-    t_incremental = best_of(lambda: parallel_solve(
-        boolean_tree, SOLVE_WIDTH, backend="incremental"
-    ), repeats=2)
-    t_arena = best_of(lambda: parallel_solve(
-        boolean_tree, SOLVE_WIDTH, backend="arena"
-    ), repeats=2)
-    speedup = t_incremental / t_arena
-    print(
-        f"\nSOLVE d={BRANCHING} n={HEIGHT} w={SOLVE_WIDTH}: "
-        f"incremental={t_incremental:.3f}s arena={t_arena:.4f}s "
-        f"speedup={speedup:.1f}x"
-    )
-    # Measured ~17x on this configuration; the bound is owned by the
-    # registry spec so this file and `repro bench` can never disagree.
-    assert speedup >= gate_bound("e27", "solve_speedup")
-
-
-@pytest.mark.experiment("e27")
-def test_alphabeta_wallclock_speedup(minmax_tree, benchmark):
-    canonical_arrays(minmax_tree)
-    t_incremental = best_of(lambda: parallel_alpha_beta(
-        minmax_tree, AB_WIDTH, backend="incremental"
-    ), repeats=2)
-    t_arena = best_of(lambda: parallel_alpha_beta(
-        minmax_tree, AB_WIDTH, backend="arena"
-    ), repeats=2)
-    speedup = t_incremental / t_arena
-    print(
-        f"\nAB d={BRANCHING} n={HEIGHT} w={AB_WIDTH}: "
-        f"incremental={t_incremental:.3f}s arena={t_arena:.4f}s "
-        f"speedup={speedup:.1f}x"
-    )
-    # Measured ~19x on this configuration.
-    assert speedup >= gate_bound("e27", "ab_speedup")
+def test_registry_gates(spec_gates):
+    spec_gates("e27")

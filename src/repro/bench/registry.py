@@ -6,9 +6,8 @@ per-metric tolerance :class:`Band` the diff engine applies between
 snapshots, and the :class:`Gate` predicates CI enforces.  The runner
 (:mod:`repro.bench.runner`) executes specs; the diff engine
 (:mod:`repro.bench.diff`) compares the resulting ``BENCH_<date>.json``
-snapshots; the bench files under ``benchmarks/`` import their gate
-bounds from here so the standalone suite and the registry can never
-disagree about what passes.
+snapshots; the bench files under ``benchmarks/`` run the specs and
+assert their gates, so a gate has exactly one implementation.
 
 Design rule: **primary (gated) metrics are model-step counts and
 ratios** — deterministic under a fixed seed, identical across

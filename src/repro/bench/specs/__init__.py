@@ -13,9 +13,11 @@ Importing this package registers every spec:
   (e26): 2x-capacity chaos run gated on determinism, zero wrong
   answers and shard self-healing.
 
-:func:`gate_bound` is the single source of truth the standalone
-benchmark files under ``benchmarks/`` import their acceptance bounds
-from, so the registry and the pytest suite can never disagree.
+:func:`gate_bound` reads one registered acceptance bound (the tests
+pin the historical bars with it).  The pytest files under
+``benchmarks/`` hold no bounds of their own: the infra files run their
+spec and the paper-experiment files check the spec's gates on their
+table (:func:`metrics_from_table`).
 """
 
 from __future__ import annotations
@@ -45,9 +47,8 @@ def metrics_from_table(
 ) -> Dict[str, float]:
     """Registry metrics recomputed from a standalone experiment table.
 
-    Gate-parity helper: the benchmark files run their experiment once,
-    then feed the same table through the same extractors the registry
-    spec declares — identical metrics (and gate verdicts) by
-    construction.
+    Gate-parity helper: a paper-experiment benchmark file builds its
+    table once, then feeds it through the extractors the registry spec
+    declares — identical metrics (and gate verdicts) by construction.
     """
     return extract_metrics(table, TABLE_EXTRACTORS[name])

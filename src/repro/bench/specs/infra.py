@@ -2,17 +2,20 @@
 e27 and e28; the e26 gateway overload soak lives in
 :mod:`repro.bench.specs.gateway`).
 
-These wrap the gated benchmarks under ``benchmarks/`` — frontier
-backends, fault-injection overhead, telemetry overhead and serving
-throughput — as registry specs.  The standalone bench files import
-their gate bounds from here (via
-:func:`repro.bench.specs.gate_bound`), so the two paths can never
-disagree about what passes.
+These runners are the only implementation of the gated infra
+benchmarks — frontier backends, fault-injection overhead, telemetry
+overhead, serving throughput, the arena backend and shared-memory
+leaf evaluation.  ``repro bench`` runs them, and each
+``benchmarks/bench_e2*.py`` file is a thin wrapper that runs its spec
+through :func:`repro.bench.runner.run_benchmarks` and asserts every
+gate.
 
 Deterministic metrics (step identity, tick ratios, cache hit
 structure, response-log digests) are always produced; wall-clock
 numbers and their gates only exist when the runner was invoked with
-``--wallclock`` in the full profile.
+``--wallclock`` in the full profile.  Each identity metric folds in
+every check of its property: a ``0.0`` means some compared run
+differed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import hashlib
 from statistics import median
 from typing import Any, Dict
 
-from ...core import parallel_solve
+from ...core import parallel_solve, team_solve
 from ...core.alphabeta import parallel_alpha_beta
 from ...core.shm import CalibratedOracle, ShmOptions, ShmSession
 from ...faults import ALL_FAULT_KINDS, FaultPlan
@@ -32,7 +35,7 @@ from ...trees.canonical import canonical_arrays
 from ...trees.generators import iid_boolean
 from ...trees.generators.iid import iid_minmax, level_invariant_bias
 from ..registry import Band, BenchSpec, Gate, SpecResult, register_spec
-from ..wallclock import best_of, median_seconds
+from ..wallclock import best_of, median_seconds, run_signature
 
 #: Band for wall-clock-free ratio metrics of the infra suite.
 FLOAT = Band(rel=0.02)
@@ -41,33 +44,59 @@ FLOAT = Band(rel=0.02)
 TICKS = Band(rel=0.10, direction="up_bad")
 
 
-def _signature(result) -> Any:
-    return (result.value, result.trace.degrees, result.trace.batches)
+#: Bounded-machine (width, processors) cells whose runs must match
+#: across backends, besides the spec's unbounded widths (and, for
+#: e21b, Team SOLVE with 8 processors).
+E21B_BOUNDED = ((4, 2), (4, 4), (2, 3))
+E27_BOUNDED = ((4, 2), (8, 5))
+
+#: Fault rates above e23's gated one: runs must still converge, but
+#: their cost is not gated.
+E23_HIGH_RATES = (0.05, 0.2)
+
+#: Every message fault and crashes in one plan (e23's bench kernel).
+E23_MIXED_PLAN = dict(
+    drop=0.05, duplicate=0.02, delay=0.02, crash=0.01, max_faults=32
+)
+
+
+def uniform_boolean(params: Dict[str, Any]):
+    """The i.i.d. uniform Boolean tree a spec's params describe."""
+    branching = params["branching"]
+    return iid_boolean(
+        branching, params["height"], level_invariant_bias(branching),
+        seed=params["seed"],
+    )
+
+
+def _agree(backends, engine, tree, *args, **kwargs) -> bool:
+    """Whether ``engine`` runs identically on each of ``backends``."""
+    first, *rest = [
+        run_signature(engine(
+            tree, *args, keep_batches=True, backend=backend, **kwargs
+        ))
+        for backend in backends
+    ]
+    return all(signature == first for signature in rest)
 
 
 def _run_e21b(params: Dict[str, Any], wallclock: bool) -> SpecResult:
-    branching, height = params["branching"], params["height"]
-    tree = iid_boolean(
-        branching, height, level_invariant_bias(branching),
-        seed=params["seed"],
+    tree = uniform_boolean(params)
+    pair = ("rescan", "incremental")
+    cells = [(width, None) for width in params["widths"]] + list(
+        E21B_BOUNDED
     )
-    identical = 1.0
-    for width in params["widths"]:
-        rescan = parallel_solve(
-            tree, width, keep_batches=True, backend="rescan"
-        )
-        incremental = parallel_solve(
-            tree, width, keep_batches=True, backend="incremental"
-        )
-        if _signature(rescan) != _signature(incremental):
-            identical = 0.0
+    identical = all(
+        _agree(pair, parallel_solve, tree, width, max_processors=procs)
+        for width, procs in cells
+    ) and _agree(pair, team_solve, tree, 8)
     gate_width, gate_procs = params["gate_case"]
     bounded = parallel_solve(
         tree, gate_width, max_processors=gate_procs,
         backend="incremental",
     )
     metrics = {
-        "backends_identical": identical,
+        "backends_identical": float(identical),
         "bounded_steps": float(bounded.num_steps),
     }
     wc: Dict[str, float] = {}
@@ -115,32 +144,23 @@ register_spec(BenchSpec(
 
 
 def _run_e27(params: Dict[str, Any], wallclock: bool) -> SpecResult:
-    branching, height = params["branching"], params["height"]
-    boolean_tree = iid_boolean(
-        branching, height, level_invariant_bias(branching),
-        seed=params["seed"],
+    boolean_tree = uniform_boolean(params)
+    minmax_tree = iid_minmax(
+        params["branching"], params["height"], seed=params["seed"]
     )
-    minmax_tree = iid_minmax(branching, height, seed=params["seed"])
-    solve_identical = 1.0
-    for width in params["solve_widths"]:
-        incremental = parallel_solve(
-            boolean_tree, width, keep_batches=True, backend="incremental"
-        )
-        arena = parallel_solve(
-            boolean_tree, width, keep_batches=True, backend="arena"
-        )
-        if _signature(arena) != _signature(incremental):
-            solve_identical = 0.0
-    ab_identical = 1.0
-    for width in params["ab_widths"]:
-        incremental = parallel_alpha_beta(
-            minmax_tree, width, keep_batches=True, backend="incremental"
-        )
-        arena = parallel_alpha_beta(
-            minmax_tree, width, keep_batches=True, backend="arena"
-        )
-        if _signature(arena) != _signature(incremental):
-            ab_identical = 0.0
+    pair = ("incremental", "arena")
+    cells = [(width, None) for width in params["solve_widths"]] + list(
+        E27_BOUNDED
+    )
+    solve_identical = float(all(
+        _agree(pair, parallel_solve, boolean_tree, width,
+               max_processors=procs)
+        for width, procs in cells
+    ))
+    ab_identical = float(all(
+        _agree(pair, parallel_alpha_beta, minmax_tree, width)
+        for width in params["ab_widths"]
+    ))
     solve_w = params["solve_gate_width"]
     ab_w = params["ab_gate_width"]
     solve_run = parallel_solve(boolean_tree, solve_w, backend="arena")
@@ -217,29 +237,26 @@ register_spec(BenchSpec(
 
 
 def _run_e28(params: Dict[str, Any], wallclock: bool) -> SpecResult:
-    branching, height = params["branching"], params["height"]
-    width = params["width"]
-    tree = iid_boolean(
-        branching, height, level_invariant_bias(branching),
-        seed=params["seed"],
-    )
+    width, height = params["width"], params["height"]
+    tree = uniform_boolean(params)
     reference = parallel_solve(
         tree, width, keep_batches=True, backend="arena"
     )
     sequential = parallel_solve(tree, 0, backend="arena")
-    identical = 1.0
-    for p in params["p_grid"]:
-        for chunk in params["chunk_sizes"]:
-            shm = parallel_solve(
-                tree, width, keep_batches=True, backend="arena",
-                executor="shm",
-                shm_options=ShmOptions(workers=p, chunk_size=chunk),
-            )
-            if _signature(shm) != _signature(reference):
-                identical = 0.0
+    identical = float(all(
+        run_signature(parallel_solve(
+            tree, width, keep_batches=True, backend="arena",
+            executor="shm",
+            shm_options=ShmOptions(workers=p, chunk_size=chunk),
+        )) == run_signature(reference)
+        for p in params["p_grid"]
+        for chunk in params["chunk_sizes"]
+    ))
     # One alpha-beta cell keeps the minmax half of the executor honest
     # without doubling the sweep.
-    minmax_tree = iid_minmax(branching, height, seed=params["seed"])
+    minmax_tree = iid_minmax(
+        params["branching"], height, seed=params["seed"]
+    )
     ab_reference = parallel_alpha_beta(
         minmax_tree, 1, keep_batches=True, backend="arena"
     )
@@ -247,8 +264,8 @@ def _run_e28(params: Dict[str, Any], wallclock: bool) -> SpecResult:
         minmax_tree, 1, keep_batches=True, backend="arena",
         executor="shm", shm_options=ShmOptions(workers=2),
     )
-    ab_identical = (
-        1.0 if _signature(ab_shm) == _signature(ab_reference) else 0.0
+    ab_identical = float(
+        run_signature(ab_shm) == run_signature(ab_reference)
     )
     # The paper's Theorem 1 speedup is S(T)/steps = c.(n+1); report
     # the measured constant so the trajectory tracks it.
@@ -323,26 +340,30 @@ register_spec(BenchSpec(
 
 
 def _run_e23(params: Dict[str, Any], wallclock: bool) -> SpecResult:
-    height = params["height"]
     trees = [
-        iid_boolean(2, height, 0.45, seed=s)
+        iid_boolean(2, params["height"], 0.45, seed=s)
         for s in range(params["tree_seeds"])
     ]
     instances = [(t, simulate(t)) for t in trees]
-    metrics: Dict[str, float] = {"converged": 1.0}
+    tree, baseline = instances[0]
+    mixed = simulate(tree, fault_plan=FaultPlan(1, **E23_MIXED_PLAN))
+    converged = mixed.value == baseline.value
+    metrics: Dict[str, float] = {}
     for kind in ALL_FAULT_KINDS:
-        ratios = []
-        for tree, baseline in instances:
-            for plan_seed in range(params["plan_seeds"]):
-                plan = FaultPlan.with_rate(
-                    plan_seed, kind, params["rate"],
-                    max_faults=params["max_faults"],
-                )
-                res = simulate(tree, fault_plan=plan)
-                if res.value != baseline.value:
-                    metrics["converged"] = 0.0
-                ratios.append(res.ticks / baseline.ticks)
-        metrics[f"tick_ratio_{kind}"] = float(median(ratios))
+        for rate in (params["rate"],) + E23_HIGH_RATES:
+            ratios = []
+            for tree, baseline in instances:
+                for plan_seed in range(params["plan_seeds"]):
+                    plan = FaultPlan.with_rate(
+                        plan_seed, kind, rate,
+                        max_faults=params["max_faults"],
+                    )
+                    res = simulate(tree, fault_plan=plan)
+                    converged &= res.value == baseline.value
+                    ratios.append(res.ticks / baseline.ticks)
+            if rate == params["rate"]:
+                metrics[f"tick_ratio_{kind}"] = float(median(ratios))
+    metrics["converged"] = float(converged)
     return SpecResult(metrics=metrics)
 
 
@@ -369,20 +390,15 @@ register_spec(BenchSpec(
 
 
 def _run_e24(params: Dict[str, Any], wallclock: bool) -> SpecResult:
-    branching, height = params["branching"], params["height"]
     width = params["width"]
-    tree = iid_boolean(
-        branching, height, level_invariant_bias(branching),
-        seed=params["seed"],
-    )
+    tree = uniform_boolean(params)
     baseline = parallel_solve(tree, width, keep_batches=True)
-    identical = 1.0
-    for recorder in (None, NullRecorder(), InMemoryRecorder()):
-        run = parallel_solve(
+    identical = float(all(
+        run_signature(parallel_solve(
             tree, width, keep_batches=True, recorder=recorder
-        )
-        if _signature(run) != _signature(baseline):
-            identical = 0.0
+        )) == run_signature(baseline)
+        for recorder in (None, NullRecorder(), InMemoryRecorder())
+    ))
     metrics = {
         "recorders_identical": identical,
         "steps": float(baseline.num_steps),
@@ -446,13 +462,16 @@ def _run_e25(params: Dict[str, Any], wallclock: bool) -> SpecResult:
     cold_log = response_log(cold_responses)
     with ShardedBatchService(2, cache_size=None) as warm_service:
         warm_service.serve(stream)
-        warm_responses = warm_service.serve(stream)
         unique = warm_service.stats.evaluated
+        warm_responses = warm_service.serve(stream)
+        stats = warm_service.stats
+    # Only the populate pass missed: the warm pass was all hits.
+    all_hits = stats.cache.misses == stats.evaluated == unique
     warm_log = response_log(warm_responses)
     steps = sorted(r.steps for r in cold_responses)
     p99 = steps[min(len(steps) - 1, int(0.99 * len(steps)))]
     metrics = {
-        "logs_identical": 1.0 if warm_log == cold_log else 0.0,
+        "logs_identical": float(warm_log == cold_log and all_hits),
         "unique_evaluated": float(unique),
         "unique_frac": unique / num_requests,
         "steps_p99": float(p99),

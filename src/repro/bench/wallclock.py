@@ -4,7 +4,8 @@ Two measurements, both outside the paper's cost model on purpose:
 
 * frontier backend comparison — the incremental engine
   (:mod:`repro.core.frontier`) against the per-step rescan reference,
-  same trees, same widths, identical per-step batches (asserted);
+  same trees, same widths, identical runs (:func:`run_signature`,
+  asserted before timing);
 * oracle runtime — a CPU-bound leaf oracle dispatched through
   :class:`~repro.models.executors.OracleRuntime`'s process pool vs the
   serial baseline, demonstrating real multi-worker speed-up of the
@@ -57,7 +58,16 @@ def median_seconds(
     return median(samples), result
 
 
-_best_of = best_of
+def run_signature(result) -> Tuple[Any, ...]:
+    """What two runs of one schedule must agree on, step for step.
+
+    Value, per-step degrees and batches, and the evaluation order;
+    ``result`` must come from a ``keep_batches=True`` run.
+    """
+    return (
+        result.value, result.trace.degrees, result.trace.batches,
+        result.evaluated,
+    )
 
 
 def backend_wallclock_table(
@@ -69,14 +79,15 @@ def backend_wallclock_table(
     repeats: int = 3,
     backend: Optional[str] = None,
 ) -> ExperimentTable:
-    """Incremental vs rescan frontier backend, wall-clock seconds.
+    """Frontier backends' wall-clock seconds on one tree.
 
-    With ``backend`` set (``rescan``, ``incremental`` or ``arena``)
-    the table times that single backend instead of the two-way
-    comparison; batches are still asserted identical against the
-    incremental reference before the clock starts.  The arena's
-    one-time lowering (memoized per tree, see docs/arena.md) is paid
-    before timing, mirroring the e27 benchmark.
+    By default the incremental engine is timed against the per-step
+    rescan reference; with ``backend`` set (``rescan``,
+    ``incremental`` or ``arena``) only that backend is timed.  Before
+    the clock starts, each timed backend's :func:`run_signature` is
+    checked against the incremental backend's.  The arena's one-time
+    lowering (memoized per tree, see docs/arena.md) is paid before
+    timing, mirroring the e27 benchmark.
     """
     tree = iid_boolean(
         branching, height, level_invariant_bias(branching), seed=seed
@@ -86,89 +97,56 @@ def backend_wallclock_table(
     # rescan re-walks the whole width-w region every step while only
     # ``p`` of its leaves run.
     configs.append((max(widths), 2))
-    if backend is not None:
+    timed = ("rescan", "incremental") if backend is None else (backend,)
+    columns = ("d", "n", "width", "procs", "steps") + tuple(
+        f"{name}_s" for name in timed
+    )
+    if backend is None:
+        table = ExperimentTable(
+            "wallclock_backend",
+            "frontier backend wall-clock: incremental vs per-step rescan",
+            columns=columns + ("speedup",),
+        )
+    else:
         table = ExperimentTable(
             f"wallclock_backend_{backend}",
             f"frontier backend wall-clock: {backend}",
-            columns=(
-                "d", "n", "width", "procs", "steps", f"{backend}_s",
-            ),
+            columns=columns,
         )
-        if backend == "arena":
-            from ..trees.canonical import canonical_arrays
+    if "arena" in timed:
+        from ..trees.canonical import canonical_arrays
 
-            canonical_arrays(tree)
-        for width, procs in configs:
-            reference = parallel_solve(
-                tree, width, max_processors=procs,
-                backend="incremental",
-            )
-            chosen = parallel_solve(
-                tree, width, max_processors=procs, backend=backend
-            )
-            if (chosen.value, chosen.trace.degrees) != (
-                reference.value, reference.trace.degrees
-            ):
-                raise AssertionError(
-                    f"backends diverged at width {width}"
-                )
-            t_backend = _best_of(
-                lambda: parallel_solve(
-                    tree, width, max_processors=procs, backend=backend
-                ),
-                repeats,
-            )
-            table.add_row(
-                branching, height, width,
-                procs if procs is not None else "-",
-                chosen.num_steps, t_backend,
-            )
-        table.add_note(
-            "batches asserted identical to the incremental backend "
-            "before timing"
+        canonical_arrays(tree)
+
+    def run(name: str, width: int, procs: Optional[int], keep=False):
+        return parallel_solve(
+            tree, width, max_processors=procs, backend=name,
+            keep_batches=keep,
         )
-        return table
-    table = ExperimentTable(
-        "wallclock_backend",
-        "frontier backend wall-clock: incremental vs per-step rescan",
-        columns=(
-            "d", "n", "width", "procs", "steps", "rescan_s",
-            "incremental_s", "speedup",
-        ),
-    )
+
     for width, procs in configs:
-        rescan = parallel_solve(
-            tree, width, max_processors=procs, backend="rescan"
-        )
-        incremental = parallel_solve(
-            tree, width, max_processors=procs, backend="incremental"
-        )
-        if (rescan.value, rescan.trace.degrees) != (
-            incremental.value, incremental.trace.degrees
-        ):
-            raise AssertionError(
-                f"backends diverged at width {width}"
-            )
-        t_rescan = _best_of(
-            lambda: parallel_solve(
-                tree, width, max_processors=procs, backend="rescan"
-            ),
-            repeats,
-        )
-        t_incremental = _best_of(
-            lambda: parallel_solve(
-                tree, width, max_processors=procs,
-                backend="incremental",
-            ),
-            repeats,
-        )
+        reference = run("incremental", width, procs, keep=True)
+        for name in timed:
+            chosen = run(name, width, procs, keep=True)
+            if run_signature(chosen) != run_signature(reference):
+                raise AssertionError(
+                    f"{name} diverged from incremental at width {width}, "
+                    f"procs {procs}"
+                )
+        seconds = [
+            best_of(lambda: run(name, width, procs), repeats)
+            for name in timed
+        ]
+        if backend is None:
+            seconds.append(seconds[0] / seconds[1])
         table.add_row(
             branching, height, width,
-            procs if procs is not None else "-", rescan.num_steps,
-            t_rescan, t_incremental, t_rescan / t_incremental,
+            procs if procs is not None else "-", reference.num_steps,
+            *seconds,
         )
     table.add_note(
-        "identical per-step batches asserted before timing; see "
+        "value, per-step batches and evaluation order asserted identical "
+        "to the incremental backend before timing; see "
         "docs/frontier_engine.md"
     )
     return table

@@ -38,8 +38,8 @@ from ..core.nodeexpansion import (
     n_sequential_alpha_beta,
     n_sequential_solve,
 )
-from ..errors import InvalidRequestError
-from ..simulator import simulate
+from ..errors import InvalidRequestError, SimulationError
+from ..simulator import check_binary_nor, simulate
 from ..trees.base import GameTree
 from ..trees.io import tree_from_dict
 from ..types import TreeKind
@@ -79,7 +79,10 @@ class EngineSpec:
     ``entry`` is called with the tree, then the ``params`` values in
     declaration order (every engine takes at most one), then the
     route keywords if ``routed``.  ``counters`` names the result
-    attributes reported as ``(steps, work)``.
+    attributes reported as ``(steps, work)``.  ``shape``, if set,
+    raises :class:`~repro.errors.SimulationError` for a tree of an
+    accepted kind that the engine still cannot run; only the machine
+    has one, so no other request pays for a tree walk.
     """
 
     entry: Callable[..., Any]
@@ -87,6 +90,7 @@ class EngineSpec:
     params: Mapping[str, Param] = field(default_factory=dict)
     routed: bool = False
     counters: Tuple[str, str] = ("num_steps", "total_work")
+    shape: Optional[Callable[[GameTree], None]] = None
 
     def run(self, tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
         """Run the engine on already-checked ``params``."""
@@ -114,7 +118,7 @@ ALGORITHMS: Dict[str, EngineSpec] = {
     "nparallel": EngineSpec(n_parallel_solve, _BOOLEAN, _WIDTH),
     "machine": EngineSpec(
         simulate, _BOOLEAN, {"processors": Param(default=None, minimum=1)},
-        counters=("ticks", "expansions"),
+        counters=("ticks", "expansions"), shape=check_binary_nor,
     ),
     "alphabeta": EngineSpec(alpha_beta, _ANY),
     "sequential_ab": EngineSpec(sequential_alpha_beta, _ANY, routed=True),
@@ -129,18 +133,19 @@ ALGORITHMS: Dict[str, EngineSpec] = {
 
 def check_request(
     algo: str,
-    kind: TreeKind,
+    tree: GameTree,
     params: Mapping[str, Any],
     *,
     routing: bool = False,
 ) -> EngineSpec:
-    """The spec of ``algo`` if it can run ``params`` on a ``kind`` tree.
+    """The spec of ``algo`` if it can run ``params`` on ``tree``.
 
     Raises :class:`~repro.errors.InvalidRequestError` for an unknown
     algorithm or parameter, a value that is not an ``int`` (``bool``
-    is not) or is below its minimum, and a tree kind the engine does
-    not take.  ``routing`` also admits :data:`ROUTE_KEYWORDS` for the
-    routed engines, with their values left to ``dispatch``.
+    is not) or is below its minimum, a tree kind the engine does not
+    take, and a tree its ``shape`` check rejects.  ``routing`` also
+    admits :data:`ROUTE_KEYWORDS` for the routed engines, with their
+    values left to ``dispatch``.
     """
     spec = ALGORITHMS.get(algo)
     if spec is None:
@@ -166,10 +171,15 @@ def check_request(
                 f"{algo}: parameter {key!r} must be >= {param.minimum}, "
                 f"got {value}"
             )
-    if kind not in spec.kinds:
+    if tree.kind not in spec.kinds:
         raise InvalidRequestError(
-            f"{algo} does not evaluate {kind.value} trees"
+            f"{algo} does not evaluate {tree.kind.value} trees"
         )
+    if spec.shape is not None:
+        try:
+            spec.shape(tree)
+        except SimulationError as exc:
+            raise InvalidRequestError(f"{algo}: {exc}") from exc
     return spec
 
 
@@ -181,7 +191,7 @@ def run_algorithm(
     Besides the wire parameters, ``params`` may carry the
     :data:`ROUTE_KEYWORDS` for the routed engines.
     """
-    spec = check_request(algo, tree.kind, params, routing=True)
+    spec = check_request(algo, tree, params, routing=True)
     return spec.run(tree, params)
 
 

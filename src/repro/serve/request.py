@@ -59,7 +59,7 @@ class EvalRequest:
     params: Tuple[Tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
-        check_request(self.algo, self.tree.kind, dict(self.params))
+        check_request(self.algo, self.tree, dict(self.params))
 
     @classmethod
     def make(

@@ -8,12 +8,14 @@ from .machine import (
     simulate,
 )
 from .messages import Message, MsgKind
+from .tasks import check_binary_nor
 
 __all__ = [
     "FaultStats",
     "Machine",
     "SimulationResult",
     "simulate",
+    "check_binary_nor",
     "render_event_log",
     "Message",
     "MsgKind",

@@ -45,6 +45,21 @@ def _check_nor(tree: GameTree, node: NodeId) -> None:
         )
 
 
+def check_binary_nor(tree: GameTree) -> None:
+    """Raise :class:`~repro.errors.SimulationError` unless every
+    internal node of ``tree`` is a binary NOR gate.
+
+    The machine checks each node only when it expands it; this walks
+    the whole tree up front.
+    """
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if not tree.is_leaf(node):
+            _check_nor(tree, node)
+            stack.extend(_binary_children(tree, node))
+
+
 class STask:
     """Sequential depth-first NOR evaluation of the subtree at ``root``.
 

@@ -25,8 +25,7 @@ The default :class:`NullRecorder` is zero-overhead by construction:
 engines normalise a ``None``/disabled recorder to ``None`` once (see
 :func:`live`) and skip every instrumentation branch with a single
 ``is not None`` test — the tier-1 behaviour of an uninstrumented run
-is provably unchanged, which ``bench_e24_telemetry_overhead.py``
-gates.
+is provably unchanged, which the e24 benchmark spec gates.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ from repro.bench.report import (
     generate_experiments_md,
     load_table_text,
 )
+from repro.bench.wallclock import backend_wallclock_table
+from repro.core import policies
 
 
 class TestCli:
@@ -114,3 +116,26 @@ class TestReport:
         assert "Paper claim" in text
         # Every experiment section is present even without results.
         assert text.count("## E") == len(EXPECTATIONS)
+
+
+class TestBackendWallclockTable:
+    def test_two_way_and_single_backend_tables(self):
+        table = backend_wallclock_table(height=4, widths=(1, 2), repeats=1)
+        assert table.columns[-3:] == ("rescan_s", "incremental_s", "speedup")
+        assert table.column("procs") == ["-", "-", 2]
+        single = backend_wallclock_table(
+            height=4, widths=(1, 2), repeats=1, backend="arena"
+        )
+        assert single.columns[-1] == "arena_s"
+        assert single.column("steps") == table.column("steps")
+
+    def test_reordered_batches_are_caught_before_timing(self, monkeypatch):
+        # Same leaves per step, so value and degrees still agree; only
+        # the batches tell the runs apart.
+        original = policies.BoundedWidthPolicy.__call__
+        monkeypatch.setattr(
+            policies.BoundedWidthPolicy, "__call__",
+            lambda self, tree, state: original(self, tree, state)[::-1],
+        )
+        with pytest.raises(AssertionError, match="rescan diverged"):
+            backend_wallclock_table(height=4, widths=(1, 2), repeats=1)

@@ -1,19 +1,28 @@
-"""Gate parity: registry specs and standalone benchmarks agree.
+"""Gate parity: the registry specs are the only gated benchmarks.
 
-The standalone suite under ``benchmarks/`` imports every acceptance
-bound from the registry (:func:`repro.bench.specs.gate_bound`), so
-disagreement is impossible by construction; these tests pin the
-contract — the bounds carry their historical values, the deterministic
-gated workloads produce the same verdict through both paths, and
-wall-clock gates are structurally confined to full-profile
-``--wallclock`` runs.
+The infra files under ``benchmarks/`` run their registry spec and
+assert its gates, and the paper-experiment files check the spec's
+gates on the table they build, so there is one implementation of
+every gate.  These tests pin the contract: the bounds carry their
+historical values, the deterministic gated specs pass, a table spec's
+metrics are the same from the registry and from its table, every
+identity check a spec runner makes is live (breaking the compared
+engine fails the gate), and wall-clock gates are confined to
+full-profile ``--wallclock`` runs.
 """
+
+import io
 
 import pytest
 
-from repro.bench.registry import get_spec
-from repro.bench.specs import gate_bound, metrics_from_table
 from repro.bench.harness import run_experiment
+from repro.bench.registry import get_spec
+from repro.bench.runner import failed_gates, run_benchmarks
+from repro.bench.specs import gate_bound, infra, metrics_from_table
+from repro.core import policies
+from repro.core.arena import alphabeta as arena_alphabeta
+from repro.core.arena import boolean as arena_boolean
+from repro.serve.cache import ResultCache
 
 
 class TestBoundsAreTheHistoricalBars:
@@ -43,15 +52,14 @@ class TestBoundsAreTheHistoricalBars:
 
 
 class TestDeterministicGatedSpecsPassBothWays:
-    """Run the registry path; its verdicts must be the standalone ones."""
+    """The deterministic gates pass, and Gate.holds compares as stated."""
 
     def test_e23_registry_run_matches_standalone_verdict(self):
         spec = get_spec("e23")
         result = spec.run(profile="quick")
         for gate in spec.gates:
             value = result.metrics[gate.metric]
-            # the standalone file asserts `med <= gate_bound(...)`;
-            # the registry asserts Gate.holds — same comparison.
+            # Gate.holds is the comparison its op names.
             standalone = (
                 value >= gate.bound if gate.op == ">="
                 else value <= gate.bound
@@ -111,7 +119,7 @@ class TestWallclockGateDiscipline:
     def test_every_wallclock_gate_is_marked(self):
         # Wall-clock gates exist only on the infra specs, and every
         # wall-clock metric gate is flagged so the runner can skip it.
-        for name in ("e21b", "e24", "e25"):
+        for name in ("e21b", "e24", "e25", "e27", "e28"):
             spec = get_spec(name)
             assert any(g.wallclock for g in spec.gates), name
 
@@ -123,3 +131,98 @@ class TestWallclockGateDiscipline:
             if spec.suite == "infra":
                 continue
             assert all(not g.wallclock for g in spec.gates), name
+
+
+def _reversed_batches(monkeypatch, owner, name):
+    """Make ``owner.name`` return its batch in reverse order."""
+    original = getattr(owner, name)
+
+    def reverse(*args, **kwargs):
+        return original(*args, **kwargs)[::-1]
+
+    monkeypatch.setattr(owner, name, reverse)
+
+
+def _reversed_alphabeta_order(monkeypatch):
+    """Reverse the arena alpha-beta's evaluation order, not its batches."""
+    original = arena_alphabeta.run_steps
+
+    def run_steps(*args, **kwargs):
+        trace, order = original(*args, **kwargs)
+        return trace, order[::-1]
+
+    monkeypatch.setattr(arena_alphabeta, "run_steps", run_steps)
+
+
+def _wrong_fault_values(monkeypatch, faulty):
+    """Flip the machine's value whenever ``faulty(plan)`` holds."""
+    original = infra.simulate
+
+    class Wrong:
+        def __init__(self, result):
+            self.value = 1 - result.value
+            self.ticks = result.ticks
+
+    def simulate(tree, fault_plan=None):
+        result = original(tree, fault_plan=fault_plan)
+        if fault_plan is not None and faulty(fault_plan):
+            return Wrong(result)
+        return result
+
+    monkeypatch.setattr(infra, "simulate", simulate)
+
+
+#: mutation -> (spec, identity metric it must zero, gate that fails,
+#: how to break the compared engine).
+MUTATIONS = {
+    "e21b-bounded-rescan": (
+        "e21b", "backends_identical", "step_identity",
+        lambda mp: _reversed_batches(
+            mp, policies.BoundedWidthPolicy, "__call__"
+        ),
+    ),
+    "e21b-team-rescan": (
+        "e21b", "backends_identical", "step_identity",
+        lambda mp: _reversed_batches(mp, policies.TeamPolicy, "__call__"),
+    ),
+    "e27-bounded-arena": (
+        "e27", "solve_identical", "step_identity",
+        lambda mp: _reversed_batches(mp, arena_boolean, "most_urgent"),
+    ),
+    "e27-alphabeta-order": (
+        "e27", "ab_identical", "step_identity", _reversed_alphabeta_order,
+    ),
+    "e23-high-rates": (
+        "e23", "converged", "converges",
+        lambda mp: _wrong_fault_values(
+            mp, lambda plan: max(
+                plan.drop, plan.duplicate, plan.delay, plan.reorder,
+                plan.crash, plan.stall,
+            ) >= 0.2,
+        ),
+    ),
+    "e23-mixed-plan": (
+        "e23", "converged", "converges",
+        lambda mp: _wrong_fault_values(
+            mp, lambda plan: plan.drop > 0 and plan.crash > 0
+        ),
+    ),
+    "e25-warm-pass-misses": (
+        "e25", "logs_identical", "deterministic_answers",
+        lambda mp: mp.setattr(ResultCache, "put", lambda *args: None),
+    ),
+}
+
+
+class TestSpecChecksAreLive:
+    """Breaking what a runner's identity check compares fails its gate."""
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutation_fails_the_gate(self, mutation, monkeypatch):
+        name, metric, gate, mutate = MUTATIONS[mutation]
+        mutate(monkeypatch)
+        doc = run_benchmarks(
+            [name], profile="quick", progress=io.StringIO()
+        )
+        assert doc["specs"][name]["metrics"][metric] == 0.0
+        assert failed_gates(doc) == [f"{name}:{gate}"]

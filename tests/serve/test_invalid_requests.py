@@ -18,6 +18,7 @@ from repro.serve import (
 )
 from repro.serve.request import request_from_dict, request_to_dict
 from repro.trees.generators import iid_boolean
+from repro.types import Gate
 
 TREE = iid_boolean(2, 3, 0.5, seed=4)
 
@@ -33,6 +34,26 @@ def test_poisoned_request_no_longer_degrades_the_service():
         second = service.serve(batch)
     assert service.stats.degraded_shards == []
     assert len(first) == len(second) == len(batch)
+
+
+def test_machine_request_on_a_non_binary_tree_no_longer_degrades():
+    # The Section 7 machine runs binary NOR trees only.  A ternary tree
+    # used to pass the kind check, fail inside a shard and take every
+    # shard down, for that batch and the next valid one.
+    with pytest.raises(InvalidRequestError, match="binary NOR"):
+        EvalRequest(0, "machine", iid_boolean(3, 3, 0.5, seed=1), ())
+    with pytest.raises(InvalidRequestError, match="binary NOR"):
+        EvalRequest.make(0, "machine", iid_boolean(2, 3, 0.5, seed=1,
+                                                   gates=Gate.AND))
+    valid = [
+        EvalRequest(0, "machine", TREE, ()),
+        EvalRequest(1, "sequential", TREE, ()),
+    ]
+    with ShardedBatchService(3) as service:
+        first = service.serve(valid[:1])
+        second = service.serve(valid[1:])
+    assert service.stats.degraded_shards == []
+    assert list(direct_mismatches(zip(valid, first + second))) == []
 
 
 @pytest.mark.parametrize("algo,params", [
