@@ -12,8 +12,9 @@ report
 demo
     A 30-second tour: evaluate one instance with every algorithm.
 bench --wallclock
-    Wall-clock measurements: incremental vs rescan frontier backend,
-    and (with ``--workers``) the process-pool oracle runtime.
+    Wall-clock measurements: incremental vs rescan frontier backend
+    on Parallel SOLVE and parallel alpha-beta, and (with ``--workers``)
+    the process-pool oracle runtime.
 lint
     Static-analysis pass enforcing the model invariants (R1-R12).
 chaos
@@ -354,7 +355,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bench.add_argument(
         "--backend", choices=("rescan", "incremental", "arena"),
         default=None,
-        help="time a single frontier backend in the wall-clock table "
+        help="time a single frontier backend in the wall-clock tables "
         "instead of the incremental-vs-rescan comparison",
     )
     bench.add_argument("--branching", type=int, default=4)

@@ -5,7 +5,8 @@ Two measurements, both outside the paper's cost model on purpose:
 * frontier backend comparison — the incremental engine
   (:mod:`repro.core.frontier`) against the per-step rescan reference,
   same trees, same widths, identical runs (:func:`run_signature`,
-  asserted before timing);
+  asserted before timing), for Parallel SOLVE and for parallel
+  alpha-beta;
 * oracle runtime — a CPU-bound leaf oracle dispatched through
   :class:`~repro.models.executors.OracleRuntime`'s process pool vs the
   serial baseline, demonstrating real multi-worker speed-up of the
@@ -22,10 +23,11 @@ from statistics import median
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..core import parallel_solve
+from ..core.alphabeta import parallel_alpha_beta
 from ..core.policies import WidthPolicy
 from ..models.executors import OracleRuntime
 from ..models.oracle_runner import run_with_oracle
-from ..trees.generators import iid_boolean
+from ..trees.generators import iid_boolean, iid_minmax
 from ..trees.generators.iid import level_invariant_bias
 from .harness import ExperimentTable
 
@@ -78,6 +80,7 @@ def backend_wallclock_table(
     seed: int = 2026,
     repeats: int = 3,
     backend: Optional[str] = None,
+    alpha_beta: bool = False,
 ) -> ExperimentTable:
     """Frontier backends' wall-clock seconds on one tree.
 
@@ -88,29 +91,39 @@ def backend_wallclock_table(
     checked against the incremental backend's.  The arena's one-time
     lowering (memoized per tree, see docs/arena.md) is paid before
     timing, mirroring the e27 benchmark.
+
+    The engine is Parallel SOLVE on an i.i.d. Boolean tree, plus one
+    bounded-machine row; with ``alpha_beta`` it is parallel alpha-beta
+    on an i.i.d. MIN/MAX tree, at the given widths only.
     """
-    tree = iid_boolean(
-        branching, height, level_invariant_bias(branching), seed=seed
-    )
     configs = [(width, None) for width in widths]
-    # The bounded machine is where the incremental engine shines: the
-    # rescan re-walks the whole width-w region every step while only
-    # ``p`` of its leaves run.
-    configs.append((max(widths), 2))
+    if alpha_beta:
+        tree = iid_minmax(branching, height, seed)
+        name_suffix, title_suffix = "_alpha_beta", " (alpha-beta)"
+    else:
+        tree = iid_boolean(
+            branching, height, level_invariant_bias(branching), seed=seed
+        )
+        name_suffix, title_suffix = "", ""
+        # The bounded machine is where the incremental engine shines:
+        # the rescan re-walks the whole width-w region every step while
+        # only ``p`` of its leaves run.
+        configs.append((max(widths), 2))
     timed = ("rescan", "incremental") if backend is None else (backend,)
     columns = ("d", "n", "width", "procs", "steps") + tuple(
         f"{name}_s" for name in timed
     )
     if backend is None:
         table = ExperimentTable(
-            "wallclock_backend",
-            "frontier backend wall-clock: incremental vs per-step rescan",
+            f"wallclock_backend{name_suffix}",
+            f"frontier backend wall-clock{title_suffix}: incremental vs "
+            f"per-step rescan",
             columns=columns + ("speedup",),
         )
     else:
         table = ExperimentTable(
-            f"wallclock_backend_{backend}",
-            f"frontier backend wall-clock: {backend}",
+            f"wallclock_backend_{backend}{name_suffix}",
+            f"frontier backend wall-clock{title_suffix}: {backend}",
             columns=columns,
         )
     if "arena" in timed:
@@ -119,6 +132,10 @@ def backend_wallclock_table(
         canonical_arrays(tree)
 
     def run(name: str, width: int, procs: Optional[int], keep=False):
+        if alpha_beta:
+            return parallel_alpha_beta(
+                tree, width, backend=name, keep_batches=keep
+            )
         return parallel_solve(
             tree, width, max_processors=procs, backend=name,
             keep_batches=keep,
@@ -228,9 +245,10 @@ def run_wallclock(
 ) -> int:
     """CLI driver for ``repro bench --wallclock``.
 
-    ``backend`` narrows the frontier table to a single backend
+    ``backend`` narrows the frontier tables to a single backend
     (``--backend {rescan,incremental,arena}``); by default the
-    two-way incremental-vs-rescan comparison is printed.
+    two-way incremental-vs-rescan comparison is printed.  One table
+    times Parallel SOLVE, a second parallel alpha-beta.
 
     ``trace_out`` additionally records one instrumented run of the
     bench workload (the incremental backend at the first width, under
@@ -238,11 +256,14 @@ def run_wallclock(
     the same format ``repro trace`` and ``repro chaos --trace-out``
     emit.
     """
-    table = backend_wallclock_table(
-        branching=branching, height=height, widths=widths, seed=seed,
-        backend=backend,
-    )
-    print(table.render())
+    for alpha_beta in (False, True):
+        table = backend_wallclock_table(
+            branching=branching, height=height, widths=widths, seed=seed,
+            backend=backend, alpha_beta=alpha_beta,
+        )
+        if alpha_beta:
+            print()
+        print(table.render())
     if workers:
         print()
         oracle_table = oracle_wallclock_table(

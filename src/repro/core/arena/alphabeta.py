@@ -16,10 +16,24 @@ on-stack node is unfinished), sibling-subtree cascades travel strictly
 upward, and the prune condition ``alpha >= beta`` is constant across
 one node's children — so the set of nodes pruned in a pass (and hence
 the pass's prune *count*, which feeds the ``pruned=`` span attribute)
-is exactly what a level-synchronous sweep over a snapshot computes.
-This module runs that sweep: bounds propagate down one level at a
-time over full-size alpha/beta columns, prunes are collected, and the
-finish cascade is applied level-batched bottom-up afterwards.
+is what a level-synchronous sweep over that state computes.
+
+This module computes that set without sweeping from the root.  Bounds
+only tighten, and a node's bounds change only when a node on its root
+path gains a finished child.  So alpha and beta are persistent
+per-node columns: a finish folds its value into its parent's bound
+once and marks the parent *dirty*; a newly touched node inherits its
+parent's bounds (it has no finished child yet); every other node keeps
+the bounds an earlier round gave it, and those did not cut, or its open
+children would have been pruned and it would have finished.  A round
+sweeps down level by level from the shallowest dirty node, merging
+each visited node's incoming bounds with ``maximum`` / ``minimum``.
+At each depth it adds that depth's dirty nodes, except those inside a
+subtree doomed earlier in the same sweep, which the root pass never
+reaches.  Every node whose bounds can cut is then visited with the
+bounds the root pass gives it, so the round prunes exactly what the
+root pass prunes, count included.  Prunes are applied after the sweep
+and their finish cascade runs level-batched bottom-up.
 """
 
 from __future__ import annotations
@@ -41,6 +55,15 @@ from .selection import children_of_many, select_width
 __all__ = ["arena_alpha_beta"]
 
 _INF = float("inf")
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _runs(ascending: np.ndarray) -> np.ndarray:
+    """Start offsets of the runs of equal values in a sorted array."""
+    heads = np.empty(ascending.shape[0], dtype=bool)
+    heads[0] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=heads[1:])
+    return heads.nonzero()[0]
 
 
 class _AlphaBetaArena:
@@ -58,18 +81,25 @@ class _AlphaBetaArena:
         #: unfinished-children counters (garbage once a node settles).
         self.unfinished = arrays.arities.astype(np.int64)
         self.budget = np.zeros(n, dtype=np.int64)
-        #: child alpha/beta bounds, written top-down before every read.
-        self.alpha = np.zeros(n, dtype=np.float64)
-        self.beta = np.zeros(n, dtype=np.float64)
+        #: the bounds each node passes to its children.  Persistent and
+        #: monotone: a finish raises (MAX parent) or lowers (MIN parent)
+        #: its parent's bound once, and a sweep merges each visited
+        #: node's incoming bounds with ``maximum`` / ``minimum``.
+        self.alpha = np.full(n, -_INF)
+        self.beta = np.full(n, _INF)
+        #: depth -> sorted unique arrays of nodes that gained a finished
+        #: child since the last sweep (settled ones are dropped there).
+        self._dirty: Dict[int, List[np.ndarray]] = {}
+        #: scratch set-membership column, all False between uses.
+        self._mark = np.zeros(n, dtype=bool)
 
     # -- finishing ---------------------------------------------------------
     def finish_leaves(self, batch: np.ndarray, values: np.ndarray) -> None:
-        """Finish a batch of distinct unfinished leaves and cascade.
+        """Finish a sorted batch of distinct unfinished leaves and cascade.
 
         ``values`` holds the batch's leaf values in batch order, as the
         run's leaf evaluator returned them.
         """
-        self._mark_touched(batch)
         self.finished[batch] = True
         self.settled[batch] = True
         self.finished_value[batch] = values
@@ -77,19 +107,65 @@ class _AlphaBetaArena:
         buckets: Dict[int, List[np.ndarray]] = {}
         for depth in np.unique(depths).tolist():
             buckets[depth] = [batch[depths == depth]]
+        self._mark_touched(buckets)
+        for depth, parts in buckets.items():
+            if depth:
+                self._tighten(parts[0], depth)
         self._cascade(buckets)
 
-    def _mark_touched(self, batch: np.ndarray) -> None:
-        """Mark the batch and its ancestors touched (stop at touched)."""
+    def _mark_touched(self, buckets: Dict[int, List[np.ndarray]]) -> None:
+        """Mark the leaves and their ancestors touched (stop at touched).
+
+        A newly touched internal node has no finished child yet, so it
+        passes its parent's bounds down unchanged: it inherits them,
+        top-down, before any finish tightens them.
+        """
         touched, parents = self.touched, self.arrays.parents
-        current = batch
-        while current.shape[0]:
-            current = current[~touched[current]]
-            if current.shape[0] == 0:
-                break
-            touched[current] = True
-            current = current[current != 0]
-            current = np.unique(parents[current])
+        fresh: List[np.ndarray] = []
+        carry = _EMPTY
+        for depth in range(max(buckets), 0, -1):
+            parts = buckets.get(depth)
+            if parts:
+                touched[parts[0]] = True
+                carry = (
+                    parts[0] if carry.shape[0] == 0
+                    else np.sort(np.concatenate((carry, parts[0])))
+                )
+            elif carry.shape[0] == 0:
+                continue
+            up = parents[carry]
+            up = up[_runs(up)]
+            carry = up[~touched[up]]
+            touched[carry] = True
+            if depth > 1:
+                fresh.append(carry)
+        if 0 in buckets:
+            touched[0] = True
+        for level in reversed(fresh):
+            up = parents[level]
+            self.alpha[level] = self.alpha[up]
+            self.beta[level] = self.beta[up]
+
+    def _tighten(self, nodes: np.ndarray, depth: int) -> None:
+        """Fold freshly finished depth-``depth`` nodes into their parents.
+
+        ``nodes`` is sorted, so siblings are adjacent and one segmented
+        reduce per parent raises alpha (MAX parent, odd ``depth``) or
+        lowers beta (MIN parent); the parents become dirty.
+        """
+        up = self.arrays.parents[nodes]
+        starts = _runs(up)
+        up = up[starts]
+        values = self.finished_value[nodes]
+        if depth % 2:
+            self.alpha[up] = np.maximum(
+                self.alpha[up], np.maximum.reduceat(values, starts)
+            )
+        else:
+            self.beta[up] = np.minimum(
+                self.beta[up], np.minimum.reduceat(values, starts)
+            )
+        self._dirty.setdefault(depth - 1, []).append(up)
 
     def _cascade(self, buckets: Dict[int, List[np.ndarray]]) -> None:
         """Propagate finishes upward from newly settled nodes.
@@ -108,13 +184,16 @@ class _AlphaBetaArena:
             parts = buckets.get(depth)
             if not parts:
                 continue
-            nodes = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            nodes = (
+                parts[0] if len(parts) == 1
+                else np.sort(np.concatenate(parts))
+            )
             up = parents[nodes]
             up = up[~settled[up]]
             if up.shape[0] == 0:
                 continue
             np.add.at(self.unfinished, up, -1)
-            done = np.unique(up)
+            done = up[_runs(up)]
             done = done[self.unfinished[done] == 0]
             if done.shape[0] == 0:
                 continue
@@ -130,61 +209,84 @@ class _AlphaBetaArena:
                     f"survived — the pruning pass violated top-down order"
                 )
             # MAX at even depth: finish with the max of the non-pruned
-            # (hence finished) children; MIN at odd depth dually.
-            acc = self.alpha  # reuse the bounds column as accumulator
-            if (depth - 1) % 2 == 0:
-                acc[done] = -_INF
-                np.maximum.at(acc, done[segment], values[kids])
-            else:
-                acc[done] = _INF
-                np.minimum.at(acc, done[segment], values[kids])
-            values[done] = acc[done]
+            # (hence finished) children, one contiguous run per parent;
+            # MIN at odd depth dually.
+            fold = np.maximum if (depth - 1) % 2 == 0 else np.minimum
+            starts = counts.cumsum() - counts
+            values[done] = fold.reduceat(values[kids], starts)
             finished[done] = True
             settled[done] = True
+            if depth > 1:
+                self._tighten(done, depth - 1)
             buckets.setdefault(depth - 1, []).append(done)
 
     # -- pruning -----------------------------------------------------------
     def prune_to_fixpoint(self) -> int:
         total = 0
         while True:
-            pruned_now = self._prune_pass()
+            pruned_now = self._sweep()
             total += pruned_now
             if pruned_now == 0:
                 return total
 
-    def _prune_pass(self) -> int:
-        """One level-synchronous sweep of the pruning rule.
+    def _sweep(self) -> int:
+        """One round of the pruning rule, from the dirty nodes down.
 
-        Bounds and prune decisions read the start-of-pass state only;
-        prunes (and their finish cascades) are applied after the full
-        sweep — the purity argument in the module docstring makes this
-        equivalent to the reference DFS pass, prune count included.
+        Only nodes at or below a dirty node can have changed bounds;
+        everywhere else the bounds are the ones the last round left
+        uncut.  Starting at the shallowest dirty depth, each level
+        merges in that depth's dirty nodes, skipping any inside a
+        subtree doomed earlier in this sweep, then sweeps down exactly
+        as a full pass from the root would.  Prunes (and their finish
+        cascades) are applied after the sweep — the argument in the
+        module docstring makes the round prune what one reference DFS
+        pass prunes, count included.
         """
-        if self.finished[0]:
+        dirty, self._dirty = self._dirty, {}
+        if not dirty or self.finished[0]:
             return 0
         arrays = self.arrays
         parents, levels = arrays.parents, arrays.levels
-        alpha, beta = self.alpha, self.beta
-        finished, pruned, settled = self.finished, self.pruned, self.settled
-        values = self.finished_value
-
-        alpha[0], beta[0] = -_INF, _INF
-        visited = np.zeros(1, dtype=np.int64)
+        alpha, beta, mark = self.alpha, self.beta, self._mark
+        settled = self.settled
+        deepest = max(dirty)
+        visited = _EMPTY
         prunes: Dict[int, np.ndarray] = {}
-        for depth, level in enumerate(levels[1:]):
-            children, segment = children_of_many(arrays, visited, level)
-            if children.shape[0] == 0:
-                break
-            # Sharpen the bound each visited node passes down with its
-            # finished non-pruned children (MAX tightens alpha at even
-            # depths, MIN tightens beta at odd depths).
-            fin = children[finished[children] & ~pruned[children]]
-            if depth % 2 == 0:
-                np.maximum.at(alpha, parents[fin], values[fin])
-            else:
-                np.minimum.at(beta, parents[fin], values[fin])
-            up = visited[segment]
-            cut = alpha[up] >= beta[up]
+        for depth in range(min(dirty), arrays.height):
+            if visited.shape[0]:
+                # Reached by descent: merge the parent's fresh bounds.
+                # A dirty node reached otherwise has a parent whose
+                # bounds did not change, so its own already hold them.
+                up = parents[visited]
+                alpha[visited] = np.maximum(alpha[visited], alpha[up])
+                beta[visited] = np.minimum(beta[visited], beta[up])
+            parts = dirty.get(depth)
+            if parts:
+                extra = (
+                    parts[0] if len(parts) == 1
+                    else np.unique(np.concatenate(parts))
+                )
+                extra = extra[~settled[extra]]
+                if extra.shape[0] and visited.shape[0]:
+                    mark[visited] = True
+                    extra = extra[~mark[extra]]
+                    mark[visited] = False
+                if extra.shape[0] and prunes:
+                    extra = extra[~self._below_doomed(extra, prunes)]
+                if extra.shape[0]:
+                    visited = (
+                        extra if visited.shape[0] == 0
+                        else np.sort(np.concatenate((visited, extra)))
+                    )
+            if visited.shape[0] == 0:
+                if depth >= deepest:
+                    break
+                continue
+            cut = alpha[visited] >= beta[visited]
+            children, segment = children_of_many(
+                arrays, visited, levels[depth + 1]
+            )
+            cut = cut[segment]
             open_child = ~settled[children]
             doomed = children[cut & open_child]
             if doomed.shape[0]:
@@ -194,10 +296,6 @@ class _AlphaBetaArena:
                 & ~arrays.is_leaf[children] & self.touched[children]
             )
             visited = children[descend]
-            if visited.shape[0] == 0:
-                break
-            alpha[visited] = alpha[parents[visited]]
-            beta[visited] = beta[parents[visited]]
 
         if not prunes:
             return 0
@@ -205,11 +303,27 @@ class _AlphaBetaArena:
         buckets: Dict[int, List[np.ndarray]] = {}
         for depth, doomed in prunes.items():
             count += int(doomed.shape[0])
-            pruned[doomed] = True
+            self.pruned[doomed] = True
             settled[doomed] = True
             buckets[depth] = [doomed]
         self._cascade(buckets)
         return count
+
+    def _below_doomed(
+        self, nodes: np.ndarray, prunes: Dict[int, np.ndarray]
+    ) -> np.ndarray:
+        """Which ``nodes`` lie in (or are) a subtree doomed this sweep.
+
+        A sweep never descends into a doomed node, so doomed subtrees
+        are disjoint preorder spans: ``nodes[i]`` is inside one iff it
+        is below the span of the last doomed node at or before it.
+        """
+        starts = np.concatenate(list(prunes.values()))
+        if len(prunes) > 1:
+            starts.sort()
+        pos = np.searchsorted(starts, nodes, side="right") - 1
+        owner = starts[np.maximum(pos, 0)]
+        return (pos >= 0) & (nodes < owner + self.arrays.spans[owner])
 
 
 def run_alpha_beta(

@@ -12,6 +12,7 @@ from repro.bench.report import (
 )
 from repro.bench.wallclock import backend_wallclock_table
 from repro.core import policies
+from repro.core.alphabeta import engine as alphabeta_engine
 
 
 class TestCli:
@@ -139,3 +140,28 @@ class TestBackendWallclockTable:
         )
         with pytest.raises(AssertionError, match="rescan diverged"):
             backend_wallclock_table(height=4, widths=(1, 2), repeats=1)
+
+    def test_alpha_beta_table(self):
+        table = backend_wallclock_table(
+            height=4, widths=(0, 1, 2), repeats=1, alpha_beta=True
+        )
+        assert table.experiment == "wallclock_backend_alpha_beta"
+        assert table.column("width") == [0, 1, 2]
+        assert table.column("procs") == ["-", "-", "-"]
+        single = backend_wallclock_table(
+            height=4, widths=(0, 1, 2), repeats=1, backend="arena",
+            alpha_beta=True,
+        )
+        assert single.experiment == "wallclock_backend_arena_alpha_beta"
+        assert single.column("steps") == table.column("steps")
+
+    def test_alpha_beta_reordered_batches_are_caught(self, monkeypatch):
+        original = alphabeta_engine.AlphaBetaWidthPolicy.__call__
+        monkeypatch.setattr(
+            alphabeta_engine.AlphaBetaWidthPolicy, "__call__",
+            lambda self, tree, state: original(self, tree, state)[::-1],
+        )
+        with pytest.raises(AssertionError, match="rescan diverged"):
+            backend_wallclock_table(
+                height=4, widths=(2,), repeats=1, alpha_beta=True
+            )

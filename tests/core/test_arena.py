@@ -276,6 +276,48 @@ def test_degenerate_minmax_trees(name):
 
 
 # ---------------------------------------------------------------------------
+# the dirty-node prune sweep: the two rules that make it a full pass
+# ---------------------------------------------------------------------------
+#: (nested spec, width, per-step ``pruned=`` counts).  On each tree the
+#: sweep that starts at the dirty nodes prunes more than a pass from the
+#: root would if it dropped the named rule.
+SWEEP_RULE_TREES = {
+    # Step 2 finishes the MIN node [0, 0, 0] at 0, which raises the
+    # root's alpha to 0.  The MIN node [0, [0, 0]] already has beta 0,
+    # so it cuts and dooms its open child [0, 0] — a node the same
+    # step's leaf made dirty.  Visiting it would prune its second leaf.
+    "dirty-node-doomed-in-same-sweep": ([[0, 0, 0], [0, [0, 0]]], 1, [0, 1]),
+    # Step 2's last leaf lowers the first MIN node's beta to the root's
+    # alpha 0, which dooms its open child [0, 0, [0, 0]].  The node
+    # [0, 0] one level further down was made dirty by the same step's
+    # leaf; visiting it would prune its second leaf.
+    "dirty-node-below-doomed": (
+        [[1, [0, 0, [0, 0]], 0], 0], 1, [0, 1],
+    ),
+    # Step 2 touches the MIN node [0, 0] for the first time: it must
+    # inherit the root's alpha 0, so its first leaf's 0 cuts its second
+    # leaf.  With the initial (-inf, inf) it would evaluate that leaf.
+    "newly-touched-node-inherits-bounds": ([0, [0, 0]], 0, [0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_RULE_TREES))
+def test_prune_sweep_matches_root_pass_pruned_counts(name):
+    spec, width, expected = SWEEP_RULE_TREES[name]
+    tree = ExplicitTree.from_nested(spec, kind=TreeKind.MINMAX)
+
+    def pruned_per_step(backend):
+        rec = InMemoryRecorder()
+        parallel_alpha_beta(tree, width, backend=backend, recorder=rec)
+        return [
+            dict(e.attrs)["pruned"] for e in rec.events if e.kind == "span"
+        ]
+
+    assert pruned_per_step("incremental") == expected
+    assert pruned_per_step("arena") == expected
+
+
+# ---------------------------------------------------------------------------
 # selection kernels
 # ---------------------------------------------------------------------------
 def test_select_width_scores_are_pruning_numbers(boolean_tree):

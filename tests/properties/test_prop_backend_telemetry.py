@@ -6,9 +6,13 @@ counters and gauges — must be identical across the rescan,
 incremental and arena backends.  Only the incremental backend's own
 ``frontier.*`` instrumentation is allowed to differ.  Trees are nested
 (adversarial-shape) specs plus degenerate shapes: height-0 roots and
-arity-1 chains.
+arity-1 chains.  Alpha-beta also runs on tie-heavy trees — i.i.d.
+leaves with two to four distinct values, uniform up to height 7 and
+irregular — where the ``alpha >= beta`` equality cut fires and the
+pruning fixpoint needs several rounds per step.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +21,7 @@ from repro.core.alphabeta import parallel_alpha_beta
 from repro.core.nodeexpansion import n_parallel_solve
 from repro.telemetry import InMemoryRecorder
 from repro.trees import ExplicitTree, UniformTree
+from repro.trees.generators import iid_minmax_integers
 from repro.types import Gate, TreeKind
 
 from ..conftest import (
@@ -56,6 +61,24 @@ MINMAX_TREES = st.one_of(
         st.floats(min_value=-10, max_value=10, allow_nan=False),
     ),
 )
+
+
+#: (branching, height) of the uniform tie-heavy trees: heights up to 7,
+#: at most 256 leaves so the rescan reference stays fast.
+TIE_SHAPES = (
+    [(2, height) for height in range(2, 8)]
+    + [(3, height) for height in range(2, 6)]
+    + [(4, height) for height in range(2, 5)]
+)
+
+#: Irregular trees whose leaves take two to four distinct values.
+TIE_HEAVY_SPECS = st.integers(min_value=2, max_value=4).flatmap(
+    lambda distinct: st.recursive(
+        st.integers(min_value=0, max_value=distinct - 1).map(float),
+        lambda children: st.lists(children, min_size=1, max_size=4),
+        max_leaves=60,
+    )
+).map(minmax_tree_from_spec)
 
 
 def _stream(run, backend):
@@ -113,6 +136,32 @@ def test_saturation_solve_streams_match(tree):
 @settings(max_examples=40, deadline=None)
 @given(MINMAX_TREES, st.integers(min_value=0, max_value=3))
 def test_parallel_alpha_beta_streams_match(tree, width):
+    _assert_streams_match(
+        lambda **kw: parallel_alpha_beta(tree, width, **kw)
+    )
+
+
+@pytest.mark.parametrize("branching,height", TIE_SHAPES)
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=3),
+)
+def test_tie_heavy_uniform_alpha_beta_streams_match(
+    branching, height, seed, distinct, width
+):
+    tree = iid_minmax_integers(
+        branching, height, seed=seed, num_values=distinct
+    )
+    _assert_streams_match(
+        lambda **kw: parallel_alpha_beta(tree, width, **kw)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(TIE_HEAVY_SPECS, st.integers(min_value=0, max_value=3))
+def test_tie_heavy_irregular_alpha_beta_streams_match(tree, width):
     _assert_streams_match(
         lambda **kw: parallel_alpha_beta(tree, width, **kw)
     )
