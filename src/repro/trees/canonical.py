@@ -8,22 +8,32 @@ node identifiers themselves are representation detail — a
 :class:`~repro.trees.explicit.ExplicitTree` of the same instance are
 equal, and hash equal, under the functions here.
 
-:func:`canonical_encoding` walks a tree in preorder through the
-abstract :class:`~repro.trees.base.GameTree` interface only and emits
-a deterministic byte string; :func:`canonical_hash` is its SHA-256
-digest, the content address the ``repro.serve`` result cache keys on.
-Float leaf values are encoded via ``repr``, which round-trips IEEE-754
-doubles exactly, so value-distinct trees get distinct encodings.
+:func:`canonical_encoding` emits a deterministic byte string: the
+preorder sequence of node tokens (arity, plus the gate for Boolean
+trees, at internal nodes; the value at leaves).  :func:`canonical_hash`
+is its SHA-256 digest, the content address the ``repro.serve`` result
+cache keys on.  Float leaf values are encoded via ``repr``, which
+round-trips IEEE-754 doubles exactly, so value-distinct trees get
+distinct encodings; :func:`trees_equal` compares leaves by the same
+token, so it holds exactly when the encodings are equal (a NaN leaf
+equals itself, ``0.0`` and ``-0.0`` differ).
 
-Lazy trees are materialised by the walk (every reachable node is
-expanded), exactly as :meth:`GameTree.iter_nodes` would.
+The encoding has two producers with byte-identical output.  An
+exact-type :class:`~repro.trees.uniform.UniformTree` is encoded from
+its branching, height, gate cycle and leaf array, with no per-node
+work beyond one token per leaf: the cold path of a serve request.
+Every other tree goes through the preorder walk over the abstract
+:class:`~repro.trees.base.GameTree` interface, which stays the
+reference the uniform producer is tested against.  Lazy trees are
+materialised by the walk (every reachable node is expanded), exactly
+as :meth:`GameTree.iter_nodes` would.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +66,24 @@ def canonical_encoding(tree: GameTree) -> bytes:
     Preorder traversal; each internal node contributes its arity (and
     gate name for Boolean trees), each leaf its value.  Identifiers
     never appear, so the encoding is representation-invariant.
+
+    An exact-type :class:`~repro.trees.uniform.UniformTree` is encoded
+    from its shape and leaf array (:func:`_encode_uniform`); every
+    other tree by the preorder walk (:func:`_encode_walk`).  Both give
+    the same bytes for the same tree.
+    """
+    # Exact type, not isinstance: a subclass may reshape the tree the
+    # shape arithmetic describes.
+    if type(tree) is UniformTree:
+        return _encode_uniform(tree)
+    return _encode_walk(tree)
+
+
+def _encode_walk(tree: GameTree) -> bytes:
+    """The generic encoding: one preorder walk of the object graph.
+
+    Accepts any tree (lazy trees are expanded as they are walked), and
+    is the reference the uniform encoding is tested against.
     """
     parts: List[str] = [tree.kind.value]
     stack: List[NodeId] = [tree.root]
@@ -71,6 +99,54 @@ def canonical_encoding(tree: GameTree) -> bytes:
                 parts.append(f"N{len(kids)}")
             stack.extend(reversed(kids))
     return "|".join(parts).encode("utf-8")
+
+
+#: Byte map from a Boolean leaf value (``UniformTree`` stores 0/1 as
+#: int8) to its one-character token, so one array's bytes translate to
+#: all of its leaf tokens at once.
+_BOOLEAN_TOKENS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _encode_uniform(tree: UniformTree) -> bytes:
+    """Encode a complete d-ary tree from its shape and leaf array.
+
+    In preorder the leaves of a complete tree appear left to right, and
+    the text between leaf ``i - 1`` and leaf ``i`` is ``|``, then the
+    tokens of the internal nodes opened there, then ``L``.  Leaf ``i``
+    opens one node per trailing zero of ``i`` in base ``d`` (the
+    deepest ones, down to depth ``height - 1``), and leaf 0 opens all
+    ``height`` of them.  So there are only ``height + 1`` distinct
+    separators, and the separator before each leaf follows the ruler
+    sequence, built by doubling: the ``d ** k - 1`` separators inside
+    a depth-``height - k`` subtree are those of its first child
+    subtree, then ``d - 1`` times the ``k - 1`` separator followed by
+    them again.  Bytes equal :func:`_encode_walk`'s exactly.
+    """
+    d, height = tree.branching, tree.height()
+    values = tree.leaf_values_array
+    tokens: Sequence[str]
+    if tree.kind is TreeKind.BOOLEAN:
+        opened = [
+            f"N{d}:{tree.gate(tree.level_offset(k)).name}|"
+            for k in range(height)
+        ]
+        tokens = values.tobytes().translate(_BOOLEAN_TOKENS).decode("ascii")
+    else:
+        opened = [f"N{d}|"] * height
+        tokens = list(map(repr, values.tolist()))
+    # seps[t]: the text before a leaf that opens t internal nodes, the
+    # deepest t of them.
+    seps = ["|L"]
+    for k in range(height - 1, -1, -1):
+        seps.append("|" + opened[k] + seps[-1][1:])
+    ruler: List[str] = []
+    for t in range(height):
+        ruler += ([seps[t]] + ruler) * (d - 1)
+    parts = [""] * (2 * len(tokens))
+    parts[0] = tree.kind.value + seps[height]
+    parts[2::2] = ruler
+    parts[1::2] = tokens
+    return "".join(parts).encode("utf-8")
 
 
 #: instance-attribute memo slot; trees are immutable once built, so a
@@ -116,7 +192,7 @@ class CanonicalArrays:
     """The preorder encoding of a tree as struct-of-arrays columns.
 
     This is the same left-to-right preorder :func:`canonical_encoding`
-    walks, materialised once as numpy columns indexed by preorder
+    encodes, materialised once as numpy columns indexed by preorder
     position ``0 .. n_nodes-1`` (root at 0).  The subtree of node ``i``
     occupies the contiguous index range ``[i, i + spans[i])``, so the
     next preorder sibling of ``i`` is ``i + spans[i]`` and the children
@@ -285,7 +361,7 @@ def _lower_walk(tree: GameTree) -> CanonicalArrays:
     gate_other: List[int] = []
 
     # Preorder via LIFO with reversed pushes — identical visit order to
-    # canonical_encoding.
+    # _encode_walk.
     stack: List[Tuple[NodeId, int, int, int]] = [(tree.root, -1, 0, 0)]
     while stack:
         node, parent_idx, depth, pos = stack.pop()
@@ -450,8 +526,11 @@ def trees_equal(a: GameTree, b: GameTree) -> bool:
     """Structural/semantic equality (see module docstring).
 
     Walks both trees in lockstep; cheap early exits on kind, arity and
-    leaf-value mismatches.  Used by the collision property tests to
-    certify that hash-equal trees really are the same instance.
+    leaf-value mismatches.  Leaves compare by the token the encoding
+    writes, so a NaN leaf equals itself and ``0.0`` differs from
+    ``-0.0``: two trees are equal exactly when their encodings are.
+    Used by the collision property tests to certify that hash-equal
+    trees really are the same instance.
     """
     if a.kind is not b.kind:
         return False
@@ -462,11 +541,7 @@ def trees_equal(a: GameTree, b: GameTree) -> bool:
         if leaf_a != leaf_b:
             return False
         if leaf_a:
-            va, vb = a.leaf_value(na), b.leaf_value(nb)
-            if a.kind is TreeKind.BOOLEAN:
-                if int(va) != int(vb):
-                    return False
-            elif float(va) != float(vb):
+            if _leaf_token(a, na) != _leaf_token(b, nb):
                 return False
             continue
         kids_a, kids_b = a.children(na), b.children(nb)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 
@@ -21,7 +22,7 @@ _profile = os.environ.get("HYPOTHESIS_PROFILE")
 if _profile:
     hypothesis_settings.load_profile(_profile)
 
-from repro.trees import ExplicitTree
+from repro.trees import ExplicitTree, UniformTree
 from repro.types import Gate, TreeKind
 
 
@@ -50,6 +51,43 @@ def nested_minmax(max_branch: int = 3):
                                   max_size=max_branch),
         max_leaves=20,
     )
+
+
+#: MIN/MAX leaf values whose ``repr`` tokens differ where ``==`` does
+#: not (NaN, the two zeros) or that are easy to mis-encode.
+SPECIAL_FLOATS = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 1.5, 2.0,
+)
+
+
+@st.composite
+def uniform_trees(draw, max_leaves=4096):
+    """Uniform trees of every shape up to ``max_leaves`` leaves: both
+    kinds, gate cycles of length 1-3, and special-float leaves."""
+    branching = draw(st.integers(min_value=1, max_value=4))
+    max_height = 7
+    while branching ** max_height > max_leaves:
+        max_height -= 1
+    height = draw(st.integers(min_value=0, max_value=max_height))
+    n = branching ** height
+    kind = draw(st.sampled_from(list(TreeKind)))
+    if kind is TreeKind.BOOLEAN:
+        gates = draw(st.lists(st.sampled_from(list(Gate)),
+                              min_size=1, max_size=3))
+        leaf = st.integers(min_value=0, max_value=1)
+    else:
+        gates = None
+        leaf = st.one_of(
+            st.sampled_from(SPECIAL_FLOATS),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+    # A few drawn values spread over the leaves by a seeded generator:
+    # large trees without a 4096-element Hypothesis draw.
+    pool = draw(st.lists(leaf, min_size=1, max_size=6))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    picks = np.random.default_rng(seed).integers(len(pool), size=n)
+    values = [pool[i] for i in picks.tolist()]
+    return UniformTree(branching, height, values, kind=kind, gates=gates)
 
 
 def boolean_tree_from_spec(spec, gates=Gate.NOR) -> ExplicitTree:

@@ -17,10 +17,16 @@ from repro.serve import (
     request_key,
     response_log,
 )
-from repro.trees import canonical_hash, trees_equal
+from repro.trees import canonical_arrays, canonical_hash, trees_equal
 from repro.trees.generators import iid_boolean, iid_minmax_integers
 
-from ..conftest import boolean_tree_from_spec, nested_boolean
+from ..conftest import (
+    SPECIAL_FLOATS,
+    boolean_tree_from_spec,
+    minmax_tree_from_spec,
+    nested_boolean,
+    uniform_trees,
+)
 
 
 def _spec_requests(specs, repeats):
@@ -66,12 +72,49 @@ def test_tiny_evicting_cache_still_serves_correctly(specs, repeats):
     assert response_log(responses) == response_log(again)
 
 
+def _either_or_same(strategy):
+    """Pairs ``(a, b)`` where ``b`` is ``a`` or drawn independently, so
+    both sides of the equivalence are exercised."""
+    return strategy.flatmap(
+        lambda a: st.tuples(st.just(a), st.one_of(st.just(a), strategy))
+    )
+
+
+def _assert_hash_iff_equal(a, b):
+    assert (canonical_hash(a) == canonical_hash(b)) == trees_equal(a, b)
+
+
 @settings(max_examples=40, deadline=None)
 @given(nested_boolean(), nested_boolean())
 def test_hash_equality_iff_semantic_equality(spec_a, spec_b):
     a = boolean_tree_from_spec(spec_a)
     b = boolean_tree_from_spec(spec_b)
-    assert (canonical_hash(a) == canonical_hash(b)) == trees_equal(a, b)
+    _assert_hash_iff_equal(a, b)
+
+
+#: MIN/MAX specs over the floats whose ``==`` and ``repr`` disagree.
+_SPECIAL_MINMAX = st.recursive(
+    st.sampled_from(SPECIAL_FLOATS),
+    lambda children: st.lists(children, min_size=1, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_either_or_same(_SPECIAL_MINMAX))
+def test_hash_equality_iff_semantic_equality_minmax(specs):
+    spec_a, spec_b = specs
+    _assert_hash_iff_equal(
+        minmax_tree_from_spec(spec_a), minmax_tree_from_spec(spec_b)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_either_or_same(uniform_trees(max_leaves=8)))
+def test_hash_equality_iff_semantic_equality_uniform_vs_explicit(trees):
+    a, b = trees
+    # Different objects, so neither side reuses the other's memo.
+    _assert_hash_iff_equal(a, canonical_arrays(b).to_explicit())
 
 
 def test_no_key_collisions_over_generated_corpus():

@@ -1,6 +1,9 @@
 """Canonical hashing and semantic equality of trees."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
 
 from repro.trees import (
     ExplicitTree,
@@ -10,8 +13,11 @@ from repro.trees import (
     canonical_hash,
     trees_equal,
 )
+from repro.trees.canonical import _encode_uniform, _encode_walk
 from repro.trees.generators import iid_boolean, iid_minmax
 from repro.types import Gate, TreeKind
+
+from ..conftest import uniform_trees
 
 
 def _explicit_copy(tree):
@@ -125,3 +131,34 @@ def test_distinct_random_instances_hash_distinct(seed):
         assert canonical_hash(a) == canonical_hash(b)
     else:
         assert canonical_hash(a) != canonical_hash(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(uniform_trees())
+def test_uniform_encoding_equals_the_walk(tree):
+    expected = _encode_walk(tree)
+    assert _encode_uniform(tree) == expected
+    assert canonical_encoding(tree) == expected
+
+
+class _MirroredUniform(UniformTree):
+    """A uniform tree whose children are listed right to left."""
+
+    def children(self, node):
+        return tuple(reversed(super().children(node)))
+
+
+def test_uniform_subclass_takes_the_walk():
+    tree = _MirroredUniform(2, 3, list(range(8)), kind=TreeKind.MINMAX)
+    assert canonical_encoding(tree) == _encode_walk(tree)
+    # The shape arithmetic would describe the unmirrored tree.
+    assert canonical_encoding(tree) != _encode_uniform(tree)
+
+
+def test_trees_equal_compares_float_leaves_by_their_token():
+    nan = ExplicitTree.from_nested([math.nan, 1.0], kind=TreeKind.MINMAX)
+    assert trees_equal(nan, nan)
+    pos = ExplicitTree.from_nested([0.0, 1.0], kind=TreeKind.MINMAX)
+    neg = ExplicitTree.from_nested([-0.0, 1.0], kind=TreeKind.MINMAX)
+    assert canonical_hash(pos) != canonical_hash(neg)
+    assert not trees_equal(pos, neg)
