@@ -50,7 +50,7 @@ from ...trees.canonical import CanonicalArrays, canonical_arrays
 from ..policies import check_count
 from ..steps import ALPHABETA, run_steps
 from .boolean import LeafEvaluator
-from .selection import children_of_many, select_width
+from .selection import WidthWalk, children_of_many, select_width
 
 __all__ = ["arena_alpha_beta"]
 
@@ -80,7 +80,9 @@ class _AlphaBetaArena:
         self.finished_value = np.zeros(n, dtype=np.float64)
         #: unfinished-children counters (garbage once a node settles).
         self.unfinished = arrays.arities.astype(np.int64)
+        #: width-walk budget scratch and the levels it kept last step.
         self.budget = np.zeros(n, dtype=np.int64)
+        self.walk = WidthWalk()
         #: the bounds each node passes to its children.  Persistent and
         #: monotone: a finish raises (MAX parent) or lowers (MIN parent)
         #: its parent's bound once, and a sweep merges each visited
@@ -107,6 +109,7 @@ class _AlphaBetaArena:
         buckets: Dict[int, List[np.ndarray]] = {}
         for depth in np.unique(depths).tolist():
             buckets[depth] = [batch[depths == depth]]
+        self.walk.settled_at(min(buckets))
         self._mark_touched(buckets)
         for depth, parts in buckets.items():
             if depth:
@@ -216,6 +219,7 @@ class _AlphaBetaArena:
             values[done] = fold.reduceat(values[kids], starts)
             finished[done] = True
             settled[done] = True
+            self.walk.settled_at(depth - 1)
             if depth > 1:
                 self._tighten(done, depth - 1)
             buckets.setdefault(depth - 1, []).append(done)
@@ -306,6 +310,7 @@ class _AlphaBetaArena:
             self.pruned[doomed] = True
             settled[doomed] = True
             buckets[depth] = [doomed]
+        self.walk.settled_at(min(prunes))
         self._cascade(buckets)
         return count
 
@@ -351,7 +356,9 @@ def run_alpha_beta(
 
     trace, evaluated = run_steps(
         ALPHABETA, f"parallel-alpha-beta(w={width}, arena)",
-        lambda: select_width(arrays, arena.settled, width, arena.budget),
+        lambda: select_width(
+            arrays, arena.settled, width, arena.budget, arena.walk
+        ),
         apply, lambda: arena.finished[0],
         keep_batches=keep_batches, max_steps=max_steps, recorder=recorder,
     )

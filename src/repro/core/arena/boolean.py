@@ -35,7 +35,7 @@ from ...trees.base import GameTree, NodeId
 from ...trees.canonical import CanonicalArrays, canonical_arrays
 from ..policies import check_count
 from ..steps import SOLVE, run_steps
-from .selection import most_urgent, select_frontier, select_width
+from .selection import WidthWalk, most_urgent, select_frontier, select_width
 
 __all__ = [
     "arena_parallel_solve",
@@ -60,8 +60,9 @@ class _BooleanArena:
         self.value = np.full(n, -1, dtype=np.int8)
         #: undetermined-children counters (garbage once a node settles).
         self.undetermined = arrays.arities.astype(np.int64)
-        #: width-walk budget scratch (written before read each call).
+        #: width-walk budget scratch and the levels it kept last step.
         self.budget = np.zeros(n, dtype=np.int64)
+        self.walk = WidthWalk()
 
     def evaluate_batch(self, batch: np.ndarray, values: np.ndarray) -> None:
         """Settle a batch of live leaves to ``values`` and cascade.
@@ -90,6 +91,7 @@ class _BooleanArena:
         batch_depths = depths[batch]
         for depth in np.unique(batch_depths).tolist():
             buckets[depth] = [batch[batch_depths == depth]]
+        self.walk.settled_at(min(buckets))
         for depth in range(max(buckets), 0, -1):
             parts = buckets.get(depth)
             if not parts:
@@ -118,6 +120,7 @@ class _BooleanArena:
                 else (absorbed if absorbed.shape[0] else exhausted)
             )
             if newly.shape[0]:
+                self.walk.settled_at(depth - 1)
                 buckets.setdefault(depth - 1, []).append(newly)
 
 
@@ -171,7 +174,7 @@ def width_selection(
 
         def select(arena: _BooleanArena) -> np.ndarray:
             return select_width(
-                arena.arrays, arena.settled, width, arena.budget
+                arena.arrays, arena.settled, width, arena.budget, arena.walk
             )
 
         return f"parallel-solve(w={width}, arena)", select
@@ -182,7 +185,7 @@ def width_selection(
 
     def select_bounded(arena: _BooleanArena) -> np.ndarray:
         leaves = select_width(
-            arena.arrays, arena.settled, width, arena.budget
+            arena.arrays, arena.settled, width, arena.budget, arena.walk
         )
         scores = width - arena.budget[leaves]
         return most_urgent(leaves, scores, width, processors)

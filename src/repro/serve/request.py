@@ -99,12 +99,15 @@ def request_key(req: EvalRequest) -> str:
     Two requests with semantically equal trees (any representation),
     the same algorithm and the same parameters collide on purpose —
     that collision *is* the cache's deduplication.
+
+    The ``(algo, params)`` tag is the compact, sorted-key JSON of
+    ``{"algo": algo, "params": [[name, value], ...]}``, written out
+    directly: the request was checked against the engine table when
+    built, so the algorithm and parameter names are plain identifiers
+    that need no escaping, and every value is an ``int``.
     """
-    tag = json.dumps(
-        {"algo": req.algo, "params": list(req.params)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    params = ",".join('["%s",%d]' % pair for pair in req.params)
+    tag = '{"algo":"%s","params":[%s]}' % (req.algo, params)
     blob = f"{canonical_hash(req.tree)}:{tag}".encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
