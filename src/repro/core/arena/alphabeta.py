@@ -8,32 +8,19 @@ step driver (:func:`repro.core.steps.run_steps`); like the Boolean one
 it takes a leaf evaluator, so the inline engine and the shared-memory
 executor (:mod:`repro.core.shm`) share it.
 
-The key equivalence: one pass of
-:func:`~repro.core.alphabeta.engine._prune_pass` is a *pure top-down
-function of the start-of-pass state*.  No node on the DFS stack can be
-settled mid-pass (a cascade finish needs every child settled, and any
-on-stack node is unfinished), sibling-subtree cascades travel strictly
-upward, and the prune condition ``alpha >= beta`` is constant across
-one node's children — so the set of nodes pruned in a pass (and hence
-the pass's prune *count*, which feeds the ``pruned=`` span attribute)
-is what a level-synchronous sweep over that state computes.
-
-This module computes that set without sweeping from the root.  Bounds
-only tighten, and a node's bounds change only when a node on its root
-path gains a finished child.  So alpha and beta are persistent
-per-node columns: a finish folds its value into its parent's bound
-once and marks the parent *dirty*; a newly touched node inherits its
-parent's bounds (it has no finished child yet); every other node keeps
-the bounds an earlier round gave it, and those did not cut, or its open
-children would have been pruned and it would have finished.  A round
-sweeps down level by level from the shallowest dirty node, merging
-each visited node's incoming bounds with ``maximum`` / ``minimum``.
-At each depth it adds that depth's dirty nodes, except those inside a
-subtree doomed earlier in the same sweep, which the root pass never
-reaches.  Every node whose bounds can cut is then visited with the
-bounds the root pass gives it, so the round prunes exactly what the
-root pass prunes, count included.  Prunes are applied after the sweep
-and their finish cascade runs level-batched bottom-up.
+One pass of :func:`~repro.core.alphabeta.engine._prune_pass` visits
+every touched node whose root path is unsettled and passes no cut
+node, and prunes the open children of each visited node that cuts.
+A node's bounds are the best finished-child values on its root path:
+alpha the max over its MAX ancestors (itself included), beta the min
+over its MIN ones.  So a prune round here is that definition, as one
+set of array operations over the live touched nodes: each node's
+*gain* (the max, at MAX nodes, or min, at MIN nodes, of its finished
+children) is read through a per-node ancestor table, a node cuts when
+alpha >= beta, and since a cut passes down its root path, the pass's
+cut nodes are the cutting candidates whose parent does not cut.  Each
+loses all its open children, so it finishes with its gain; the finish
+cascade then runs level-batched bottom-up.
 """
 
 from __future__ import annotations
@@ -49,8 +36,8 @@ from ...trees.base import GameTree, NodeId
 from ...trees.canonical import CanonicalArrays, canonical_arrays
 from ..policies import check_count
 from ..steps import ALPHABETA, run_steps
-from .boolean import LeafEvaluator
-from .selection import WidthWalk, children_of_many, select_width
+from .boolean import LeafEvaluator, depth_buckets, run_starts
+from .selection import WidthWalk, select_width
 
 __all__ = ["arena_alpha_beta"]
 
@@ -58,42 +45,64 @@ _INF = float("inf")
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _runs(ascending: np.ndarray) -> np.ndarray:
-    """Start offsets of the runs of equal values in a sorted array."""
-    heads = np.empty(ascending.shape[0], dtype=bool)
-    heads[0] = True
-    np.not_equal(ascending[1:], ascending[:-1], out=heads[1:])
-    return heads.nonzero()[0]
-
-
 class _AlphaBetaArena:
-    """Mutable run state of one pruning-process arena evaluation."""
+    """Mutable run state of one pruning-process arena evaluation.
+
+    Two slots past the nodes serve as sentinels in the ancestor table:
+    ``n`` fills the MAX (even-depth) rows past a node's depth, ``n + 1``
+    the MIN ones.  Their gains (-inf, +inf) are neutral.
+    """
 
     def __init__(self, arrays: CanonicalArrays) -> None:
         self.arrays = arrays
         n = arrays.n_nodes
+        parents, is_leaf = arrays.parents, arrays.is_leaf
         self.finished = np.zeros(n, dtype=bool)
         self.pruned = np.zeros(n, dtype=bool)
         #: finished-or-pruned; the walk's settled predicate.
         self.settled = np.zeros(n, dtype=bool)
-        self.touched = np.zeros(n, dtype=bool)
         self.finished_value = np.zeros(n, dtype=np.float64)
         #: unfinished-children counters (garbage once a node settles).
         self.unfinished = arrays.arities.astype(np.int64)
         #: width-walk budget scratch and the levels it kept last step.
         self.budget = np.zeros(n, dtype=np.int64)
         self.walk = WidthWalk()
-        #: the bounds each node passes to its children.  Persistent and
-        #: monotone: a finish raises (MAX parent) or lowers (MIN parent)
-        #: its parent's bound once, and a sweep merges each visited
-        #: node's incoming bounds with ``maximum`` / ``minimum``.
-        self.alpha = np.full(n, -_INF)
-        self.beta = np.full(n, _INF)
-        #: depth -> sorted unique arrays of nodes that gained a finished
-        #: child since the last sweep (settled ones are dropped there).
-        self._dirty: Dict[int, List[np.ndarray]] = {}
-        #: scratch set-membership column, all False between uses.
-        self._mark = np.zeros(n, dtype=bool)
+        #: the max (MAX node) or min (MIN node) of its finished
+        #: children, and whether it has one.  NaN once the node settles.
+        self.gain = np.full(n + 2, -_INF)
+        self.gain[n + 1] = _INF
+        self.has_finished_child = np.zeros(n, dtype=bool)
+        #: touched internal nodes (the sentinels count as touched).
+        self._touched = np.zeros(n + 2, dtype=bool)
+        self._touched[n:] = True
+        #: ``ancestors[d, rank[v]]``: internal node ``v``'s depth-``d``
+        #: ancestor (``v`` at its own depth, a sentinel past it).  Ranks
+        #: run level by level; the last column, the root's parent's
+        #: (``rank[-1]``), holds sentinels only.
+        internal = [level[~is_leaf[level]] for level in arrays.levels[:-1]]
+        bounds = np.cumsum([0] + [level.shape[0] for level in internal])
+        self._rank = np.full(n + 1, bounds[-1])
+        ancestors = np.empty((len(internal), bounds[-1] + 1), np.int64)
+        ancestors[0::2] = n
+        ancestors[1::2] = n + 1
+        for depth, level in enumerate(internal):
+            cols = slice(bounds[depth], bounds[depth + 1])
+            self._rank[level] = np.arange(cols.start, cols.stop)
+            up = self._rank[parents[level]]
+            ancestors[:depth, cols] = ancestors[:depth, up]
+            ancestors[depth, cols] = level
+            if depth % 2:
+                self.gain[level] = _INF
+        self._ancestors = ancestors
+        #: every level in one array, and where each level starts in it.
+        self._level_nodes = np.concatenate(arrays.levels)
+        self._level_start = np.cumsum([0] + [len(lv) for lv in arrays.levels])
+        #: touched internal nodes; a round drops those on or below a
+        #: settled node, which never come back.
+        self._live = _EMPTY
+        #: scratch set-membership column, all False between uses (the
+        #: root's parent, -1, reads the sentinel ``n + 1``).
+        self._mark = np.zeros(n + 2, dtype=bool)
 
     # -- finishing ---------------------------------------------------------
     def finish_leaves(self, batch: np.ndarray, values: np.ndarray) -> None:
@@ -105,84 +114,33 @@ class _AlphaBetaArena:
         self.finished[batch] = True
         self.settled[batch] = True
         self.finished_value[batch] = values
-        depths = self.arrays.depths[batch]
-        buckets: Dict[int, List[np.ndarray]] = {}
-        for depth in np.unique(depths).tolist():
-            buckets[depth] = [batch[depths == depth]]
-        self.walk.settled_at(min(buckets))
-        self._mark_touched(buckets)
-        for depth, parts in buckets.items():
-            if depth:
-                self._tighten(parts[0], depth)
-        self._cascade(buckets)
-
-    def _mark_touched(self, buckets: Dict[int, List[np.ndarray]]) -> None:
-        """Mark the leaves and their ancestors touched (stop at touched).
-
-        A newly touched internal node has no finished child yet, so it
-        passes its parent's bounds down unchanged: it inherits them,
-        top-down, before any finish tightens them.
-        """
-        touched, parents = self.touched, self.arrays.parents
-        fresh: List[np.ndarray] = []
-        carry = _EMPTY
-        for depth in range(max(buckets), 0, -1):
-            parts = buckets.get(depth)
-            if parts:
-                touched[parts[0]] = True
-                carry = (
-                    parts[0] if carry.shape[0] == 0
-                    else np.sort(np.concatenate((carry, parts[0])))
-                )
-            elif carry.shape[0] == 0:
-                continue
-            up = parents[carry]
-            up = up[_runs(up)]
-            carry = up[~touched[up]]
-            touched[carry] = True
-            if depth > 1:
-                fresh.append(carry)
-        if 0 in buckets:
-            touched[0] = True
-        for level in reversed(fresh):
-            up = parents[level]
-            self.alpha[level] = self.alpha[up]
-            self.beta[level] = self.beta[up]
-
-    def _tighten(self, nodes: np.ndarray, depth: int) -> None:
-        """Fold freshly finished depth-``depth`` nodes into their parents.
-
-        ``nodes`` is sorted, so siblings are adjacent and one segmented
-        reduce per parent raises alpha (MAX parent, odd ``depth``) or
-        lowers beta (MIN parent); the parents become dirty.
-        """
-        up = self.arrays.parents[nodes]
-        starts = _runs(up)
-        up = up[starts]
-        values = self.finished_value[nodes]
-        if depth % 2:
-            self.alpha[up] = np.maximum(
-                self.alpha[up], np.maximum.reduceat(values, starts)
-            )
-        else:
-            self.beta[up] = np.minimum(
-                self.beta[up], np.minimum.reduceat(values, starts)
-            )
-        self._dirty.setdefault(depth - 1, []).append(up)
+        # Row ``d`` lists the batch's depth-``d`` ancestors in preorder,
+        # and a leaf between two below the same node is below it too: a
+        # node's repeats are adjacent, also after the filter.
+        path = self._ancestors.take(
+            self._rank[self.arrays.parents[batch]], axis=1
+        )
+        fresh = path[~self._touched[path]]
+        if fresh.shape[0]:
+            fresh = fresh[run_starts(fresh)]
+            self._touched[fresh] = True
+            self._live = np.concatenate((self._live, fresh))
+        self._cascade(depth_buckets(batch, self.arrays.depths))
 
     def _cascade(self, buckets: Dict[int, List[np.ndarray]]) -> None:
-        """Propagate finishes upward from newly settled nodes.
+        """Propagate finishes upward from newly finished nodes.
 
-        ``buckets`` maps depth to arrays of nodes that settled this
-        round (finished leaves or freshly pruned nodes).  A parent
-        finishes when its unfinished-children counter reaches zero,
-        with the MAX/MIN of its non-pruned children's values; if every
-        child was pruned, the pruning pass violated top-down order.
+        ``buckets`` maps depth to sorted arrays of nodes that finished
+        this round (the walk learns of them here).  Each folds its
+        value into its parent's gain; a parent finishes with its gain
+        when its unfinished-children counter reaches zero.  Such a
+        parent was unsettled: no node below a settled one is ever
+        finished.
         """
-        arrays = self.arrays
-        parents, levels = arrays.parents, arrays.levels
-        settled, finished = self.settled, self.finished
-        values = self.finished_value
+        parents = self.arrays.parents
+        finished, settled = self.finished, self.settled
+        values, gain = self.finished_value, self.gain
+        self.walk.settled_at(min(buckets))
         for depth in range(max(buckets), 0, -1):
             parts = buckets.get(depth)
             if not parts:
@@ -191,37 +149,23 @@ class _AlphaBetaArena:
                 parts[0] if len(parts) == 1
                 else np.sort(np.concatenate(parts))
             )
-            up = parents[nodes]
-            up = up[~settled[up]]
-            if up.shape[0] == 0:
-                continue
-            np.add.at(self.unfinished, up, -1)
-            done = up[_runs(up)]
-            done = done[self.unfinished[done] == 0]
+            every = parents[nodes]
+            starts = run_starts(every)
+            up = every[starts]
+            # MAX at even depth, MIN at odd: siblings are adjacent, so
+            # one segmented reduce per parent.
+            fold = np.maximum if (depth - 1) % 2 == 0 else np.minimum
+            gain[up] = fold(gain[up], fold.reduceat(values[nodes], starts))
+            self.has_finished_child[up] = True
+            np.add.at(self.unfinished, every, -1)
+            done = up[self.unfinished[up] == 0]
             if done.shape[0] == 0:
                 continue
-            kids, segment = children_of_many(arrays, done, levels[depth])
-            surviving = ~self.pruned[kids]
-            kids, segment = kids[surviving], segment[surviving]
-            counts = np.bincount(segment, minlength=done.shape[0])
-            orphaned = done[counts == 0]
-            if orphaned.shape[0]:
-                node = arrays.node_ids[int(orphaned[0])]
-                raise PruningInvariantError(
-                    f"every child of {node!r} was pruned while {node!r} "
-                    f"survived — the pruning pass violated top-down order"
-                )
-            # MAX at even depth: finish with the max of the non-pruned
-            # (hence finished) children, one contiguous run per parent;
-            # MIN at odd depth dually.
-            fold = np.maximum if (depth - 1) % 2 == 0 else np.minimum
-            starts = counts.cumsum() - counts
-            values[done] = fold.reduceat(values[kids], starts)
+            values[done] = gain[done]
+            gain[done] = np.nan
             finished[done] = True
             settled[done] = True
             self.walk.settled_at(depth - 1)
-            if depth > 1:
-                self._tighten(done, depth - 1)
             buckets.setdefault(depth - 1, []).append(done)
 
     # -- pruning -----------------------------------------------------------
@@ -234,101 +178,60 @@ class _AlphaBetaArena:
                 return total
 
     def _sweep(self) -> int:
-        """One round of the pruning rule, from the dirty nodes down.
+        """One round of the pruning rule over every live touched node.
 
-        Only nodes at or below a dirty node can have changed bounds;
-        everywhere else the bounds are the ones the last round left
-        uncut.  Starting at the shallowest dirty depth, each level
-        merges in that depth's dirty nodes, skipping any inside a
-        subtree doomed earlier in this sweep, then sweeps down exactly
-        as a full pass from the root would.  Prunes (and their finish
-        cascades) are applied after the sweep — the argument in the
-        module docstring makes the round prune what one reference DFS
-        pass prunes, count included.
+        Prunes (and counts) the open children of the cut nodes one
+        reference DFS pass reaches — the cutting live nodes whose
+        parent does not cut — then finishes those nodes with their
+        gains and cascades.
         """
-        dirty, self._dirty = self._dirty, {}
-        if not dirty or self.finished[0]:
+        if self.finished[0]:
             return 0
-        arrays = self.arrays
-        parents, levels = arrays.parents, arrays.levels
-        alpha, beta, mark = self.alpha, self.beta, self._mark
-        settled = self.settled
-        deepest = max(dirty)
-        visited = _EMPTY
-        prunes: Dict[int, np.ndarray] = {}
-        for depth in range(min(dirty), arrays.height):
-            if visited.shape[0]:
-                # Reached by descent: merge the parent's fresh bounds.
-                # A dirty node reached otherwise has a parent whose
-                # bounds did not change, so its own already hold them.
-                up = parents[visited]
-                alpha[visited] = np.maximum(alpha[visited], alpha[up])
-                beta[visited] = np.minimum(beta[visited], beta[up])
-            parts = dirty.get(depth)
-            if parts:
-                extra = (
-                    parts[0] if len(parts) == 1
-                    else np.unique(np.concatenate(parts))
-                )
-                extra = extra[~settled[extra]]
-                if extra.shape[0] and visited.shape[0]:
-                    mark[visited] = True
-                    extra = extra[~mark[extra]]
-                    mark[visited] = False
-                if extra.shape[0] and prunes:
-                    extra = extra[~self._below_doomed(extra, prunes)]
-                if extra.shape[0]:
-                    visited = (
-                        extra if visited.shape[0] == 0
-                        else np.sort(np.concatenate((visited, extra)))
-                    )
-            if visited.shape[0] == 0:
-                if depth >= deepest:
-                    break
-                continue
-            cut = alpha[visited] >= beta[visited]
-            children, segment = children_of_many(
-                arrays, visited, levels[depth + 1]
-            )
-            cut = cut[segment]
-            open_child = ~settled[children]
-            doomed = children[cut & open_child]
-            if doomed.shape[0]:
-                prunes[depth + 1] = doomed
-            descend = (
-                ~cut & open_child
-                & ~arrays.is_leaf[children] & self.touched[children]
-            )
-            visited = children[descend]
-
-        if not prunes:
+        live = self._live
+        gains = self.gain[self._ancestors.take(self._rank[live], axis=1)]
+        alpha = gains[0::2].max(axis=0, initial=-_INF)
+        beta = gains[1::2].min(axis=0, initial=_INF)
+        cut = alpha >= beta
+        # Both folds keep a settled node's NaN gain, so the nodes on or
+        # below one never cut and leave the live set here (as do those
+        # below a NaN leaf's parent, which can never cut either).
+        dead = np.isnan(alpha) | np.isnan(beta)
+        if np.count_nonzero(dead):
+            live, cut = live[~dead], cut[~dead]
+            self._live = live
+        if not np.count_nonzero(cut):
             return 0
-        count = 0
-        buckets: Dict[int, List[np.ndarray]] = {}
-        for depth, doomed in prunes.items():
-            count += int(doomed.shape[0])
-            self.pruned[doomed] = True
-            settled[doomed] = True
-            buckets[depth] = [doomed]
-        self.walk.settled_at(min(prunes))
-        self._cascade(buckets)
-        return count
-
-    def _below_doomed(
-        self, nodes: np.ndarray, prunes: Dict[int, np.ndarray]
-    ) -> np.ndarray:
-        """Which ``nodes`` lie in (or are) a subtree doomed this sweep.
-
-        A sweep never descends into a doomed node, so doomed subtrees
-        are disjoint preorder spans: ``nodes[i]`` is inside one iff it
-        is below the span of the last doomed node at or before it.
-        """
-        starts = np.concatenate(list(prunes.values()))
-        if len(prunes) > 1:
-            starts.sort()
-        pos = np.searchsorted(starts, nodes, side="right") - 1
-        owner = starts[np.maximum(pos, 0)]
-        return (pos >= 0) & (nodes < owner + self.arrays.spans[owner])
+        arrays, mark = self.arrays, self._mark
+        cutting = live[cut]
+        mark[cutting] = True
+        top = cutting[~mark[arrays.parents[cutting]]]
+        mark[cutting] = False
+        orphaned = top[~self.has_finished_child[top]]
+        if orphaned.shape[0]:
+            node = arrays.node_ids[int(orphaned[0])]
+            raise PruningInvariantError(
+                f"every child of {node!r} was pruned while {node!r} "
+                f"survived — the pruning pass violated top-down order"
+            )
+        # The children of ``v`` are one slice of its child level.
+        top.sort()
+        depths = arrays.depths[top]
+        lens = arrays.arities[top]
+        ends = lens.cumsum()
+        first = self._level_start[depths + 1] + arrays.child_start[top]
+        children = self._level_nodes[
+            np.arange(int(ends[-1])) + np.repeat(first - ends + lens, lens)
+        ]
+        doomed = children[~self.settled[children]]
+        self.pruned[doomed] = True
+        self.settled[doomed] = True
+        self.finished_value[top] = self.gain[top]
+        self.gain[top] = np.nan
+        self.gain[doomed] = np.nan
+        self.finished[top] = True
+        self.settled[top] = True
+        self._cascade(depth_buckets(top, arrays.depths))
+        return int(doomed.shape[0])
 
 
 def run_alpha_beta(

@@ -48,6 +48,25 @@ __all__ = [
 LeafEvaluator = Callable[[np.ndarray], np.ndarray]
 
 
+def run_starts(ascending: np.ndarray) -> np.ndarray:
+    """Start offsets of the runs of equal values in a non-empty array
+    whose equal values are adjacent (a sorted one, say)."""
+    heads = np.empty(ascending.shape[0], dtype=bool)
+    heads[0] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=heads[1:])
+    return heads.nonzero()[0]
+
+
+def depth_buckets(
+    nodes: np.ndarray, depths: np.ndarray
+) -> Dict[int, List[np.ndarray]]:
+    """Non-empty ``nodes`` split by depth, shallowest first; each part
+    keeps the order of ``nodes``."""
+    node_depths = depths[nodes]
+    present = np.bincount(node_depths).nonzero()[0].tolist()
+    return {depth: [nodes[node_depths == depth]] for depth in present}
+
+
 class _BooleanArena:
     """Mutable run state of one Boolean arena evaluation."""
 
@@ -67,14 +86,14 @@ class _BooleanArena:
     def evaluate_batch(self, batch: np.ndarray, values: np.ndarray) -> None:
         """Settle a batch of live leaves to ``values`` and cascade.
 
-        ``batch`` holds distinct preorder leaf indices and ``values``
+        ``batch`` holds sorted distinct preorder leaf indices and ``values``
         their 0/1 values in batch order; the cascade runs one level at
         a time, deepest first, so parents always see their newly
         settled children in a single sweep.
         """
         arrays = self.arrays
         settled, value = self.settled, self.value
-        parents, depths = arrays.parents, arrays.depths
+        parents = arrays.parents
         gate_abs = arrays.gate_absorbing
         gate_on = arrays.gate_on_absorb
         gate_other = arrays.gate_otherwise
@@ -87,39 +106,35 @@ class _BooleanArena:
 
         # Bucket the newly settled nodes by depth and sweep upward;
         # parents settled at depth d-1 join that bucket.
-        buckets: Dict[int, List[np.ndarray]] = {}
-        batch_depths = depths[batch]
-        for depth in np.unique(batch_depths).tolist():
-            buckets[depth] = [batch[batch_depths == depth]]
+        buckets = depth_buckets(batch, arrays.depths)
         self.walk.settled_at(min(buckets))
         for depth in range(max(buckets), 0, -1):
             parts = buckets.get(depth)
             if not parts:
                 continue
-            nodes = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            nodes = (
+                parts[0] if len(parts) == 1
+                else np.sort(np.concatenate(parts))
+            )
             up = parents[nodes]
             alive = ~settled[up]
             nodes, up = nodes[alive], up[alive]
             if nodes.shape[0] == 0:
                 continue
+            # Siblings are adjacent: one run per parent.
+            starts = run_starts(up)
             np.add.at(self.undetermined, up, -1)
-            absorbed = np.unique(up[value[nodes] == gate_abs[up]])
-            if absorbed.shape[0]:
-                settled[absorbed] = True
-                value[absorbed] = gate_on[absorbed]
-            candidates = np.unique(up)
-            exhausted = candidates[
-                ~settled[candidates] & (self.undetermined[candidates] == 0)
-            ]
-            if exhausted.shape[0]:
-                settled[exhausted] = True
-                value[exhausted] = gate_other[exhausted]
-            newly = (
-                np.concatenate((absorbed, exhausted))
-                if absorbed.shape[0] and exhausted.shape[0]
-                else (absorbed if absorbed.shape[0] else exhausted)
+            absorbed = np.logical_or.reduceat(
+                value[nodes] == gate_abs[up], starts
             )
+            up = up[starts]
+            newly_mask = absorbed | (self.undetermined[up] == 0)
+            newly = up[newly_mask]
             if newly.shape[0]:
+                settled[newly] = True
+                value[newly] = np.where(
+                    absorbed[newly_mask], gate_on[newly], gate_other[newly]
+                )
                 self.walk.settled_at(depth - 1)
                 buckets.setdefault(depth - 1, []).append(newly)
 

@@ -20,8 +20,11 @@ indistinguishable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..core import parallel_solve, sequential_solve, team_solve
 from ..core.alphabeta import (
@@ -42,6 +45,7 @@ from ..errors import InvalidRequestError, SimulationError
 from ..simulator import check_binary_nor, simulate
 from ..trees.base import GameTree
 from ..trees.io import tree_from_dict
+from ..trees.uniform import UniformTree
 from ..types import TreeKind
 
 __all__ = [
@@ -82,7 +86,7 @@ class EngineSpec:
     attributes reported as ``(steps, work)``.  ``shape``, if set,
     raises :class:`~repro.errors.SimulationError` for a tree of an
     accepted kind that the engine still cannot run; only the machine
-    has one, so no other request pays for a tree walk.
+    has one.
     """
 
     entry: Callable[..., Any]
@@ -143,9 +147,10 @@ def check_request(
     Raises :class:`~repro.errors.InvalidRequestError` for an unknown
     algorithm or parameter, a value that is not an ``int`` (``bool``
     is not) or is below its minimum, a tree kind the engine does not
-    take, and a tree its ``shape`` check rejects.  ``routing`` also
-    admits :data:`ROUTE_KEYWORDS` for the routed engines, with their
-    values left to ``dispatch``.
+    take, a MIN/MAX tree with a NaN leaf (the backends disagree on its
+    value and batches) and a tree its ``shape`` check rejects.
+    ``routing`` also admits :data:`ROUTE_KEYWORDS` for the routed
+    engines, with their values left to ``dispatch``.
     """
     spec = ALGORITHMS.get(algo)
     if spec is None:
@@ -175,12 +180,23 @@ def check_request(
         raise InvalidRequestError(
             f"{algo} does not evaluate {tree.kind.value} trees"
         )
+    if tree.kind is TreeKind.MINMAX and _has_nan_leaf(tree):
+        raise InvalidRequestError(f"{algo}: a MIN/MAX leaf value is NaN")
     if spec.shape is not None:
         try:
             spec.shape(tree)
         except SimulationError as exc:
             raise InvalidRequestError(f"{algo}: {exc}") from exc
     return spec
+
+
+def _has_nan_leaf(tree: GameTree) -> bool:
+    """Whether any leaf of ``tree`` has the value NaN."""
+    if type(tree) is UniformTree:
+        return bool(np.isnan(tree.leaf_values_array).any())
+    return any(
+        math.isnan(tree.leaf_value(leaf)) for leaf in tree.iter_leaves()
+    )
 
 
 def run_algorithm(

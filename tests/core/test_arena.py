@@ -1,5 +1,6 @@
 """Unit tests for the columnar arena engines and selection kernels."""
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -293,21 +294,23 @@ def test_degenerate_minmax_trees(name):
 
 
 # ---------------------------------------------------------------------------
-# the dirty-node prune sweep: the two rules that make it a full pass
+# prune rounds: trees that pinned the rules of an earlier dirty-node sweep
 # ---------------------------------------------------------------------------
-#: (nested spec, width, per-step ``pruned=`` counts).  On each tree the
-#: sweep that starts at the dirty nodes prunes more than a pass from the
-#: root would if it dropped the named rule.
+#: (nested spec, width, per-step ``pruned=`` counts).  Each tree pinned
+#: one rule of an earlier prune round that started at the nodes whose
+#: bounds had changed ("dirty"): without the rule, that round's counts
+#: differed from those of a pass from the root.
 SWEEP_RULE_TREES = {
     # Step 2 finishes the MIN node [0, 0, 0] at 0, which raises the
     # root's alpha to 0.  The MIN node [0, [0, 0]] already has beta 0,
-    # so it cuts and dooms its open child [0, 0] — a node the same
-    # step's leaf made dirty.  Visiting it would prune its second leaf.
+    # so it cuts and dooms its open child [0, 0] — a node whose bounds
+    # the same step's leaf changed.  Visiting it would prune its second
+    # leaf.
     "dirty-node-doomed-in-same-sweep": ([[0, 0, 0], [0, [0, 0]]], 1, [0, 1]),
     # Step 2's last leaf lowers the first MIN node's beta to the root's
-    # alpha 0, which dooms its open child [0, 0, [0, 0]].  The node
-    # [0, 0] one level further down was made dirty by the same step's
-    # leaf; visiting it would prune its second leaf.
+    # alpha 0, which dooms its open child [0, 0, [0, 0]].  The same
+    # step's leaf changed the bounds of the node [0, 0] one level
+    # further down; visiting it would prune its second leaf.
     "dirty-node-below-doomed": (
         [[1, [0, 0, [0, 0]], 0], 0], 1, [0, 1],
     ),
@@ -332,6 +335,126 @@ def test_prune_sweep_matches_root_pass_pruned_counts(name):
 
     assert pruned_per_step("incremental") == expected
     assert pruned_per_step("arena") == expected
+
+
+# ---------------------------------------------------------------------------
+# the prune round against a brute-force root-path oracle
+# ---------------------------------------------------------------------------
+def _root_path_doomed(arena):
+    """The open children a prune round must doom, from first principles.
+
+    A node's alpha is the max of the finished-child values of the MAX
+    nodes on its root path (itself included), its beta the min over
+    the MIN ones.  The candidates are the touched, unsettled nodes with
+    no settled ancestor; a round dooms the open children of each
+    candidate that cuts (alpha >= beta) while its parent does not.
+    """
+    arrays = arena.arrays
+    parents = arrays.parents.tolist()
+    finished = arena.finished.tolist()
+    settled = (arena.finished | arena.pruned).tolist()
+    value = arena.finished_value.tolist()
+    touched = [False] * arrays.n_nodes
+    for leaf in np.flatnonzero(arrays.is_leaf & arena.finished).tolist():
+        node = leaf
+        while node >= 0 and not touched[node]:
+            touched[node] = True
+            node = parents[node]
+    bounds, cuts, free = {}, {}, {}
+    doomed = set()
+    # Preorder: every parent comes before its children.
+    for node in range(arrays.n_nodes):
+        up = parents[node]
+        alpha, beta = bounds.get(up, (-math.inf, math.inf))
+        gains = [
+            value[c] for c in arrays.children_of(node) if finished[c]
+        ]
+        if arrays.depths[node] % 2 == 0:
+            alpha = max([alpha] + gains)
+        else:
+            beta = min([beta] + gains)
+        bounds[node] = (alpha, beta)
+        cuts[node] = alpha >= beta
+        free[node] = not settled[node] and free.get(up, True)
+        if (
+            touched[node] and free[node] and cuts[node]
+            and not cuts.get(up, False)
+        ):
+            doomed.update(
+                c for c in arrays.children_of(node) if not settled[c]
+            )
+    return doomed
+
+
+def _assert_rounds_match_oracle(tree):
+    original = arena_alphabeta._AlphaBetaArena._sweep
+    rounds = []
+
+    def sweep(arena):
+        expected = _root_path_doomed(arena)
+        before = arena.pruned.copy()
+        count = original(arena)
+        assert set(np.flatnonzero(arena.pruned & ~before).tolist()) == (
+            expected
+        )
+        assert count == len(expected)
+        rounds.append(count)
+        return count
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arena_alphabeta._AlphaBetaArena, "_sweep", sweep)
+        for width in range(4):
+            arena_alpha_beta(tree, width)
+    assert rounds
+
+
+#: Few distinct values, so bounds tie and cut with ``alpha == beta``.
+_TIE_POOLS = ((0.0, 1.0), (0.0, 1.0, 2.0), (-math.inf, 0.0, math.inf))
+
+
+@st.composite
+def _tie_heavy_uniform(draw):
+    branching = draw(st.integers(min_value=1, max_value=4))
+    height = draw(st.integers(min_value=0, max_value=7 - branching))
+    pool = draw(st.sampled_from(_TIE_POOLS))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    leaves = np.random.default_rng(seed).choice(pool, branching ** height)
+    return UniformTree(branching, height, leaves, kind=TreeKind.MINMAX)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tie_heavy_uniform())
+def test_prune_rounds_match_root_path_oracle_on_uniform_trees(tree):
+    _assert_rounds_match_oracle(tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.recursive(
+    st.sampled_from([0, 1, 2, -math.inf, math.inf]),
+    lambda children: st.lists(children, min_size=1, max_size=3),
+    max_leaves=24,
+))
+def test_prune_rounds_match_root_path_oracle_on_irregular_trees(spec):
+    _assert_rounds_match_oracle(minmax_tree_from_spec(spec))
+
+
+#: Trees with a MAX node all of whose finished children are -inf (and a
+#: MIN node whose are +inf): a gain equal to its start value must not
+#: read as "no finished child".
+INFINITE_GAIN_TREES = {
+    "max-below-min": [[[-math.inf, -math.inf], 0], 1],
+    "max-at-root": [-math.inf, -math.inf, -math.inf],
+    "cut-above-infinite-max": [[1, [[-math.inf, -math.inf], 2]], 0],
+    "min-all-inf": [0, [[math.inf, math.inf], [math.inf]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_GAIN_TREES))
+def test_infinite_gains_finish_without_invariant_error(name):
+    tree = minmax_tree_from_spec(INFINITE_GAIN_TREES[name])
+    for width in (0, 1, 2, 8):
+        _assert_backends_agree(parallel_alpha_beta, tree, width)
+    _assert_rounds_match_oracle(tree)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -17,8 +18,10 @@ from repro.serve import (
     synthetic_stream,
 )
 from repro.serve.request import request_from_dict, request_to_dict
+from repro.trees import ExplicitTree, UniformTree
+from repro.trees.io import tree_to_dict
 from repro.trees.generators import iid_boolean
-from repro.types import Gate
+from repro.types import Gate, TreeKind
 
 TREE = iid_boolean(2, 3, 0.5, seed=4)
 
@@ -64,6 +67,35 @@ def test_machine_request_on_a_non_binary_tree_no_longer_degrades():
 def test_unknown_or_out_of_range_parameters_are_rejected(algo, params):
     with pytest.raises(InvalidRequestError):
         EvalRequest.make(0, algo, TREE, **params)
+
+
+@pytest.mark.parametrize("tree", [
+    UniformTree(2, 2, [0.0, math.nan, 1.0, 2.0], kind=TreeKind.MINMAX),
+    ExplicitTree.from_nested([[1.0, [math.nan]], 2.0], kind=TreeKind.MINMAX),
+], ids=["uniform", "explicit"])
+def test_nan_minmax_leaf_is_rejected_without_degrading(tree):
+    # The backends disagree on a NaN leaf's value and batches, so such
+    # a tree used to get a backend-dependent answer from a shard.
+    for algo in ("parallel_ab", "minimax", "sss"):
+        with pytest.raises(InvalidRequestError, match="NaN"):
+            EvalRequest.make(0, algo, tree)
+    with pytest.raises(InvalidRequestError, match="NaN"):
+        request_from_dict({
+            **request_to_dict(EvalRequest.make(0, "minimax", TREE)),
+            "tree": tree_to_dict(tree),
+        })
+    # Infinite leaves are ordinary values.
+    infinite = UniformTree(
+        2, 2, [0.0, -math.inf, math.inf, 2.0], kind=TreeKind.MINMAX
+    )
+    valid = [
+        EvalRequest.make(0, "parallel_ab", infinite, width=1),
+        EvalRequest(1, "sequential", TREE, ()),
+    ]
+    with ShardedBatchService(3) as service:
+        responses = service.serve(valid)
+    assert service.stats.degraded_shards == []
+    assert list(direct_mismatches(zip(valid, responses))) == []
 
 
 def _wire(width):
