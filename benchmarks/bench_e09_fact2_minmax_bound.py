@@ -3,30 +3,15 @@
 import pytest
 
 from repro.analysis import fact2_certificate_size
-from repro.bench import run_experiment
 from repro.trees.generators import iid_minmax
 
 
-@pytest.fixture(scope="module")
-def table():
-    return run_experiment("e09")
+@pytest.mark.experiment("e09")
+def test_registry_gates(spec_gates):
+    spec_gates("e09")
 
 
 @pytest.mark.experiment("e09")
-def test_fact2_bound_respected(table, benchmark):
-    for bound, smin, cert in zip(
-        table.column("bound"),
-        table.column("min S~ (iid)"),
-        table.column("mean certificate"),
-    ):
-        assert smin >= bound
-        assert cert >= bound
-
+def test_kernel(benchmark):
     tree = iid_minmax(2, 10, seed=6)
     benchmark(lambda: fact2_certificate_size(tree))
-    print("\n" + table.render())
-
-
-@pytest.mark.experiment("e09")
-def test_registry_gate_parity(table, gate_parity):
-    gate_parity(table)

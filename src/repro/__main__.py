@@ -3,12 +3,14 @@
 Commands
 --------
 list
-    List the registered experiments.
+    List the paper experiments (the benchmark specs that build a
+    table).
 run EXPID [EXPID ...]
-    Run experiments and print their tables (also saved under
+    Run experiments' specs and print their tables (also saved under
     ``benchmarks/results/``).
 report
-    Regenerate EXPERIMENTS.md from the saved result tables.
+    Regenerate EXPERIMENTS.md from the specs, the saved result tables
+    and the newest committed BENCH snapshot.
 demo
     A 30-second tour: evaluate one instance with every algorithm.
 bench --wallclock
@@ -49,18 +51,25 @@ if TYPE_CHECKING:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    from .bench import list_experiments
+    from .bench.registry import select_specs
 
-    for name in list_experiments():
-        print(name)
+    for spec in select_specs():
+        if spec.expectation is not None:
+            print(f"{spec.name:5} {spec.title}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .bench import run_experiment
+    from .bench.registry import get_spec
 
     for name in args.experiments:
-        table = run_experiment(name, save=not args.no_save)
+        table = get_spec(name).run().table
+        if table is None:
+            print(f"run: {name} builds no table; run it with "
+                  f"`repro bench --spec {name}`", file=sys.stderr)
+            return 2
+        if not args.no_save:
+            table.save()
         print(table.render())
         print()
     return 0

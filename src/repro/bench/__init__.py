@@ -1,17 +1,5 @@
-"""Benchmark harness: experiment registry, tables and workload seeds."""
+"""Benchmark harness: experiment tables and the benchmark spec registry."""
 
-from .harness import (
-    ExperimentTable,
-    default_results_dir,
-    experiment,
-    list_experiments,
-    run_experiment,
-)
+from .harness import ExperimentTable
 
-__all__ = [
-    "ExperimentTable",
-    "experiment",
-    "run_experiment",
-    "list_experiments",
-    "default_results_dir",
-]
+__all__ = ["ExperimentTable"]

@@ -1,20 +1,6 @@
 """Experiment implementations, one per DESIGN.md index entry.
 
-Importing this package registers every experiment with the harness.
+Each is a plain function returning an
+:class:`~repro.bench.harness.ExperimentTable`; its benchmark spec in
+:mod:`repro.bench.specs.experiments` runs it and gates its table.
 """
-
-from . import boolean_suite  # noqa: F401  (E1-E7)
-from . import extension_suite  # noqa: F401  (E17-E20)
-from . import minmax_suite  # noqa: F401  (E8-E13)
-from . import open_problem_suite  # noqa: F401  (E21)
-from . import scale_suite  # noqa: F401  (E22)
-from . import width_impl_suite  # noqa: F401  (E14-E16)
-
-__all__ = [
-    "boolean_suite",
-    "extension_suite",
-    "minmax_suite",
-    "open_problem_suite",
-    "scale_suite",
-    "width_impl_suite",
-]

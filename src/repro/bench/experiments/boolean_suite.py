@@ -1,7 +1,8 @@
 """Experiments E1-E7: the Boolean (AND/OR - NOR) results of the paper.
 
 Each experiment regenerates the measurement its paper claim is about;
-the benchmark files assert the claim's *shape* on the returned table.
+its spec (:mod:`repro.bench.specs.experiments`) gates the claim's
+*shape* on the returned table.
 """
 
 from __future__ import annotations
@@ -31,13 +32,12 @@ from ...trees.generators import (
     sequential_worst_case,
 )
 from ...trees.generators.iid import level_invariant_bias
-from ..harness import ExperimentTable, experiment
+from ..harness import ExperimentTable
 
 #: Deterministic base seed for every ensemble in the suite.
 BASE_SEED = 20260705
 
 
-@experiment("e01")
 def e01_fact1_lower_bound(
     configs=((2, (6, 8, 10, 12, 14)), (3, (4, 6, 8))),
     iid_trials: int = 8,
@@ -70,7 +70,6 @@ def e01_fact1_lower_bound(
     return table
 
 
-@experiment("e02")
 def e02_team_solve_sqrt(
     n: int = 16, trials: int = 5, max_log2_p: int = 8
 ) -> ExperimentTable:
@@ -112,7 +111,6 @@ def e02_team_solve_sqrt(
     return table
 
 
-@experiment("e03")
 def e03_theorem1_linear_speedup(
     configs=((2, (8, 10, 12, 14, 16)), (3, (4, 6, 8, 10))),
     trials: int = 8,
@@ -150,7 +148,6 @@ def e03_theorem1_linear_speedup(
     return table
 
 
-@experiment("e04")
 def e04_prop2_skeleton_monotonicity(trials: int = 40) -> ExperimentTable:
     """Proposition 2: P_w(T) <= P_w(H_T) for every width."""
     table = ExperimentTable(
@@ -183,7 +180,6 @@ def e04_prop2_skeleton_monotonicity(trials: int = 40) -> ExperimentTable:
     return table
 
 
-@experiment("e05")
 def e05_prop3_degree_bounds(
     configs=((2, 12), (3, 7)), trials: int = 10
 ) -> ExperimentTable:
@@ -218,7 +214,6 @@ def e05_prop3_degree_bounds(
     return table
 
 
-@experiment("e06")
 def e06_lemma_constants() -> ExperimentTable:
     """Lemmas 1-2: k1, k2 grow linearly in n; x0(d) thresholds."""
     table = ExperimentTable(
@@ -239,7 +234,6 @@ def e06_lemma_constants() -> ExperimentTable:
     return table
 
 
-@experiment("e07")
 def e07_corollary2_near_uniform(
     heights=(8, 10, 12, 14, 16), trials: int = 8
 ) -> ExperimentTable:
@@ -274,7 +268,6 @@ def e07_corollary2_near_uniform(
     return table
 
 
-@experiment("e03b")
 def e03b_worst_case_family(
     configs=((2, (8, 10, 12, 14)), (3, (5, 7, 9))),
 ) -> ExperimentTable:

@@ -26,12 +26,11 @@ from ...core.alphabeta import alpha_beta, minimax, scout, sss_star
 from ...simulator import simulate
 from ...trees.generators import iid_boolean, iid_minmax
 from ...trees.generators.iid import level_invariant_bias
-from ..harness import ExperimentTable, experiment
+from ..harness import ExperimentTable
 
 BASE_SEED = 20260705
 
 
-@experiment("e17")
 def e17_solve_expectation(
     configs=((2, (8, 10, 12)), (3, (5, 7))), trials: int = 30
 ) -> ExperimentTable:
@@ -64,7 +63,6 @@ def e17_solve_expectation(
     return table
 
 
-@experiment("e18")
 def e18_pearl_branching_factor(
     configs=((2, (6, 8, 10, 12)), (3, (4, 6, 8))), trials: int = 12
 ) -> ExperimentTable:
@@ -96,7 +94,6 @@ def e18_pearl_branching_factor(
     return table
 
 
-@experiment("e19")
 def e19_sequential_baselines(
     heights=(6, 8, 10), trials: int = 8
 ) -> ExperimentTable:
@@ -133,7 +130,6 @@ def e19_sequential_baselines(
     return table
 
 
-@experiment("e20")
 def e20_ablations(
     heights=(10, 12, 14),
     trials: int = 6,

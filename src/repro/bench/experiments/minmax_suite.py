@@ -36,13 +36,12 @@ from ...trees.generators import (
     sequential_worst_case,
 )
 from ...trees.generators.iid import level_invariant_bias
-from ..harness import ExperimentTable, experiment
+from ..harness import ExperimentTable
 from collections import Counter
 
 BASE_SEED = 20260705
 
 
-@experiment("e08")
 def e08_theorem2_invariant(
     cases=((2, 6, 12), (2, 8, 8), (3, 5, 8), (4, 4, 8)),
 ) -> ExperimentTable:
@@ -83,7 +82,6 @@ def e08_theorem2_invariant(
     return table
 
 
-@experiment("e09")
 def e09_fact2_minmax_bound(
     configs=((2, (6, 8, 10, 12)), (3, (4, 6, 8))), trials: int = 8
 ) -> ExperimentTable:
@@ -112,7 +110,6 @@ def e09_fact2_minmax_bound(
     return table
 
 
-@experiment("e10")
 def e10_theorem3_alphabeta_speedup(
     configs=(
         (2, (6, 8, 10, 12), "cont"),
@@ -189,7 +186,6 @@ def e10_theorem3_alphabeta_speedup(
     return table
 
 
-@experiment("e11")
 def e11_theorem4_node_expansion(
     configs=((2, (8, 10, 12, 14)), (3, (5, 7, 9))), trials: int = 6
 ) -> ExperimentTable:
@@ -228,7 +224,6 @@ def e11_theorem4_node_expansion(
     return table
 
 
-@experiment("e12")
 def e12_theorem5_randomized_solve(
     heights=(8, 10, 12), num_seeds: int = 12
 ) -> ExperimentTable:
@@ -258,7 +253,6 @@ def e12_theorem5_randomized_solve(
     return table
 
 
-@experiment("e13")
 def e13_theorem6_randomized_alphabeta(
     configs=((2, (6, 8, 10)), (3, (4, 6))), num_seeds: int = 10
 ) -> ExperimentTable:

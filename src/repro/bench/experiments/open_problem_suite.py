@@ -26,7 +26,7 @@ from ...analysis import skeleton_of
 from ...core import parallel_solve, sequential_solve
 from ...trees.generators import iid_boolean, sequential_worst_case
 from ...trees.generators.iid import level_invariant_bias
-from ..harness import ExperimentTable, experiment
+from ..harness import ExperimentTable
 
 BASE_SEED = 20260705
 
@@ -38,7 +38,6 @@ def _candidate_bound(n: int, k: int, d: int, w: int) -> int:
     return math.comb(n + w - 1, min(k, n + w - 1)) * (d - 1) ** k * w
 
 
-@experiment("e21")
 def e21_width_open_problem(
     iid_heights=(12, 14), worst_height: int = 12, widths=(1, 2, 3)
 ) -> ExperimentTable:

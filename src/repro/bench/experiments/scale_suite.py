@@ -14,12 +14,11 @@ from ...core import parallel_solve
 from ...core.fastpath import uniform_sequential_cost
 from ...trees.generators import iid_boolean
 from ...trees.generators.iid import level_invariant_bias
-from ..harness import ExperimentTable, experiment
+from ..harness import ExperimentTable
 
 BASE_SEED = 20260705
 
 
-@experiment("e22")
 def e22_theorem1_at_scale(
     height_trials=((12, 3), (14, 3), (16, 3), (18, 2), (20, 2),
                    (22, 1)),

@@ -26,12 +26,11 @@ from ...trees.generators import (
     sequential_worst_case,
 )
 from ...trees.generators.iid import level_invariant_bias
-from ..harness import ExperimentTable, experiment
+from ..harness import ExperimentTable
 
 BASE_SEED = 20260705
 
 
-@experiment("e14")
 def e14_althofer_iid(
     heights=(10, 12, 14), trials: int = 6, widths=(0, 1, 2, 3)
 ) -> ExperimentTable:
@@ -66,7 +65,6 @@ def e14_althofer_iid(
     return table
 
 
-@experiment("e15")
 def e15_implementation_sim(
     heights=(8, 10, 12, 14), budgets=(2, 4, 8)
 ) -> ExperimentTable:
@@ -110,7 +108,6 @@ def e15_implementation_sim(
     return table
 
 
-@experiment("e16")
 def e16_width_sweep_constant(
     n: int = 12, widths=(0, 1, 2, 3)
 ) -> ExperimentTable:

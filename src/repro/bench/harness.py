@@ -1,18 +1,17 @@
-"""Experiment harness: tables, registry and result persistence.
+"""Experiment tables and their persistence.
 
 Every experiment in DESIGN.md's index is a function returning an
-:class:`ExperimentTable`.  The benchmark files under ``benchmarks/``
-call :func:`run_experiment`, assert the paper-shaped properties of the
-rows, time a representative kernel with pytest-benchmark, and persist
+:class:`ExperimentTable`, run by its benchmark spec
+(:mod:`repro.bench.specs.experiments`), which gates the paper claim's
+shape on the rows.  ``pytest benchmarks/`` and ``repro run`` persist
 the rendered table under ``benchmarks/results/`` so EXPERIMENTS.md can
 quote measured numbers verbatim.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import WorkloadError
 
@@ -95,51 +94,3 @@ class ExperimentTable:
             self.experiment, self.render(), self.to_csv(),
             directory=directory,
         )
-
-
-def default_results_dir() -> str:
-    """``benchmarks/results`` next to this repository's benchmarks."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    repo = os.path.dirname(os.path.dirname(os.path.dirname(here)))
-    return os.path.join(repo, "benchmarks", "results")
-
-
-_REGISTRY: Dict[str, Callable[[], ExperimentTable]] = {}
-
-
-def experiment(name: str):
-    """Decorator registering an experiment function under ``name``."""
-
-    def register(fn: Callable[[], ExperimentTable]):
-        _REGISTRY[name] = fn
-        return fn
-
-    return register
-
-
-def run_experiment(
-    name: str, save: bool = True, **params
-) -> ExperimentTable:
-    """Run a registered experiment; optionally persist its table.
-
-    ``params`` override the experiment function's keyword defaults —
-    this is how the registry's quick profile shrinks workloads without
-    duplicating measurement code.
-    """
-    # Import populates the registry on first use.
-    from . import experiments  # noqa: F401
-
-    if name not in _REGISTRY:
-        raise WorkloadError(
-            f"unknown experiment {name!r}; known: {sorted(_REGISTRY)}"
-        )
-    table = _REGISTRY[name](**params)
-    if save:
-        table.save()
-    return table
-
-
-def list_experiments() -> List[str]:
-    from . import experiments  # noqa: F401
-
-    return sorted(_REGISTRY)

@@ -3,8 +3,11 @@
 A :class:`BenchSpec` describes one benchmark as data — its workload
 seed, full/quick parameter profiles, the metrics it produces, the
 per-metric tolerance :class:`Band` the diff engine applies between
-snapshots, and the :class:`Gate` predicates CI enforces.  The runner
-(:mod:`repro.bench.runner`) executes specs; the diff engine
+snapshots, and the :class:`Gate` predicates CI enforces.  A paper
+experiment's spec is its one statement: its runner builds the
+experiment table, its extractors read the metrics off that table, and
+its :class:`Expectation` is what EXPERIMENTS.md says of it.  The
+runner (:mod:`repro.bench.runner`) executes specs; the diff engine
 (:mod:`repro.bench.diff`) compares the resulting ``BENCH_<date>.json``
 snapshots; the bench files under ``benchmarks/`` run the specs and
 assert their gates, so a gate has exactly one implementation.
@@ -26,16 +29,19 @@ from typing import (
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
 )
 
 from ..errors import WorkloadError
+from .harness import ExperimentTable
 
 __all__ = [
     "Band",
     "Gate",
+    "Expectation",
     "BenchSpec",
     "SpecResult",
     "register_spec",
@@ -119,6 +125,9 @@ class Gate:
     ``wallclock`` gates are only evaluated when the runner measured
     wall-clock (and only in the full profile — quick-profile workloads
     are too small for the calibrated bounds to be meaningful).
+    ``full_only`` gates read rows only the full profile builds (a
+    height or width the quick overlay drops); quick runs record them
+    as skipped.
     """
 
     name: str
@@ -126,10 +135,17 @@ class Gate:
     op: str
     bound: float
     wallclock: bool = False
+    full_only: bool = False
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise WorkloadError(f"gate op {self.op!r} not in {_OPS}")
+
+    def evaluated(self, profile: str, wallclock: bool) -> bool:
+        """Whether a run in ``profile`` can check this gate."""
+        if self.wallclock and not wallclock:
+            return False
+        return profile == "full" or not (self.wallclock or self.full_only)
 
     def holds(self, value: float) -> bool:
         if self.op == ">=":
@@ -144,12 +160,22 @@ class SpecResult:
     ``metrics`` are the deterministic, gated numbers; ``digests`` are
     exact-match strings (content hashes of determinism artifacts);
     ``wallclock_metrics`` are informational seconds/ratios present
-    only when wall-clock measurement was requested.
+    only when wall-clock measurement was requested; ``table`` is the
+    experiment table a paper spec's runner built.
     """
 
     metrics: Dict[str, float] = field(default_factory=dict)
     digests: Dict[str, str] = field(default_factory=dict)
     wallclock_metrics: Dict[str, float] = field(default_factory=dict)
+    table: Optional[ExperimentTable] = None
+
+
+@dataclass(frozen=True)
+class Expectation:
+    """What the paper claims and what shape the measurements must have."""
+
+    paper_claim: str
+    expected_shape: str
 
 
 #: runner(params, wallclock) -> SpecResult
@@ -173,6 +199,10 @@ class BenchSpec:
     #: fnmatch pattern -> band; first match wins, else default_band.
     bands: Dict[str, Band] = field(default_factory=dict)
     default_band: Band = field(default_factory=Band)
+    #: metric -> extractor over the runner's table (specs.tables).
+    extractors: Mapping[str, Tuple[Any, ...]] = field(default_factory=dict)
+    #: the claim EXPERIMENTS.md reports for a paper experiment.
+    expectation: Optional[Expectation] = None
 
     def effective_params(self, profile: str) -> Dict[str, Any]:
         if profile not in PROFILES:
@@ -202,6 +232,12 @@ class BenchSpec:
     def run(self, profile: str = "full",
             wallclock: bool = False) -> SpecResult:
         result = self.runner(self.effective_params(profile), wallclock)
+        if result.table is not None:
+            from .specs.tables import extract_metrics
+
+            result.metrics.update(
+                extract_metrics(result.table, self.extractors)
+            )
         _check_metrics(self.name, result.metrics)
         _check_metrics(self.name, result.wallclock_metrics)
         return result

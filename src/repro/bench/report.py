@@ -1,251 +1,29 @@
 """EXPERIMENTS.md generator.
 
-Assembles the paper-vs-measured report from the expectation registry
-below plus the result tables the benchmark suite saved under
-``benchmarks/results/``.  Regenerate with::
+Each section is one paper-experiment spec
+(:mod:`repro.bench.specs.experiments`): its paper claim and expected
+shape, its gates with their verdicts from the newest committed
+``benchmarks/history/BENCH_*.json``, and the full-profile table the
+benchmark suite saved under ``benchmarks/results/``.  Regenerate
+with::
 
     python -m repro report
 
-after ``pytest benchmarks/ --benchmark-only`` has refreshed the tables.
+after ``pytest benchmarks/`` has refreshed the tables.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from .harness import default_results_dir
-
-
-@dataclass
-class Expectation:
-    """What the paper claims and what shape we require of measurements."""
-
-    experiment: str
-    paper_claim: str
-    expected_shape: str
-    commentary: str = ""
-
-
-EXPECTATIONS: List[Expectation] = [
-    Expectation(
-        "e01",
-        "Fact 1: any algorithm evaluating an instance of B(d, n) "
-        "performs total work >= d^(n/2) — the size of a proof tree.",
-        "Every measured sequential leaf count is >= the bound; the "
-        "forced-0 instance family meets it exactly (the bound is "
-        "tight); proof-tree extraction certifies the same number.",
-    ),
-    Expectation(
-        "e02",
-        "Proposition 1: Team SOLVE with p processors has speed-up "
-        "Omega(sqrt(p)) on every instance, and instances exist capping "
-        "it at O(sqrt(p)).",
-        "On the all-ones hard family, speed-up / sqrt(p) stays inside "
-        "constant bounds across p = 1..256; the speed-up is far below "
-        "linear in p.",
-    ),
-    Expectation(
-        "e03",
-        "Theorem 1 + Corollary 1: Parallel SOLVE of width 1 achieves "
-        "speed-up >= c(n+1) over Sequential SOLVE on every instance of "
-        "B(d, n), with n+1 processors; its total work is <= c'S(T).",
-        "Speed-up grows with n at fixed d; speed-up/(n+1) levels off "
-        "at ~0.35 (d=2) and ~0.5 (d=3); work ratio c' stays ~1.6. The "
-        "paper proves only a small c — as its Section 8 notes, "
-        "'simulations indicate a better constant is achievable', which "
-        "is exactly what we measure. e03b repeats this on the "
-        "deterministic worst-case family (S = d^n).",
-    ),
-    Expectation(
-        "e04",
-        "Proposition 2: for every width w, P_w(T) <= P_w(H_T) — "
-        "running on the skeleton is never faster.",
-        "Zero violations over the ensemble for w in {1, 2, 3} (the "
-        "paper proves this exactly via Property A).",
-    ),
-    Expectation(
-        "e05",
-        "Proposition 3: on skeletons, the number of width-1 steps of "
-        "parallel degree k+1 is at most C(n, k)(d-1)^k; the proof's "
-        "base-path codes strictly decrease lexicographically and "
-        "encode the degree.",
-        "Measured histograms never exceed the bound (utilisation <= "
-        "1); both code properties verified on every instance.",
-    ),
-    Expectation(
-        "e06",
-        "Lemmas 1 & 2: the thresholds k1, k2 grow linearly in n "
-        "(k_i >= alpha*n) for n beyond a d-dependent n0.",
-        "k1/n and k2/n settle at positive constants (~0.09-0.19, "
-        "larger for larger d); x0(d) grows with d as the proof "
-        "requires.",
-    ),
-    Expectation(
-        "e07",
-        "Corollary 2: the linear speed-up persists on near-uniform "
-        "trees (degrees in [alpha*d, d], depths in [beta*n, n]).",
-        "Speed-up keeps growing with the height band on random "
-        "(0.5, 0.6)-near-uniform trees of base degree 4.",
-    ),
-    Expectation(
-        "e08",
-        "Theorem 2: the pruning rule (delete unfinished v when "
-        "alpha(v) >= beta(v)) preserves val(T-tilde) = val(T) at every "
-        "step, for any evaluation policy.",
-        "The invariant is checked after every basic step of width-1 "
-        "Parallel alpha-beta across the ensemble: zero violations.",
-    ),
-    Expectation(
-        "e09",
-        "Fact 2: evaluating any instance of M(d, n) requires at least "
-        "d^floor(n/2) + d^ceil(n/2) - 1 leaf evaluations.",
-        "Every measured alpha-beta leaf count and every extracted "
-        "two-sided certificate respects the bound.",
-    ),
-    Expectation(
-        "e10",
-        "Theorem 3 (+ Proposition 5): Parallel alpha-beta of width 1 "
-        "achieves speed-up >= c(n+1) on every instance of M(d, n); "
-        "Prop 5 claims P~_w(T) <= P~_w(H~_T).",
-        "Speed-up grows with n, with n+1 processors, on continuous "
-        "and tie-heavy integer leaves. REPRODUCTION FINDING: the "
-        "literal Prop 5 inequality (stated without proof in the "
-        "paper) FAILS on ~30-50% of random instances — parallel "
-        "evaluation order can leave a node outside H~ unfinished "
-        "whose sequential pruning bound is not yet available, "
-        "inflating pruning numbers. The violation is always a small "
-        "constant factor (max observed ~1.5x, bounded < 2x across all "
-        "ensembles), so Theorem 3's conclusion is unaffected: its "
-        "proof only needs P~(T) = O(P~(H~_T)).",
-    ),
-    Expectation(
-        "e11",
-        "Theorem 4 + Proposition 6: the node-expansion versions keep "
-        "the linear speed-up; degree histograms obey the (n-k)C(n,k)"
-        "(d-1)^k bound.",
-        "Speed-up in expansions-per-step grows with n; skeleton "
-        "histograms always within the Prop 6 bound.",
-    ),
-    Expectation(
-        "e12",
-        "Theorem 5: E(S*_R)/E(P*_R) >= c(n+1) — the randomized pair "
-        "keeps a linear expected speed-up.",
-        "On instances that are worst-case for the deterministic "
-        "left-to-right order, the randomized ratio grows with n and "
-        "the randomized sequential algorithm also beats the "
-        "deterministic one (the motivation for Section 6).",
-    ),
-    Expectation(
-        "e13",
-        "Theorem 6: R-Parallel alpha-beta of width 1 achieves a "
-        "linear expected speed-up over R-Sequential alpha-beta.",
-        "Expected ratios grow with n for d = 2 and d = 3.",
-    ),
-    Expectation(
-        "e14",
-        "Section 6 discussion (Althofer's setting): on i.i.d. "
-        "golden-ratio binary AND/OR trees, expected speed-up is "
-        "proportional to the number of processors for moderate "
-        "parallelism.",
-        "Widths 0-3 use 1, n+1, O(n^2), O(n^3) processors; speed-up "
-        "rises with width and speed-up/processors degrades gracefully "
-        "(no cliff), matching the expected-case proportionality claim "
-        "at moderate widths.",
-    ),
-    Expectation(
-        "e15",
-        "Section 7: the message-passing implementation (one processor "
-        "per level, six message types, pre-emption rule) preserves "
-        "the linear speed-up; a fixed processor budget works via zone "
-        "multiplexing.",
-        "Simulated wall-ticks stay within ~1.6-2x of the idealized "
-        "P* across heights, so speed-up over sequential still grows "
-        "with n; with p physical processors the run degrades "
-        "gracefully as p shrinks.",
-    ),
-    Expectation(
-        "e16",
-        "Section 8 remarks: width w needs O(n^w) processors; the "
-        "conjecture is that speed-up remains linear in processors for "
-        "fixed width; the provable constant c 'is rather poor' but "
-        "simulations indicate better.",
-        "Processor usage measured at n+1 / O(n^2) / O(n^3) for widths "
-        "1/2/3; speed-ups keep growing with width on all three "
-        "instance families; the empirical width-1 constant c is "
-        "0.26-0.44 — far better than the proof's.",
-    ),
-    Expectation(
-        "e17",
-        "Context (Tarsi 1983, cited for the baseline's optimality): in "
-        "the i.i.d. model the left-to-right algorithm's expected cost "
-        "follows a known conditional recurrence.",
-        "Measured means match the exact expectation within sampling "
-        "error for d = 2, 3 at the level-invariant bias — the "
-        "sequential baseline behaves exactly as the optimality theory "
-        "assumes.",
-    ),
-    Expectation(
-        "e18",
-        "Context (Pearl 1982, cited in Section 6): alpha-beta's "
-        "branching factor on continuous i.i.d. MIN/MAX trees is "
-        "xi_d/(1 - xi_d), strictly between sqrt(d) and d.",
-        "Measured per-level growth of the alpha-beta leaf count sits "
-        "between sqrt(d) and d and within ~25% of Pearl's asymptotic "
-        "constant (finite heights bias it slightly high).",
-    ),
-    Expectation(
-        "e19",
-        "Context (Vornberger 1987, reference [11]; Pearl's SCOUT, "
-        "reference [7]): the sequential comparators alpha-beta, SCOUT "
-        "and SSS* at the leaf-count level.",
-        "SSS* never evaluates more leaves than alpha-beta (Stockman "
-        "dominance, exact on every instance); SCOUT's distinct-leaf "
-        "count matches alpha-beta's ballpark but it re-visits leaves; "
-        "minimax reads everything.",
-    ),
-    Expectation(
-        "e20",
-        "Ablations of our design choices (not paper claims).",
-        "At matched processor budgets Team SOLVE is competitive on "
-        "i.i.d. averages — the width policy's value is the "
-        "every-instance guarantee (cf. E02's sqrt(p) cap). The "
-        "Section 7 machine's critical-cascade-first scheduling is "
-        "~3-4x faster than sibling-first, validating the default.",
-    ),
-    Expectation(
-        "e21",
-        "Section 8 open problem: the authors believe the speed-up "
-        "stays linear in the processors for any fixed width, but the "
-        "width-1 counting argument does not generalise.",
-        "Measured evidence, no claim asserted: speed-up keeps rising "
-        "with width and the per-processor constant stays positive; a "
-        "naive generalisation of the Prop 3 binomial bound is "
-        "VIOLATED on some instances — concrete confirmation that "
-        "'the counting argument that works for width 1 is no longer "
-        "applicable', as the paper says.",
-    ),
-    Expectation(
-        "e22",
-        "Theorem 1 again, asymptotically: the constant c is defined "
-        "for n beyond an instance-family threshold n0, so it should "
-        "hold steady as instances grow without bound.",
-        "Using the vectorised fast path for S(T), the measured "
-        "c = speed-up/(n+1) stays in a narrow band (~0.33-0.36) from "
-        "4k-leaf to 4M-leaf instances — no drift toward zero, i.e. "
-        "genuine linear-in-(n+1) speed-up, not a small-n artefact.",
-    ),
-]
+from .registry import BenchSpec, select_specs
+from .snapshot import latest_snapshot_path, load_snapshot, load_table_entry
 
 
 def load_table_text(experiment: str,
                     directory: Optional[str] = None) -> str:
     """The saved rendered table for one experiment, if present."""
-    from .snapshot import load_table_entry
-
-    if directory is None:
-        directory = default_results_dir()
     entry = load_table_entry(experiment, directory)
     if entry is None:
         return "(no saved results — run `pytest benchmarks/` first)"
@@ -267,9 +45,43 @@ evaluations / node expansions), since wall-clock parallel speed-up of
 pure Python is unobservable under the GIL; the Section 7 machine is a
 discrete-event simulation of the paper's message-passing design.
 
-Regenerate everything with `pytest benchmarks/ --benchmark-only`, then
-rebuild this file with `python -m repro report`.
+Each section below is one benchmark spec
+(`src/repro/bench/specs/experiments.py`), the single statement of its
+experiment: the paper claim, the expected shape, the gates that check
+that shape on the table, and the table itself.  A gate's verdict comes
+from the newest committed `benchmarks/history/BENCH_*.json` snapshot;
+gates that read rows only the full profile builds are skipped in a
+quick one.  Regenerate the tables with `pytest benchmarks/` (it runs
+every spec in the full profile and asserts its gates), then rebuild
+this file with `python -m repro report`.
 """
+
+
+def _gates_text(spec: BenchSpec, snapshot: Dict[str, Any],
+                source: str) -> str:
+    """The spec's gates as a table, with the snapshot's verdicts."""
+    verdicts = snapshot.get("specs", {}).get(spec.name, {}).get(
+        "gates", {}
+    )
+    lines: List[str] = [
+        f"**Gates** (verdicts from the {snapshot.get('profile')} "
+        f"snapshot `{source}`):",
+        "",
+        "| gate | metric | op | bound | verdict |",
+        "|---|---|---|---|---|",
+    ]
+    for gate in spec.gates:
+        entry = verdicts.get(gate.name)
+        verdict = (
+            "unmeasured" if entry is None
+            else "skipped" if entry["skipped"]
+            else "pass" if entry["passed"] else "fail"
+        )
+        lines.append(
+            f"| {gate.name} | {gate.metric} | {gate.op} | "
+            f"{gate.bound:g} | {verdict} |"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def generate_experiments_md(
@@ -277,20 +89,21 @@ def generate_experiments_md(
     out_path: Optional[str] = None,
 ) -> str:
     """Write EXPERIMENTS.md; returns the generated text."""
+    path = latest_snapshot_path()
+    snapshot = load_snapshot(path)
+    source = "benchmarks/history/" + os.path.basename(path)
     parts = [HEADER]
-    for exp in EXPECTATIONS:
-        parts.append(f"\n## {exp.experiment.upper()}\n")
+    for spec in select_specs():
+        exp = spec.expectation
+        if exp is None:
+            continue
+        parts.append(f"\n## {spec.name.upper()}\n")
         parts.append(f"**Paper claim.** {exp.paper_claim}\n")
         parts.append(f"**Expected shape.** {exp.expected_shape}\n")
-        if exp.commentary:
-            parts.append(f"**Notes.** {exp.commentary}\n")
+        parts.append(_gates_text(spec, snapshot, source))
         parts.append("**Measured.**\n")
         parts.append("```")
-        parts.append(load_table_text(exp.experiment, results_dir))
-        extra = _extra_tables(exp.experiment, results_dir)
-        if extra:
-            parts.append("")
-            parts.append(extra)
+        parts.append(load_table_text(spec.name, results_dir))
         parts.append("```")
     text = "\n".join(parts) + "\n"
     if out_path is None:
@@ -300,12 +113,3 @@ def generate_experiments_md(
     with open(out_path, "w") as fh:
         fh.write(text)
     return text
-
-
-def _extra_tables(experiment: str, results_dir: Optional[str]) -> str:
-    """Companion tables displayed under the same section."""
-    companions = {"e03": ["e03b"]}
-    out = []
-    for extra in companions.get(experiment, []):
-        out.append(load_table_text(extra, results_dir))
-    return "\n".join(out)

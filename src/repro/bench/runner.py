@@ -14,11 +14,11 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, TextIO
 
 from ..errors import WorkloadError
-from .registry import BenchSpec, select_specs
+from .registry import BenchSpec, SpecResult, select_specs
 from .schema import validate_snapshot
 from .snapshot import SNAPSHOT_SCHEMA
 
-__all__ = ["run_benchmarks", "failed_gates", "today"]
+__all__ = ["run_benchmarks", "spec_entry", "failed_gates", "today"]
 
 
 def today() -> str:
@@ -28,8 +28,7 @@ def today() -> str:
 
 def _gate_entries(
     spec: BenchSpec,
-    metrics: Dict[str, float],
-    wallclock_metrics: Dict[str, float],
+    result: SpecResult,
     profile: str,
     wallclock: bool,
 ) -> Dict[str, Dict[str, Any]]:
@@ -41,12 +40,15 @@ def _gate_entries(
             "bound": gate.bound,
             "wallclock": gate.wallclock,
         }
-        if gate.wallclock and not (wallclock and profile == "full"):
-            # Wall-clock bounds are calibrated for the full profile;
-            # without --wallclock there is nothing to compare at all.
+        if not gate.evaluated(profile, wallclock):
+            # Wall-clock bounds are calibrated for the full profile,
+            # and full-only gates read rows the quick overlay drops.
             entry.update(skipped=True, value=None, passed=None)
         else:
-            source = wallclock_metrics if gate.wallclock else metrics
+            source = (
+                result.wallclock_metrics if gate.wallclock
+                else result.metrics
+            )
             if gate.metric not in source:
                 raise WorkloadError(
                     f"{spec.name}: gate {gate.name!r} reads missing "
@@ -58,6 +60,33 @@ def _gate_entries(
             )
         entries[gate.name] = entry
     return entries
+
+
+def spec_entry(
+    spec: BenchSpec,
+    result: SpecResult,
+    profile: str = "full",
+    wallclock: bool = False,
+) -> Dict[str, Any]:
+    """One spec's snapshot entry: its metrics and gate verdicts."""
+    return {
+        "suite": spec.suite,
+        "title": spec.title,
+        "seed": spec.seed,
+        "params": _jsonable(spec.effective_params(profile)),
+        "metrics": {
+            k: result.metrics[k] for k in sorted(result.metrics)
+        },
+        "digests": dict(sorted(result.digests.items())),
+        "gates": _gate_entries(spec, result, profile, wallclock),
+        "bands": {
+            metric: spec.band_for(metric).to_dict()
+            for metric in sorted(result.metrics)
+        },
+        "wallclock_metrics": dict(
+            sorted(result.wallclock_metrics.items())
+        ),
+    }
 
 
 def run_benchmarks(
@@ -84,28 +113,9 @@ def run_benchmarks(
         print(f"bench: {spec.name} [{spec.suite}] ...",
               file=stream, flush=True)
         result = spec.run(profile=profile, wallclock=wallclock)
-        entry: Dict[str, Any] = {
-            "suite": spec.suite,
-            "title": spec.title,
-            "seed": spec.seed,
-            "params": _jsonable(spec.effective_params(profile)),
-            "metrics": {
-                k: result.metrics[k] for k in sorted(result.metrics)
-            },
-            "digests": dict(sorted(result.digests.items())),
-            "gates": _gate_entries(
-                spec, result.metrics, result.wallclock_metrics,
-                profile, wallclock,
-            ),
-            "bands": {
-                metric: spec.band_for(metric).to_dict()
-                for metric in sorted(result.metrics)
-            },
-            "wallclock_metrics": dict(
-                sorted(result.wallclock_metrics.items())
-            ),
-        }
-        doc["specs"][spec.name] = entry
+        doc["specs"][spec.name] = spec_entry(
+            spec, result, profile, wallclock
+        )
     problems = validate_snapshot(doc)
     if problems:
         raise WorkloadError(

@@ -161,12 +161,49 @@ class _AlphaBetaArena:
             done = up[self.unfinished[up] == 0]
             if done.shape[0] == 0:
                 continue
-            values[done] = gain[done]
+            values[done] = self._gain_value(done)
             gain[done] = np.nan
             finished[done] = True
             settled[done] = True
             self.walk.settled_at(depth - 1)
             buckets.setdefault(depth - 1, []).append(done)
+
+    def _gain_value(self, nodes: np.ndarray) -> np.ndarray:
+        """The finish values of ``nodes``: their gains.
+
+        A zero gain takes its sign from the first finished child that
+        holds a zero, as Python's ``max``/``min`` over the children in
+        child order (the object graph's fold) keep the first of equal
+        values; the gain folded them in finish order.
+        """
+        values = self.gain[nodes]
+        zero = values == 0
+        if np.count_nonzero(zero):
+            children = self._children(nodes[zero])
+            held = children[
+                self.finished[children]
+                & (self.finished_value[children] == 0)
+            ]
+            first = held[run_starts(self.arrays.parents[held])]
+            values[zero] = self.finished_value[first]
+        return values
+
+    def _children(self, nodes: np.ndarray) -> np.ndarray:
+        """The children of internal ``nodes``, node by node.
+
+        The children of ``v`` are one slice of its child level.
+        """
+        arrays = self.arrays
+        lens = arrays.arities[nodes]
+        ends = lens.cumsum()
+        first = (
+            self._level_start[arrays.depths[nodes] + 1]
+            + arrays.child_start[nodes]
+        )
+        children = self._level_nodes[
+            np.arange(int(ends[-1])) + np.repeat(first - ends + lens, lens)
+        ]
+        return children
 
     # -- pruning -----------------------------------------------------------
     def prune_to_fixpoint(self) -> int:
@@ -213,19 +250,12 @@ class _AlphaBetaArena:
                 f"every child of {node!r} was pruned while {node!r} "
                 f"survived — the pruning pass violated top-down order"
             )
-        # The children of ``v`` are one slice of its child level.
         top.sort()
-        depths = arrays.depths[top]
-        lens = arrays.arities[top]
-        ends = lens.cumsum()
-        first = self._level_start[depths + 1] + arrays.child_start[top]
-        children = self._level_nodes[
-            np.arange(int(ends[-1])) + np.repeat(first - ends + lens, lens)
-        ]
+        children = self._children(top)
         doomed = children[~self.settled[children]]
         self.pruned[doomed] = True
         self.settled[doomed] = True
-        self.finished_value[top] = self.gain[top]
+        self.finished_value[top] = self._gain_value(top)
         self.gain[top] = np.nan
         self.gain[doomed] = np.nan
         self.finished[top] = True

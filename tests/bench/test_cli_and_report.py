@@ -5,11 +5,8 @@ import os
 import pytest
 
 from repro.__main__ import main
-from repro.bench.report import (
-    EXPECTATIONS,
-    generate_experiments_md,
-    load_table_text,
-)
+from repro.bench.registry import select_specs
+from repro.bench.report import generate_experiments_md, load_table_text
 from repro.bench.wallclock import backend_wallclock_table
 from repro.core import policies
 from repro.core.alphabeta import engine as alphabeta_engine
@@ -32,6 +29,24 @@ class TestCli:
         assert main(["run", "e06", "--no-save"]) == 0
         out = capsys.readouterr().out
         assert "Lemmas 1 & 2" in out
+
+    def test_run_refuses_a_spec_without_a_table(self, capsys):
+        from repro.bench.registry import (
+            BenchSpec,
+            SpecResult,
+            register_spec,
+            temporary_registry,
+        )
+
+        with temporary_registry():
+            register_spec(BenchSpec(
+                name="x1", suite="infra", title="no table", seed=0,
+                runner=lambda params, wallclock: SpecResult(
+                    metrics={"m": 1.0}
+                ),
+            ))
+            assert main(["run", "x1"]) == 2
+        assert "builds no table" in capsys.readouterr().err
 
     def test_verify_runs(self, capsys):
         assert main(["verify", "--trials", "2"]) == 0
@@ -89,11 +104,16 @@ class TestBenchCli:
         assert main(["bench", "--spec", "e99"]) != 0
 
 
+#: The specs EXPERIMENTS.md reports, one section each.
+REPORTED = [spec for spec in select_specs() if spec.expectation]
+
+
 class TestReport:
     def test_expectations_cover_all_experiments(self):
-        names = {e.experiment for e in EXPECTATIONS}
+        names = {spec.name for spec in REPORTED}
         for i in range(1, 23):
             assert f"e{i:02d}" in names
+        assert "e03b" in names
 
     def test_load_missing_table(self, tmp_path):
         text = load_table_text("e01", directory=str(tmp_path))
@@ -116,7 +136,31 @@ class TestReport:
         assert "[e01] demo table" in text
         assert "Paper claim" in text
         # Every experiment section is present even without results.
-        assert text.count("## E") == len(EXPECTATIONS)
+        assert text.count("## E") == len(REPORTED)
+
+    def test_committed_report_is_regenerated_byte_for_byte(self, tmp_path):
+        # Prose, gates and tables live in the specs, the committed
+        # snapshot and the table store; EXPERIMENTS.md must not drift.
+        out = tmp_path / "EXPERIMENTS.md"
+        text = generate_experiments_md(out_path=str(out))
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        with open(os.path.join(repo, "EXPERIMENTS.md"), "rb") as fh:
+            assert fh.read() == text.encode()
+
+    def test_gates_listed_with_snapshot_verdicts(self, tmp_path):
+        text = generate_experiments_md(
+            results_dir=str(tmp_path), out_path=str(tmp_path / "E.md")
+        )
+        section = text.split("## E08\n")[1].split("## E09\n")[0]
+        assert "| theorem2_no_violations | total_violations | <= | 0 " \
+            "| pass |" in section
+        # Full-only gates read as skipped in the quick snapshot.
+        assert "| over_100_steps_checked | total_checked | >= | 101 " \
+            "| skipped |" in section
+        for spec in REPORTED:
+            for gate in spec.gates:
+                assert f"| {gate.name} | {gate.metric} |" in text
 
 
 class TestBackendWallclockTable:

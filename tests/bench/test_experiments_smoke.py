@@ -4,17 +4,17 @@ plain `pytest tests/`)."""
 
 import pytest
 
-from repro.bench import run_experiment
+from repro.bench.registry import get_spec
 
 
 @pytest.fixture(scope="module")
 def e01():
-    return run_experiment("e01", save=False)
+    return get_spec("e01").run().table
 
 
 @pytest.fixture(scope="module")
 def e16():
-    return run_experiment("e16", save=False)
+    return get_spec("e16").run().table
 
 
 class TestE01Smoke:

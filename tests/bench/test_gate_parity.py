@@ -1,24 +1,24 @@
 """Gate parity: the registry specs are the only gated benchmarks.
 
-The infra files under ``benchmarks/`` run their registry spec and
-assert its gates, and the paper-experiment files check the spec's
-gates on the table they build, so there is one implementation of
-every gate.  These tests pin the contract: the bounds carry their
-historical values, the deterministic gated specs pass, a table spec's
-metrics are the same from the registry and from its table, every
-identity check a spec runner makes is live (breaking the compared
-engine fails the gate), and wall-clock gates are confined to
-full-profile ``--wallclock`` runs.
+Every file under ``benchmarks/`` runs its registry spec and asserts
+its gates, so there is one implementation of every gate.  These tests
+pin the contract: the bounds carry their historical values, the
+deterministic gated specs pass, a paper spec's metrics are its
+extractors read off the table its runner built, every identity check
+a spec runner makes is live (breaking the compared engine fails the
+gate), and wall-clock gates are confined to full-profile
+``--wallclock`` runs.  The paper specs' own gates are proved live in
+``test_paper_gates.py``.
 """
 
 import io
 
 import pytest
 
-from repro.bench.harness import run_experiment
 from repro.bench.registry import get_spec
 from repro.bench.runner import failed_gates, run_benchmarks
-from repro.bench.specs import gate_bound, infra, metrics_from_table
+from repro.bench.specs import gate_bound, infra
+from repro.bench.specs.tables import extract_metrics
 from repro.core import policies
 from repro.core.arena import alphabeta as arena_alphabeta
 from repro.core.arena import boolean as arena_boolean
@@ -97,22 +97,20 @@ class TestDeterministicGatedSpecsPassBothWays:
 
 
 class TestTableSpecParity:
-    """A table spec's metrics from run_experiment == from the registry."""
+    """A paper spec's metrics are its extractors read off its table."""
 
     def test_e06_same_metrics_both_paths(self):
         spec = get_spec("e06")
-        via_registry = spec.run(profile="full").metrics
-        table = run_experiment("e06", save=False)
-        via_table = metrics_from_table("e06", table)
-        assert via_registry == via_table
+        result = spec.run(profile="full")
+        assert result.metrics == extract_metrics(
+            result.table, spec.extractors
+        )
 
     def test_e04_quick_same_metrics_both_paths(self):
         spec = get_spec("e04")
         via_registry = spec.run(profile="quick").metrics
-        table = run_experiment(
-            "e04", save=False, **spec.effective_params("quick")
-        )
-        assert metrics_from_table("e04", table) == via_registry
+        table = spec.runner(spec.effective_params("quick"), False).table
+        assert extract_metrics(table, spec.extractors) == via_registry
 
 
 class TestWallclockGateDiscipline:

@@ -13,6 +13,8 @@ which the arena's fixed up-front lowering contradicts, so there the
 matrix stays two-way and arena is pinned to a loud rejection.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,9 +31,10 @@ from repro.core.alphabeta import (
     sequential_alpha_beta,
 )
 from repro.core.nodeexpansion import n_parallel_solve
+from repro.trees import UniformTree
 from repro.trees.generators import iid_boolean
 from repro.trees.generators.iid import level_invariant_bias
-from repro.types import Gate
+from repro.types import Gate, TreeKind
 
 from ..conftest import (
     boolean_tree_from_spec,
@@ -42,9 +45,20 @@ from ..conftest import (
 
 GATES = st.sampled_from([Gate.NOR, Gate.OR, Gate.AND, Gate.NAND])
 
+#: Leaves whose equal values differ in sign: which of two tied
+#: children a fold keeps shows in the sign of a zero result.
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+
+
+def _sign(value):
+    return math.copysign(1.0, value)
+
 
 def _signature(result):
-    return (result.value, result.trace.degrees, result.trace.batches)
+    return (
+        result.value, _sign(result.value), result.trace.degrees,
+        result.trace.batches,
+    )
 
 
 def _assert_backends_match(
@@ -113,17 +127,51 @@ def test_width0_equals_sequential(spec, gate):
         assert [leaf for (leaf,) in w0.trace.batches] == seq.evaluated
 
 
-@settings(max_examples=50, deadline=None)
-@given(nested_minmax(), st.integers(min_value=0, max_value=2))
-def test_alphabeta_backends_identical(spec, width):
-    tree = minmax_tree_from_spec(spec)
+def _assert_alphabeta_matches_minimax(tree, width):
     result = _assert_backends_match(parallel_alpha_beta, tree, width)
     # Cross-checks: parallel alpha-beta at any width, sequential
-    # alpha-beta on either backend, and plain minimax all agree.
+    # alpha-beta on every backend, and plain minimax all agree, down
+    # to the sign of a zero.
     truth = minimax(tree).value
-    assert result.value == truth
-    for backend in ("incremental", "rescan", "arena"):
-        assert sequential_alpha_beta(tree, backend=backend).value == truth
+    for value in [result.value] + [
+        sequential_alpha_beta(tree, backend=backend).value
+        for backend in ("incremental", "rescan", "arena")
+    ]:
+        assert (value, _sign(value)) == (truth, _sign(truth))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.one_of(
+        nested_minmax(),
+        st.recursive(
+            SIGNED_ZEROS,
+            lambda children: st.lists(children, min_size=1, max_size=3),
+            max_leaves=20,
+        ),
+    ),
+    st.integers(min_value=0, max_value=2),
+)
+def test_alphabeta_backends_identical(spec, width):
+    _assert_alphabeta_matches_minimax(minmax_tree_from_spec(spec), width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2),
+    st.data(),
+)
+def test_alphabeta_backends_agree_on_signed_zeros(
+    branching, height, width, data
+):
+    leaves = data.draw(st.lists(
+        SIGNED_ZEROS, min_size=branching ** height,
+        max_size=branching ** height,
+    ))
+    tree = UniformTree(branching, height, leaves, kind=TreeKind.MINMAX)
+    _assert_alphabeta_matches_minimax(tree, width)
 
 
 @settings(max_examples=40, deadline=None)
