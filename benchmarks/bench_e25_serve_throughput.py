@@ -7,7 +7,9 @@ gates the architecture's point — warm-cache serving must process the
 same stream at least **3x** faster than serving with the cache
 disabled — and re-pins the determinism contract on the way: the warm
 pass answers byte-identically and is all cache hits, so the win can
-never come from answering less.
+never come from answering less.  It also gates shard scaling: cold
+requests/s over sleep-cost process shards must reach 0.7 × the shard
+count at 2 and 4 shards, against one shard.
 
 Wall-clock lives in the bench layer rather than in ``repro.serve``
 itself: the serving core is wall-clock-free by lint rule R2.

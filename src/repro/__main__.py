@@ -43,6 +43,7 @@ shm
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
@@ -459,7 +460,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     shm.set_defaults(fn=_cmd_shm)
 
     args = parser.parse_args(argv)
-    return int(args.fn(args))
+    try:
+        code = int(args.fn(args))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`repro run e06 | head`).  Point
+        # stdout at devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -74,7 +74,9 @@ class ExperimentTable:
         import io
 
         buf = io.StringIO()
-        writer = csv.writer(buf)
+        # The csv module's default "\r\n" would mix line endings
+        # into the table store, which holds "\n" everywhere else.
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
         for row in self.rows:
             writer.writerow(row)

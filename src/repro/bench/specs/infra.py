@@ -21,14 +21,22 @@ differed.
 from __future__ import annotations
 
 import hashlib
+import time
 from statistics import median
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from ...core import parallel_solve, team_solve
 from ...core.alphabeta import parallel_alpha_beta
 from ...core.shm import CalibratedOracle, ShmOptions, ShmSession
 from ...faults import ALL_FAULT_KINDS, FaultPlan
-from ...serve import ShardedBatchService, response_log, synthetic_stream
+from ...serve import (
+    EvalRequest,
+    ShardedBatchService,
+    make_tree_pool,
+    response_log,
+    synthetic_stream,
+)
+from ...serve.engines import evaluate_payload
 from ...simulator import simulate
 from ...telemetry import InMemoryRecorder, NullRecorder
 from ...trees.canonical import canonical_arrays
@@ -450,6 +458,38 @@ register_spec(BenchSpec(
 ))
 
 
+#: e25's shard-scaling stream: this many distinct height-4 trees,
+#: each payload sleeping ``SHARD_SLEEP_S`` in its worker.  The cost is
+#: a clock, not CPU (as e28's calibrated leaf), so the speedup over
+#: one shard holds on a one-core machine.
+SHARD_REQUESTS = 128
+SHARD_SLEEP_S = 0.004
+
+
+def _sleep_cost_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Worker function of e25's shard-scaling run: sleep, then answer
+    like the default worker.  Module-level, so a process pool pickles
+    it by reference."""
+    time.sleep(SHARD_SLEEP_S)
+    return evaluate_payload(payload)
+
+
+def _shard_seconds(
+    requests: List[EvalRequest], num_shards: int, repeats: int
+) -> float:
+    """Median seconds of one cold ``serve`` of ``requests`` over
+    ``num_shards`` one-worker process shards."""
+    with ShardedBatchService(
+        num_shards, cache_size=0, pool="process", max_workers=1,
+        oracle=_sleep_cost_payload,
+    ) as service:
+        service.serve(requests)  # forks every shard's worker
+        seconds, _ = median_seconds(
+            lambda: service.serve(requests), repeats
+        )
+    return seconds
+
+
 def _run_e25(params: Dict[str, Any], wallclock: bool) -> SpecResult:
     num_requests = params["num_requests"]
     stream = synthetic_stream(
@@ -494,10 +534,22 @@ def _run_e25(params: Dict[str, Any], wallclock: bool) -> SpecResult:
             t_warm, _ = median_seconds(
                 lambda: warm.serve(stream), repeats
             )
+        scaling = [
+            EvalRequest.make(i, "alphabeta", tree)
+            for i, tree in enumerate(make_tree_pool(
+                SHARD_REQUESTS, seed=params["seed"], height=4
+            ))
+        ]
+        t_one = _shard_seconds(scaling, 1, repeats)
         wc = {
             "cold_s": t_cold,
             "warm_s": t_warm,
             "warm_speedup": t_cold / t_warm,
+            **{
+                f"shard_speedup_{shards}":
+                    t_one / _shard_seconds(scaling, shards, repeats)
+                for shards in (2, 4)
+            },
         }
     return SpecResult(
         metrics=metrics, digests=digests, wallclock_metrics=wc
@@ -521,6 +573,13 @@ register_spec(BenchSpec(
         Gate("deterministic_answers", "logs_identical", ">=", 1.0),
         Gate("zipf_dedup", "unique_frac", "<=", 1.0 / 3.0),
         Gate("warm_speedup", "warm_speedup", ">=", 3.0,
+             wallclock=True),
+        # Cold requests/s on sleep-cost shards scales with the shard
+        # count: every shard's share is dispatched before any is
+        # collected.
+        Gate("shard_scaling_2", "shard_speedup_2", ">=", 0.7 * 2,
+             wallclock=True),
+        Gate("shard_scaling_4", "shard_speedup_4", ">=", 0.7 * 4,
              wallclock=True),
     ),
     bands={"unique_frac": Band(rel=0.02), "steps_p99": FLOAT,

@@ -29,6 +29,9 @@ Two pieces are provided:
   between trips the circuit breaker, which raises
   :class:`~repro.errors.DegradedRunError` carrying the partial
   results instead of hammering a sick environment forever.
+  :meth:`OracleRuntime.start` dispatches a batch's first round
+  without waiting, so a caller can keep several runtimes busy at
+  once and collect each with ``evaluate`` in turn.
 
 This module intentionally measures wall-clock time (it exists to
 produce wall-clock numbers, see ``repro bench --wallclock``); it is
@@ -378,6 +381,19 @@ class RuntimeStats:
     last_batch_size: int = 0
 
 
+class _Round:
+    """One dispatch round of a batch: each ``(offset, chunk, future)``,
+    the future None where the pool was found broken at submit."""
+
+    __slots__ = ("payloads", "chunks", "broken", "error")
+
+    def __init__(self, payloads: List[Any]) -> None:
+        self.payloads = payloads
+        self.chunks: List[Tuple[int, List[Any], Optional[Future]]] = []
+        self.broken = False
+        self.error: Optional[BaseException] = None
+
+
 class OracleRuntime:
     """Persistent worker-pool runtime for per-step oracle batches.
 
@@ -398,13 +414,15 @@ class OracleRuntime:
         ``min(backoff_seconds * 2**(n-1), max_backoff_seconds)``.
     chunk_timeout:
         Wall-clock seconds a dispatched chunk may take before it is
-        abandoned (``None``: wait forever).  A timed-out chunk is
-        retried like a crashed one, and the pool is rebuilt because
-        the hung worker still occupies it.  The rebuild shuts the old
-        pool down with ``wait=False``, which :class:`PipePool`
-        answers by terminating the hung worker; an injected executor
-        that cannot kill its workers leaves them to finish on their
-        own.
+        abandoned (``None``: wait forever), counted from when the
+        collecting call starts waiting on it, so a chunk
+        :meth:`start` dispatched earlier gets at least that long.  A
+        timed-out chunk is retried like a crashed one, and the pool
+        is rebuilt because the hung worker still occupies it.  The
+        rebuild shuts the old pool down with ``wait=False``, which
+        :class:`PipePool` answers by terminating the hung worker; an
+        injected executor that cannot kill its workers leaves them to
+        finish on their own.
     max_consecutive_rebuilds:
         Circuit breaker: after this many pool rebuilds in a row with
         no clean (unbroken) dispatch round in between, ``evaluate``
@@ -461,6 +479,8 @@ class OracleRuntime:
         )
         self._sleep = sleep if sleep is not None else time.sleep
         self._pool: Optional[Executor] = None
+        #: the round :meth:`start` dispatched, until evaluate takes it
+        self._started: Optional[_Round] = None
         self.stats = RuntimeStats()
         self._rec = live(recorder)
 
@@ -473,9 +493,17 @@ class OracleRuntime:
         self.close()
 
     def close(self) -> None:
-        """Shut the pool down (idempotent)."""
+        """Shut the pool down (idempotent).
+
+        A round :meth:`start` dispatched and no :meth:`evaluate`
+        collected is dropped without waiting for it: its tasks are
+        cancelled, and :class:`PipePool` terminates the workers
+        running them.
+        """
+        abandoned = self._started is not None
+        self._started = None
         if self._pool is not None:
-            self._pool.shutdown()
+            self._pool.shutdown(wait=not abandoned, cancel_futures=abandoned)
             self._pool = None
 
     def _ensure_pool(self) -> Executor:
@@ -484,7 +512,9 @@ class OracleRuntime:
         return self._pool
 
     def restart_pool(self) -> None:
-        """Tear down the (broken) pool and build a fresh one."""
+        """Tear down the (broken) pool and build a fresh one, dropping
+        any uncollected :meth:`start` round."""
+        self._started = None
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -494,6 +524,21 @@ class OracleRuntime:
         self._ensure_pool()
 
     # -- evaluation --------------------------------------------------------
+    def start(self, payloads: Sequence[Any]) -> None:
+        """Dispatch a batch's first round without waiting for it.
+
+        The next :meth:`evaluate` of the same payloads (the same
+        objects in the same order) collects this round as its first,
+        so several runtimes can work on their batches at once while
+        one caller collects them in turn.  An :meth:`evaluate` of other
+        payloads runs as usual and leaves the round in place; a later
+        ``start`` replaces it, and :meth:`close` and
+        :meth:`restart_pool` drop it.  An executor that runs tasks
+        inline at ``submit`` finishes the round here.
+        """
+        items = list(payloads)
+        self._started = self._submit(items, self._split(items))
+
     def evaluate(self, payloads: Sequence[Any]) -> List[Any]:
         """Evaluate one batch; order of results matches ``payloads``.
 
@@ -504,15 +549,19 @@ class OracleRuntime:
         rounds have been exhausted, or
         :class:`~repro.errors.DegradedRunError` (with partial results)
         once ``max_consecutive_rebuilds`` pools broke back-to-back.
+        The first round is the one :meth:`start` dispatched for these
+        payloads, if any.
         """
         items = list(payloads)
         start = time.perf_counter()  # lint: disable=R7
         results: List[Any] = [None] * len(items)
-        pending = self._split(items)
+        round_ = self._take_started(items)
+        if round_ is None:
+            round_ = self._submit(items, self._split(items))
         attempt = 0
         self._consecutive_rebuilds = 0
-        while pending:
-            pending, error, broken = self._dispatch_round(pending, results)
+        while round_.chunks:
+            pending, error, broken = self._collect(round_, results)
             if broken:
                 self._consecutive_rebuilds += 1
                 if (
@@ -551,6 +600,7 @@ class OracleRuntime:
                         self.max_backoff_seconds,
                     )
                 )
+            round_ = self._submit(items, pending)
         elapsed = time.perf_counter() - start  # lint: disable=R7
         stats = self.stats
         stats.batches += 1
@@ -566,6 +616,17 @@ class OracleRuntime:
                 rec.observe("oracle.batch_seconds", elapsed)
         return results
 
+    def _take_started(self, items: List[Any]) -> Optional[_Round]:
+        """The started round for exactly these payloads, taken off the
+        runtime; None when :meth:`start` dispatched other payloads."""
+        started = self._started
+        if started is None or len(started.payloads) != len(items):
+            return None
+        if any(a is not b for a, b in zip(started.payloads, items)):
+            return None
+        self._started = None
+        return started
+
     def _split(self, items: List[Any]) -> List[Tuple[int, List[Any]]]:
         """Cut a batch into ``(start_offset, chunk)`` tasks."""
         if not items:
@@ -578,37 +639,45 @@ class OracleRuntime:
             (i, items[i : i + size]) for i in range(0, len(items), size)
         ]
 
-    def _dispatch_round(
-        self,
-        chunks: List[Tuple[int, List[Any]]],
-        results: List[Any],
+    def _submit(
+        self, items: List[Any], chunks: List[Tuple[int, List[Any]]],
+    ) -> _Round:
+        """Submit one round's chunks without waiting for any."""
+        round_ = _Round(items)
+        if not chunks:
+            return round_
+        pool = self._ensure_pool()
+        for start, chunk in chunks:
+            self.stats.chunks += 1
+            fut: Optional[Future] = None
+            if not round_.broken:
+                try:
+                    fut = pool.submit(_eval_chunk, self.oracle, chunk)
+                except (BrokenExecutor, RuntimeError) as exc:
+                    # Pool already broken/shut down: fail the rest of
+                    # the round fast and let the retry machinery
+                    # rebuild it.
+                    round_.broken = True
+                    round_.error = exc
+            round_.chunks.append((start, chunk, fut))
+        return round_
+
+    def _collect(
+        self, round_: _Round, results: List[Any],
     ) -> Tuple[
         List[Tuple[int, List[Any]]], Optional[BaseException], bool
     ]:
-        """Run one round; return (failed chunks, last error, broken)."""
-        submitted: List[Tuple[int, List[Any], Optional[Future]]] = []
-        pool = self._ensure_pool()
-        broken = False
-        error: Optional[BaseException] = None
-        for start, chunk in chunks:
-            self.stats.chunks += 1
-            if broken:
-                submitted.append((start, chunk, None))
-                continue
-            try:
-                fut = pool.submit(_eval_chunk, self.oracle, chunk)
-            except (BrokenExecutor, RuntimeError) as exc:
-                # Pool already broken/shut down: fail the rest of the
-                # round fast and let the retry machinery rebuild it.
-                broken = True
-                error = exc
-                submitted.append((start, chunk, None))
-            else:
-                submitted.append((start, chunk, fut))
+        """Wait for one round; return (failed chunks, last error, broken).
+
+        Each chunk's ``chunk_timeout`` counts from the moment its
+        collection starts waiting on it, not from its dispatch.
+        """
+        broken = round_.broken
+        error = round_.error
         failed: List[Tuple[int, List[Any]]] = []
         rec = self._rec
         time_chunks = rec is not None and rec.wallclock
-        for start, chunk, fut in submitted:
+        for start, chunk, fut in round_.chunks:
             if rec is not None:
                 rec.observe("oracle.chunk_size", len(chunk))
             if fut is None:
@@ -645,3 +714,4 @@ class OracleRuntime:
         if broken:
             self.restart_pool()
         return failed, error, broken
+

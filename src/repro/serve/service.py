@@ -13,8 +13,12 @@ order.  Internally each batch flows through three stages:
    ``num_shards`` independent
    :class:`~repro.models.executors.OracleRuntime` pools, inheriting
    the runtime's chunking, retry, timeout and circuit-breaker
-   machinery;
-3. **failover** — a shard whose runtime fails terminally
+   machinery.  Every healthy shard's share is dispatched
+   (:meth:`~repro.models.executors.OracleRuntime.start`) before any
+   is collected, so the shards' pools work at once;
+3. **collect and failover** — the shares are collected in shard
+   order, which keeps cache writes, telemetry and failover in one
+   deterministic order.  A shard whose runtime fails terminally
    (:class:`~repro.errors.WorkerCrashError` or
    :class:`~repro.errors.DegradedRunError`) is marked degraded and its
    work is re-dispatched to the surviving shards in deterministic
@@ -245,16 +249,22 @@ class ShardedBatchService:
         for key, req in to_evaluate:
             by_shard[shard_of(key, self.num_shards)].append((key, req))
 
-        # Stage 3 — evaluate shard by shard with failover.
-        pending = sum(len(work) for work in by_shard)
-        for shard, work in enumerate(by_shard):
-            if not work:
-                continue
+        # Stage 3 — dispatch every healthy shard's share, then collect
+        # shard by shard with failover, so results land in shard order.
+        shares = [
+            (shard, work, [self._payload(req) for _, req in work])
+            for shard, work in enumerate(by_shard) if work
+        ]
+        for shard, _, payloads in shares:
+            if not self._degraded[shard]:
+                self._runtimes[shard].start(payloads)
+        pending = len(to_evaluate)
+        for shard, work, payloads in shares:
             if rec is not None:
                 rec.sample(
                     "serve.queue_depth", pending, track="serve",
                 )
-            self._evaluate_on(shard, work, outcomes)
+            self._evaluate_on(shard, work, payloads, outcomes)
             pending -= len(work)
         if rec is not None and to_evaluate:
             rec.sample("serve.queue_depth", 0, track="serve")
@@ -335,23 +345,28 @@ class ShardedBatchService:
         self,
         shard: int,
         work: List[Tuple[str, EvalRequest]],
+        payloads: List[Dict[str, Any]],
         outcomes: Dict[str, Dict[str, Any]],
         *,
         is_failover: bool = False,
     ) -> None:
-        """Run one shard's share, failing over on terminal errors."""
+        """Collect one shard's share, failing over on terminal errors.
+
+        The shard's runtime picks up the round ``serve`` started for
+        exactly these ``payloads``; failed-over work, which the target
+        shard never started, is dispatched afresh.
+        """
         if self._degraded[shard]:
-            self._failover(shard, work, outcomes)
+            self._failover(shard, work, payloads, outcomes)
             return
         rec = self._rec
-        payloads = [self._payload(req) for _, req in work]
         if rec is not None:
             rec.count(f"serve.shard.{shard}.requests", len(work))
         try:
             results = self._runtimes[shard].evaluate(payloads)
         except (WorkerCrashError, DegradedRunError) as exc:
             self._mark_degraded(shard, exc)
-            self._failover(shard, work, outcomes)
+            self._failover(shard, work, payloads, outcomes)
             return
         for (key, _req), outcome in zip(work, results):
             self.cache.put(key, outcome)
@@ -363,6 +378,7 @@ class ShardedBatchService:
         self,
         shard: int,
         work: List[Tuple[str, EvalRequest]],
+        payloads: List[Dict[str, Any]],
         outcomes: Dict[str, Dict[str, Any]],
     ) -> None:
         """Re-dispatch a degraded shard's work to the next healthy one."""
@@ -381,7 +397,9 @@ class ShardedBatchService:
         self.stats.failovers += len(work)
         if self._rec is not None:
             self._rec.count("serve.failover.requests", len(work))
-        self._evaluate_on(target, work, outcomes, is_failover=True)
+        self._evaluate_on(
+            target, work, payloads, outcomes, is_failover=True
+        )
 
     def _mark_degraded(self, shard: int, exc: Exception) -> None:
         if not self._degraded[shard]:

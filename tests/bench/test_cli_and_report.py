@@ -1,6 +1,9 @@
 """Unit tests for the CLI and the EXPERIMENTS.md report generator."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +59,24 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_closed_stdout_exits_without_a_traceback(self):
+        # Stdout is a pipe whose reader is already gone, as when
+        # `repro list | head` stops reading.
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 class TestBenchCli:

@@ -58,6 +58,20 @@ class TestExperimentTable:
         assert lines[1] == "1,2.5"
         assert len(lines) == 3
 
+    def test_to_csv_ends_rows_in_newline_only(self):
+        t = ExperimentTable("x", "demo", ["a", "b"])
+        t.add_row(1, "two, quoted")
+        assert t.to_csv() == 'a,b\n1,"two, quoted"\n'
+        assert "\r" not in t.to_csv()
+
+    def test_committed_tables_end_rows_in_newline_only(self):
+        from repro.bench.snapshot import table_store_path
+
+        path = table_store_path()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert "\\r" not in text
+
 
 class TestRegistry:
     """Every paper experiment is one spec whose runner builds its table."""

@@ -534,3 +534,142 @@ class TestTimedOutWorkersTerminated:
         rt.close()
         assert rt.stats.timeouts == 1
         assert _new_children(before) == []
+
+
+# ---------------------------------------------------------------------------
+# start(): a dispatched round that the next evaluate of the same
+# payloads collects
+# ---------------------------------------------------------------------------
+class _Counting:
+    """Thread-pool oracle that records every payload it evaluates."""
+
+    def __init__(self):
+        self.calls = []
+        self._lock = threading.Lock()
+
+    def __call__(self, x):
+        with self._lock:
+            self.calls.append(x)
+        return x * x
+
+
+class TestStartedRound:
+    def test_evaluate_collects_the_started_round(self):
+        oracle = _Counting()
+        payloads = [1, 2, 3, 4, 5]
+        with OracleRuntime(
+            oracle, max_workers=2, executor_factory=_thread_factory()
+        ) as rt:
+            rt.start(payloads)
+            # A copied list of the same objects is the same batch.
+            assert rt.evaluate(list(payloads)) == [1, 4, 9, 16, 25]
+        assert sorted(oracle.calls) == payloads
+        assert rt.stats.chunks == 2
+        assert rt.stats.units == 5
+        assert rt.stats.batches == 1
+
+    def test_other_payloads_leave_the_round_in_place(self):
+        oracle = _Counting()
+        mine, theirs = [1, 2], [3, 4]
+        with OracleRuntime(
+            oracle, max_workers=1, executor_factory=_thread_factory()
+        ) as rt:
+            rt.start(mine)
+            assert rt.evaluate(theirs) == [9, 16]
+            assert rt.evaluate(mine) == [1, 4]
+            # Equal values in new objects are not the started batch.
+            assert rt.evaluate([1, 2]) == [1, 4]
+        assert sorted(oracle.calls) == [1, 1, 2, 2, 3, 4]
+        assert rt.stats.chunks == 3
+
+    def test_start_replaces_an_uncollected_round(self):
+        oracle = _Counting()
+        first, second = [1], [2]
+        with OracleRuntime(
+            oracle, executor_factory=_thread_factory()
+        ) as rt:
+            rt.start(first)
+            rt.start(second)
+            assert rt.evaluate(first) == [1]
+            assert rt.evaluate(second) == [4]
+        assert sorted(oracle.calls) == [1, 1, 2]
+
+    @pytest.mark.parametrize("drop", ["close", "restart_pool"])
+    def test_close_and_restart_drop_the_round(self, drop):
+        oracle = _Counting()
+        payloads = [6, 7]
+        rt = OracleRuntime(
+            oracle, max_workers=1, executor_factory=_thread_factory()
+        )
+        try:
+            rt.start(payloads)
+            getattr(rt, drop)()
+            assert rt.evaluate(payloads) == [36, 49]
+        finally:
+            rt.close()
+        # The dropped round ran on its own; evaluate dispatched anew.
+        assert rt.stats.chunks == 2
+        assert rt.stats.units == 2
+
+    def test_close_does_not_wait_for_an_uncollected_process_round(self):
+        before = multiprocessing.active_children()
+        rt = OracleRuntime(_hang, max_workers=1)
+        rt.start([1])
+        rt.close()  # terminates the hung worker instead of waiting
+        assert _new_children(before) == []
+
+    def test_started_round_failures_run_the_retry_loop(self):
+        # The started round is round one: its failed chunk is retried.
+        failed_once = []
+
+        def flaky(x):
+            if x == 2 and not failed_once:
+                failed_once.append(x)
+                raise RuntimeError("transient")
+            return x * x
+
+        with OracleRuntime(
+            flaky, chunk_size=1, max_retries=1, backoff_seconds=0.0,
+            executor_factory=_thread_factory(), sleep=lambda _s: None,
+        ) as rt:
+            payloads = [1, 2, 3]
+            rt.start(payloads)
+            assert rt.evaluate(payloads) == [1, 4, 9]
+        assert rt.stats.retries == 1
+        assert rt.stats.chunks == 4
+
+    def test_started_round_on_a_dead_pool_trips_the_breaker(self):
+        rt = OracleRuntime(
+            square, chunk_size=1, max_retries=99,
+            backoff_seconds=0.0, max_consecutive_rebuilds=2,
+            executor_factory=_DeadPool, sleep=lambda _s: None,
+        )
+        with rt:
+            payloads = [1, 2]
+            rt.start(payloads)
+            with pytest.raises(DegradedRunError) as err:
+                rt.evaluate(payloads)
+        assert err.value.pending == 2
+        assert rt.stats.pool_restarts == 2
+
+    def test_started_chunk_deadline_counts_from_collection(self):
+        """``chunk_timeout`` counts from when ``evaluate`` starts
+        waiting on a chunk, not from ``start``.
+
+        The chunk runs 0.6 s under a 0.5 s timeout, but collection
+        begins 0.4 s after dispatch, so it finishes in time.  A hung
+        started chunk is still cut off (tests/serve/test_service.py).
+        """
+        def slow(x):
+            threading.Event().wait(0.6)
+            return x + 1
+
+        with OracleRuntime(
+            slow, max_retries=0, chunk_timeout=0.5,
+            executor_factory=_thread_factory(1),
+        ) as rt:
+            payloads = [0]
+            rt.start(payloads)
+            threading.Event().wait(0.4)
+            assert rt.evaluate(payloads) == [1]
+        assert rt.stats.timeouts == 0

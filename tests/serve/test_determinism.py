@@ -1,11 +1,15 @@
 """The determinism contract: response logs are configuration-blind.
 
 The response log of a request stream must be byte-identical across
-shard counts, cache capacities, repeat serving (warm cache) and chaos
-mode — placement and recomputation may change, answers may not.
+shard counts, cache capacities, pool flavours, repeat serving (warm
+cache) and chaos mode — placement and recomputation may change,
+answers may not.  The thread and process pools run every shard's
+share at once, so these cells also check that collecting in shard
+order keeps the log fixed.
 """
 
 import itertools
+import os
 
 import pytest
 
@@ -21,10 +25,12 @@ def _stream():
     )
 
 
-def _log(num_shards, cache_size, oracle_for_shard=None):
+def _log(num_shards, cache_size, oracle_for_shard=None, pool="serial"):
     with ShardedBatchService(
         num_shards,
         cache_size=cache_size,
+        pool=pool,
+        max_workers=1 if pool == "process" else None,
         oracle_for_shard=oracle_for_shard,
     ) as service:
         return response_log(service.serve(_stream()))
@@ -70,3 +76,32 @@ def test_log_identical_under_chaos():
 
 def test_log_is_reproducible_across_service_instances():
     assert _log(2, 16) == _log(2, 16)
+
+
+@pytest.mark.parametrize(
+    "pool,num_shards,cache_size",
+    [
+        ("thread", shards, cache)
+        for shards, cache in itertools.product((1, 2, 4), (0, None))
+    ]
+    # Process cells fork one worker per shard; keep them few.
+    + [("process", 1, None), ("process", 2, 0), ("process", 4, None)],
+    ids=lambda v: str(v),
+)
+def test_log_identical_across_pools(pool, num_shards, cache_size):
+    assert _log(num_shards, cache_size, pool=pool) == _log(
+        *BASELINE_CONFIG
+    )
+
+
+def _die(payload):
+    os._exit(1)  # the worker process dies mid-chunk
+
+
+def _kill_first_shard(shard):
+    return _die if shard == 0 else evaluate_payload
+
+
+def test_log_identical_when_a_process_shard_dies():
+    chaotic = _log(3, 0, oracle_for_shard=_kill_first_shard, pool="process")
+    assert chaotic == _log(*BASELINE_CONFIG)

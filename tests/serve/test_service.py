@@ -1,8 +1,12 @@
 """Unit tests for the sharded batch service: dedup, routing, failover."""
 
+import multiprocessing
+import threading
+
 import pytest
 
-from repro.errors import DegradedRunError
+from repro.bench.wallclock import median_seconds
+from repro.errors import AllShardsDegradedError, DegradedRunError
 from repro.serve import (
     EvalRequest,
     ShardedBatchService,
@@ -12,6 +16,7 @@ from repro.serve import (
     shard_of,
     synthetic_stream,
 )
+from repro.serve.engines import evaluate_payload
 from repro.telemetry import InMemoryRecorder
 from repro.trees import ExplicitTree, UniformTree, exact_value
 from repro.trees.generators import iid_boolean
@@ -182,3 +187,143 @@ def test_invalid_configuration_rejected():
         ShardedBatchService(0)
     with pytest.raises(ValueError):
         ShardedBatchService(1, pool="bogus")
+
+
+# ---------------------------------------------------------------------------
+# Concurrent shards: every share is dispatched before any is collected
+# ---------------------------------------------------------------------------
+SLOW_SECONDS = 0.2
+
+
+def _slow_payload(payload):
+    """Process-pool oracle: sleeps, then answers like the default."""
+    threading.Event().wait(SLOW_SECONDS)
+    return evaluate_payload(payload)
+
+
+def _hang_payload(payload):
+    threading.Event().wait(60.0)
+
+
+def _one_per_shard(num_shards, seed=3):
+    """One request routed to each of ``num_shards`` shards."""
+    picked = {}
+    for req in _bool_requests(64, seed=seed, height=4):
+        picked.setdefault(shard_of(request_key(req), num_shards), req)
+    assert len(picked) == num_shards
+    return [picked[shard] for shard in range(num_shards)]
+
+
+def _assert_correct(requests, responses):
+    assert [r.request_id for r in responses] == [
+        req.request_id for req in requests
+    ]
+    for req, resp in zip(requests, responses):
+        direct = run_algorithm(req.algo, req.tree, req.params_dict())
+        assert (resp.value, resp.steps, resp.work) == (
+            float(direct[0]), direct[1], direct[2]
+        )
+
+
+def test_process_shards_evaluate_at_once():
+    requests = _one_per_shard(2)
+    with ShardedBatchService(
+        2, cache_size=0, pool="process", max_workers=1,
+        oracle=_slow_payload,
+    ) as service:
+        service.serve(requests)  # forks each shard's worker
+        elapsed, responses = median_seconds(
+            lambda: service.serve(requests), 1
+        )
+    _assert_correct(requests, responses)
+    # One after another would take two sleeps.
+    assert elapsed < 1.5 * SLOW_SECONDS
+
+
+def _crash_or_slow(shard):
+    return _always_crash if shard == 0 else _slow_payload
+
+
+def test_failover_into_a_shard_with_a_round_in_flight():
+    requests = _one_per_shard(2)
+    with ShardedBatchService(
+        2, cache_size=0, pool="process", max_workers=1, max_retries=0,
+        oracle_for_shard=_crash_or_slow,
+    ) as service:
+        responses = service.serve(requests)
+    _assert_correct(requests, responses)
+    assert service.degraded_shards == [0]
+    survivor = service.stats.shard_stats[1]
+    # Shard 1's own round, then the failed-over share: each payload
+    # is evaluated once.
+    assert survivor.units == 2
+    assert survivor.chunks == 2
+    assert survivor.batches == 2
+
+
+def test_stale_round_is_never_picked_up_after_total_degradation():
+    requests = _bool_requests(12, seed=5)
+    calls = {0: [], 1: []}
+    broken = [True]
+    first = [r for r in requests if shard_of(request_key(r), 2) == 0]
+    poison = [ShardedBatchService._payload(r) for r in first]
+
+    def oracle_for_shard(shard):
+        def oracle(payload):
+            calls[shard].append(payload)
+            if broken[0] and (shard == 0 or payload in poison):
+                raise RuntimeError("injected")
+            return evaluate_payload(payload)
+        return oracle
+
+    with ShardedBatchService(
+        2, cache_size=None, pool="thread", max_retries=0,
+        oracle_for_shard=oracle_for_shard,
+    ) as service:
+        # Shard 0 fails, and so does its failover onto shard 1, whose
+        # own started round is left uncollected.
+        with pytest.raises(AllShardsDegradedError):
+            service.serve(requests)
+        assert service.degraded_shards == [0, 1]
+        broken[0] = False
+        probe = ShardedBatchService._payload(requests[0])
+        assert service.probe_shard(1, probe)
+        assert calls[1][-1] is probe  # evaluated, not taken stale
+        service.readmit(0)
+        service.readmit(1)
+        before = len(calls[1])
+        responses = service.serve(requests)
+    _assert_correct(requests, responses)
+    own = len({request_key(r) for r in requests}) - len(
+        {request_key(r) for r in first}
+    )
+    # Shard 1's share is evaluated again, not read off the old round.
+    assert len(calls[1]) - before == own
+
+
+def _hang_first(shard):
+    return _hang_payload if shard == 0 else evaluate_payload
+
+
+def test_hung_started_shard_is_cut_off_and_fails_over():
+    """A started chunk that hangs still times out and fails over.
+
+    Its ``chunk_timeout`` counts from when the shard's collection
+    starts waiting on it, not from the dispatch: here shard 0 is
+    collected first, so the two coincide.
+    """
+    requests = _bool_requests(12, seed=5)
+    before = multiprocessing.active_children()
+    with ShardedBatchService(2, cache_size=0) as plain:
+        expected = plain.serve(requests)
+    with ShardedBatchService(
+        2, cache_size=0, pool="process", max_workers=1, max_retries=0,
+        chunk_timeout=0.3, oracle_for_shard=_hang_first,
+    ) as service:
+        responses = service.serve(requests)
+    assert responses == expected
+    assert service.degraded_shards == [0]
+    assert service.stats.shard_stats[0].timeouts == 1
+    assert [
+        p for p in multiprocessing.active_children() if p not in before
+    ] == []
