@@ -191,6 +191,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"{name:6} {spec.suite:13} gates: {gates}")
         return 0
     if args.all or args.spec or args.suite:
+        from .bench.registry import list_specs
         from .bench.runner import failed_gates, run_benchmarks
         from .bench.snapshot import snapshot_path, write_snapshot
         from .errors import WorkloadError
@@ -207,10 +208,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except WorkloadError as exc:
             print(f"bench: {exc}", file=sys.stderr)
             return 2
-        out = args.out or snapshot_path(doc["date"])
-        write_snapshot(doc, out)
-        print(f"wrote {out} ({len(doc['specs'])} specs, "
-              f"profile {profile})")
+        out = args.out
+        if out is None and set(list_specs()) <= set(doc["specs"]):
+            out = snapshot_path(doc["date"])
+        if out is None:
+            # A partial run is no trajectory point: keep it out of
+            # benchmarks/history/ unless --out says otherwise.
+            print(f"ran {len(doc['specs'])} specs, profile {profile}; "
+                  f"no snapshot written (pass --out to keep one)")
+        else:
+            write_snapshot(doc, out)
+            print(f"wrote {out} ({len(doc['specs'])} specs, "
+                  f"profile {profile})")
         failures = failed_gates(doc)
         if failures:
             print("FAILED gates: " + ", ".join(failures),
@@ -339,7 +348,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     bench.add_argument(
         "--out", type=str, default=None, metavar="PATH",
-        help="snapshot output path (default benchmarks/history/)",
+        help="snapshot output path (default: benchmarks/history/ for "
+        "a run of every spec, none for a --spec/--suite run)",
     )
     bench.add_argument(
         "--date", type=str, default=None, metavar="YYYY-MM-DD",

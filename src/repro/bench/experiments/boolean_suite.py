@@ -257,6 +257,9 @@ def e07_corollary2_near_uniform(
             S.append(seq.num_steps)
             P.append(par.num_steps)
             procs = max(procs, par.processors)
+            # At n=16 a tree is ~10 M nodes: let it go before the next
+            # trial builds its own, so the peak holds one tree, not two.
+            del tree, seq, par
         table.add_row(
             n, alpha, beta, trials, float(np.mean(S)), float(np.mean(P)),
             float(np.sum(S) / np.sum(P)), procs,

@@ -17,8 +17,13 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional
 
-from .registry import BenchSpec, select_specs
-from .snapshot import latest_snapshot_path, load_snapshot, load_table_entry
+from ..errors import WorkloadError
+from .registry import BenchSpec, list_specs, select_specs
+from .snapshot import (
+    latest_complete_snapshot_path,
+    load_snapshot,
+    load_table_entry,
+)
 
 
 def load_table_text(experiment: str,
@@ -88,8 +93,17 @@ def generate_experiments_md(
     results_dir: Optional[str] = None,
     out_path: Optional[str] = None,
 ) -> str:
-    """Write EXPERIMENTS.md; returns the generated text."""
-    path = latest_snapshot_path()
+    """Write EXPERIMENTS.md; returns the generated text.
+
+    Gate verdicts come from the newest history snapshot that covers
+    every registered spec.
+    """
+    path = latest_complete_snapshot_path(list_specs())
+    if path is None:
+        raise WorkloadError(
+            "no BENCH snapshot in benchmarks/history/ covers every "
+            "registered spec; run `repro bench --all --quick`"
+        )
     snapshot = load_snapshot(path)
     source = "benchmarks/history/" + os.path.basename(path)
     parts = [HEADER]

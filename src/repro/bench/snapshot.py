@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import WorkloadError
 
@@ -33,6 +33,7 @@ __all__ = [
     "snapshot_path",
     "list_snapshots",
     "latest_snapshot_path",
+    "latest_complete_snapshot_path",
     "TABLE_STORE_NAME",
     "table_store_path",
     "load_table_store",
@@ -87,6 +88,22 @@ def latest_snapshot_path(
 ) -> Optional[str]:
     paths = list_snapshots(directory)
     return paths[-1] if paths else None
+
+
+def latest_complete_snapshot_path(
+    specs: Sequence[str],
+    directory: Optional[str] = None,
+) -> Optional[str]:
+    """The newest snapshot that covers every name in ``specs``.
+
+    A ``--spec``/``--suite`` run saved into the history is not a
+    trajectory point: reading its gates would report every other spec
+    as unmeasured.
+    """
+    for path in reversed(list_snapshots(directory)):
+        if set(specs) <= set(load_snapshot(path).get("specs", {})):
+            return path
+    return None
 
 
 def dumps_snapshot(doc: Dict[str, Any]) -> str:

@@ -4,9 +4,11 @@
 to measured hardware: the arena's
 :class:`~repro.trees.canonical.CanonicalArrays` columns are mapped
 into :mod:`multiprocessing.shared_memory` blocks once per tree
-(:mod:`~repro.core.shm.segments`), a persistent worker pool built on
+(:mod:`~repro.core.shm.segments`), a worker pool built on
 :class:`~repro.models.executors.OracleRuntime` evaluates each step's
-leaf batch in place (:mod:`~repro.core.shm.pool`), and a session
+leaf batch in place (:mod:`~repro.core.shm.pool`; its worker
+processes outlive a clean session and the next one re-attaches
+them), and a session
 (:mod:`~repro.core.shm.engine`) runs the arena's own step loops with
 that pool as their leaf evaluator — the same schedule code as
 ``backend="arena"``, with leaves evaluated in other processes.  The

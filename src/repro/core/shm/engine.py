@@ -19,7 +19,9 @@ up.
 A :class:`ShmSession` owns the published segments and the pool for one
 tree and can run any number of engines over them (e28 runs the whole
 speed-up curve in one session); the solver entry points open one
-session per call for ``executor="shm"``.
+session per call for ``executor="shm"``.  The worker processes
+outlive a clean session: the next session with the same worker count
+re-attaches them instead of forking (:mod:`repro.core.shm.pool`).
 """
 
 from __future__ import annotations
@@ -100,14 +102,25 @@ class ShmRunResult(EvalResult):
 class ShmSession:
     """Segments + worker pool for one tree, reusable across runs.
 
-    Publishing the columns and forking the pool are per-*tree* costs;
-    a session amortises them across every engine call made inside the
-    ``with`` block.  Closing tears the pool down first, then unmaps
-    and unlinks the segments (idempotent, exception-safe), so no
-    ``/dev/shm`` entry survives the session — including the degraded
-    path, where the :class:`~repro.errors.DegradedRunError` from the
-    pool's circuit breaker propagates through the engine loop (with
-    ``steps_completed`` filled in) and out of the ``with``.
+    Publishing the columns is a per-*tree* cost; a session amortises
+    it across every engine call made inside the ``with`` block.  The
+    workers are per-*process*: the pool takes the idle worker set when
+    one of the requested size exists and attaches it to this
+    session's segments by message, and forks a new set otherwise.
+
+    Closing releases the pool first, then unmaps and unlinks the
+    segments (idempotent, exception-safe).  The lifecycle contract:
+
+    * no ``/dev/shm`` entry survives the session, on any path —
+      including the degraded one, where the
+      :class:`~repro.errors.DegradedRunError` from the pool's circuit
+      breaker propagates through the engine loop (with
+      ``steps_completed`` filled in) and out of the ``with``;
+    * no worker maps a closed session's segments: after a clean close
+      every worker has detached and the set waits idle for the next
+      session; after an exception, a chunk timeout or a pool rebuild
+      the workers are shut down, so a failed set is never reused;
+    * a process keeps at most one idle set.
     """
 
     def __init__(
@@ -155,11 +168,14 @@ class ShmSession:
     def __enter__(self) -> "ShmSession":
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None:
+            self.pool._spoiled = True
         self.close()
 
     def close(self) -> None:
-        """Shut the pool down, then unmap and unlink the segments."""
+        """Release the pool's workers, then unmap and unlink the
+        segments."""
         try:
             self.pool.close()
         finally:

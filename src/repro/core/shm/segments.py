@@ -16,15 +16,18 @@ This module maps the three columns a *leaf worker* needs into
     indexed by preorder position.
 
 The coordinator (the process that ran :meth:`ArenaSegments.publish`)
-owns the blocks: it is the only process that ever calls ``unlink``.
-Workers attach read-write by name via :meth:`ArenaSegments.attach`.
-CPython registers a shared-memory name with the ``resource_tracker``
-on *every* open (create or attach), but a process pool shares one
-tracker process with its parent and registration is set-based, so the
-attach-side registrations collapse into the owner's and the owner's
-``unlink`` (which unregisters) leaves the tracker clean — no
-leaked-resource warnings, no early unlinks under the owner.  The
-lifecycle tests pin this by listing ``/dev/shm`` before and after.
+owns the blocks: it registers them with the ``resource_tracker`` (so
+the tracker unlinks them if the coordinator dies) and it is the only
+process that ever calls ``unlink``.  Workers attach read-write by name
+via :meth:`ArenaSegments.attach`, which maps the blocks *without*
+registering them.  ``SharedMemory(name=...)`` registers every open
+before Python 3.13 (``track=False`` arrived then), and registering
+needs the tracker's pipe, which shm workers close at start so that a
+worker set kept alive across sessions never holds the tracker open
+(:mod:`repro.core.shm.pool`).  A forked child also inherits the
+coordinator's own mappings; :func:`close_inherited` drops them, so a
+worker maps only the session it is attached to.  The lifecycle tests
+pin all this by listing ``/dev/shm`` and ``/proc/<pid>/maps``.
 
 Segment names embed the owner pid and a per-process counter, so two
 concurrent sessions (or a crash-rebuilt pool attaching again) can
@@ -34,19 +37,51 @@ never collide.
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
+import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from ...trees.canonical import CanonicalArrays
 
-__all__ = ["ArenaSegments", "SegmentSpec"]
+__all__ = ["ArenaSegments", "SegmentSpec", "close_inherited"]
 
 #: Per-process counter feeding unique segment names.
 _COUNTER = itertools.count()
+
+#: Owner-side segments published and not yet closed: what a child
+#: forked from this process finds mapped.
+_PUBLISHED: "weakref.WeakSet[ArenaSegments]" = weakref.WeakSet()
+
+
+class _Mapping:
+    """A shared-memory block mapped by name without registering it
+    with the resource tracker, as ``SharedMemory(name, track=False)``
+    does from Python 3.13 on."""
+
+    __slots__ = ("_mmap", "buf")
+
+    def __init__(self, name: str) -> None:
+        import _posixshmem
+
+        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+        try:
+            self._mmap = mmap.mmap(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
+
+
+#: A mapped block: the owner's ``SharedMemory``, or an attachment.
+_Block = Union[shared_memory.SharedMemory, _Mapping]
 
 
 @dataclass(frozen=True)
@@ -74,18 +109,12 @@ class ArenaSegments:
     def __init__(
         self,
         spec: SegmentSpec,
-        blocks: Tuple[
-            shared_memory.SharedMemory,
-            shared_memory.SharedMemory,
-            shared_memory.SharedMemory,
-        ],
+        blocks: Tuple[_Block, _Block, _Block],
         *,
         owner: bool,
     ) -> None:
         self.spec = spec
-        self._blocks: Optional[Tuple[shared_memory.SharedMemory, ...]] = (
-            blocks
-        )
+        self._blocks: Optional[Tuple[_Block, ...]] = blocks
         self._owner = owner
         n = spec.n_nodes
         values_blk, batch_blk, out_blk = blocks
@@ -138,22 +167,24 @@ class ArenaSegments:
         segments.values[:] = arrays.values
         segments.batch[:] = 0
         segments.out[:] = 0.0
+        _PUBLISHED.add(segments)
         return segments
 
     @classmethod
     def attach(cls, spec: SegmentSpec) -> "ArenaSegments":
-        """Map an already-published arena by name (worker side)."""
+        """Map an already-published arena by name (worker side),
+        without registering it with the resource tracker."""
         blocks = []
         try:
             for name in (
                 spec.values_name, spec.batch_name, spec.out_name
             ):
-                blocks.append(shared_memory.SharedMemory(name=name))
+                blocks.append(_Mapping(name))
         except BaseException:
             for blk in blocks:
                 blk.close()
             raise
-        # An attachment never owns the blocks — even one made in the
+        # An attachment never owns the blocks, even one made in the
         # owner's process (injected in-process executors do this): the
         # published ArenaSegments is the sole unlinker.
         return cls(spec, (blocks[0], blocks[1], blocks[2]), owner=False)
@@ -166,6 +197,8 @@ class ArenaSegments:
     def close(self) -> None:
         """Drop the views, unmap the blocks, and (owner only) unlink.
 
+        Only the publishing process unlinks: a forked child closing
+        the owner's segments it inherited just unmaps them.
         Idempotent.  The numpy views must be released before the mmap
         can close (an exported buffer makes ``close`` raise
         ``BufferError``), so the ``values``/``batch``/``out``
@@ -175,12 +208,13 @@ class ArenaSegments:
         if blocks is None:
             return
         self._blocks = None
+        _PUBLISHED.discard(self)
         self.values = None
         self.batch = None
         self.out = None
         for blk in blocks:
             blk.close()
-        if self._owner:
+        if self._owner and self.spec.owner_pid == os.getpid():
             for blk in blocks:
                 try:
                     blk.unlink()
@@ -192,3 +226,22 @@ class ArenaSegments:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def close_inherited() -> None:
+    """Unmap every published segment this process inherited by fork.
+
+    A forked worker starts with its parent's owner mappings of every
+    open session; left alone, a worker that outlives those sessions
+    would keep their unlinked pages alive.  Never unlinks.
+    """
+    pid = os.getpid()
+    for segments in list(_PUBLISHED):
+        if segments.spec.owner_pid == pid:
+            continue
+        try:
+            segments.close()
+        except BufferError:
+            # Something here still holds a view of the block: a mapping
+            # left behind costs pages, a failed worker costs the run.
+            continue
