@@ -13,10 +13,10 @@ report
     and the newest committed BENCH snapshot.
 demo
     A 30-second tour: evaluate one instance with every algorithm.
-bench --wallclock
-    Wall-clock measurements: incremental vs rescan frontier backend
-    on Parallel SOLVE and parallel alpha-beta, and (with ``--workers``)
-    the process-pool oracle runtime.
+bench
+    Benchmark registry: run specs (``--wallclock`` adds their
+    wall-clock metrics, e.g. e27's arena-vs-incremental grid with
+    ``--spec e27 --wallclock --out FILE``), write snapshots, diff them.
 lint
     Static-analysis pass enforcing the model invariants (R1-R12).
 chaos
@@ -226,23 +226,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         return 0
-    if not args.wallclock:
-        print("nothing to do: pass --all, --spec, --suite, --diff, "
-              "--list or --wallclock", file=sys.stderr)
-        return 2
-    from .bench.wallclock import run_wallclock
-
-    widths = tuple(int(w) for w in args.widths.split(","))
-    return run_wallclock(
-        branching=args.branching,
-        height=args.height,
-        widths=widths,
-        seed=args.seed,
-        workers=args.workers,
-        oracle_iters=args.oracle_iters,
-        trace_out=args.trace_out,
-        backend=args.backend,
-    )
+    print("nothing to do: pass --all, --spec, --suite, --diff "
+          "or --list", file=sys.stderr)
+    return 2
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -369,27 +355,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     bench.add_argument(
         "--wallclock", action="store_true",
-        help="also measure wall-clock (with --all/--spec/--suite); "
-        "alone: the legacy frontier-backend timing table",
-    )
-    bench.add_argument(
-        "--backend", choices=("rescan", "incremental", "arena"),
-        default=None,
-        help="time a single frontier backend in the wall-clock tables "
-        "instead of the incremental-vs-rescan comparison",
-    )
-    bench.add_argument("--branching", type=int, default=4)
-    bench.add_argument("--height", type=int, default=8)
-    bench.add_argument("--widths", type=str, default="1,2,4")
-    bench.add_argument("--seed", type=int, default=2026)
-    bench.add_argument(
-        "--workers", type=int, default=None,
-        help="also run the process-pool oracle benchmark",
-    )
-    bench.add_argument("--oracle-iters", type=int, default=20000)
-    bench.add_argument(
-        "--trace-out", type=str, default=None, metavar="PATH",
-        help="also write a JSONL telemetry trace of one bench run",
+        help="also measure the specs' wall-clock metrics and gates "
+        "(with --all/--spec/--suite)",
     )
     bench.set_defaults(fn=_cmd_bench)
 

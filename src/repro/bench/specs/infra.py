@@ -12,18 +12,21 @@ gate.
 
 Deterministic metrics (step identity, tick ratios, cache hit
 structure, response-log digests) are always produced; wall-clock
-numbers and their gates only exist when the runner was invoked with
-``--wallclock`` in the full profile.  Each identity metric folds in
-every check of its property: a ``0.0`` means some compared run
-differed.
+numbers only exist when the runner was invoked with ``--wallclock``,
+and their gates are evaluated only in the full profile.  Each identity
+metric folds in every check of its property: a ``0.0`` means some
+compared run differed.  The backend comparisons (e21b, e27) time
+every cell they check, as ``{cell}_speedup``; their gates read one
+named cell.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from functools import partial
 from statistics import median
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
 from ...core import parallel_solve, team_solve
 from ...core.alphabeta import parallel_alpha_beta
@@ -39,7 +42,6 @@ from ...serve import (
 from ...serve.engines import evaluate_payload
 from ...simulator import simulate
 from ...telemetry import InMemoryRecorder, NullRecorder
-from ...trees.canonical import canonical_arrays
 from ...trees.generators import iid_boolean
 from ...trees.generators.iid import iid_minmax, level_invariant_bias
 from ..registry import Band, BenchSpec, Gate, SpecResult, register_spec
@@ -57,6 +59,12 @@ TICKS = Band(rel=0.10, direction="up_bad")
 #: e21b, Team SOLVE with 8 processors).
 E21B_BOUNDED = ((4, 2), (4, 4), (2, 3))
 E27_BOUNDED = ((4, 2), (8, 5))
+
+#: e27's arena-vs-incremental crossover grid, checked and timed
+#: besides the spec's widths and gate cells: Parallel SOLVE
+#: ``(width, processors)`` cells and alpha-beta widths.
+E27_SOLVE_GRID = ((0, None), (1, None), (2, None), (8, None), (8, 2))
+E27_AB_GRID = (0, 1, 2, 8)
 
 #: Fault rates above e23's gated one: runs must still converge, but
 #: their cost is not gated.
@@ -77,15 +85,34 @@ def uniform_boolean(params: Dict[str, Any]):
     )
 
 
-def _agree(backends, engine, tree, *args, **kwargs) -> bool:
-    """Whether ``engine`` runs identically on each of ``backends``."""
+def _cell(width: int, procs: Optional[int]) -> str:
+    """A ``(width, procs)`` cell's metric stem: ``w8`` or ``w8_p2``."""
+    return f"w{width}" if procs is None else f"w{width}_p{procs}"
+
+
+def _agree(backends, run) -> bool:
+    """Whether ``run`` (an engine call lacking only its ``backend``)
+    runs identically on each of ``backends``."""
     first, *rest = [
-        run_signature(engine(
-            tree, *args, keep_batches=True, backend=backend, **kwargs
-        ))
+        run_signature(run(keep_batches=True, backend=backend))
         for backend in backends
     ]
     return all(signature == first for signature in rest)
+
+
+def _speedups(
+    pair, runs: Dict[str, Callable[..., Any]], repeats: int
+) -> Dict[str, float]:
+    """``{cell}_speedup`` for each named run in ``runs``: the first
+    backend's best-of-``repeats`` seconds over the second's."""
+    speedups = {}
+    for cell, run in runs.items():
+        slow, fast = [
+            best_of(partial(run, backend=backend), repeats)
+            for backend in pair
+        ]
+        speedups[f"{cell}_speedup"] = slow / fast
+    return speedups
 
 
 def _run_e21b(params: Dict[str, Any], wallclock: bool) -> SpecResult:
@@ -94,41 +121,24 @@ def _run_e21b(params: Dict[str, Any], wallclock: bool) -> SpecResult:
     cells = [(width, None) for width in params["widths"]] + list(
         E21B_BOUNDED
     )
-    identical = all(
-        _agree(pair, parallel_solve, tree, width, max_processors=procs)
+    runs = {
+        _cell(width, procs): partial(
+            parallel_solve, tree, width, max_processors=procs
+        )
         for width, procs in cells
-    ) and _agree(pair, team_solve, tree, 8)
-    gate_width, gate_procs = params["gate_case"]
-    bounded = parallel_solve(
-        tree, gate_width, max_processors=gate_procs,
-        backend="incremental",
-    )
+    }
+    runs["team_p8"] = partial(team_solve, tree, 8)
+    identical = all(_agree(pair, run) for run in runs.values())
+    gate_cell = _cell(*params["gate_case"])
+    bounded = runs[gate_cell](backend="incremental")
     metrics = {
         "backends_identical": float(identical),
         "bounded_steps": float(bounded.num_steps),
     }
     wc: Dict[str, float] = {}
     if wallclock:
-        repeats = params["repeats"]
-        t_rescan = best_of(
-            lambda: parallel_solve(
-                tree, gate_width, max_processors=gate_procs,
-                backend="rescan",
-            ),
-            repeats,
-        )
-        t_incremental = best_of(
-            lambda: parallel_solve(
-                tree, gate_width, max_processors=gate_procs,
-                backend="incremental",
-            ),
-            repeats,
-        )
-        wc = {
-            "rescan_s": t_rescan,
-            "incremental_s": t_incremental,
-            "speedup": t_rescan / t_incremental,
-        }
+        wc = _speedups(pair, runs, params["repeats"])
+        wc["speedup"] = wc[f"{gate_cell}_speedup"]
     return SpecResult(metrics=metrics, wallclock_metrics=wc)
 
 
@@ -157,22 +167,32 @@ def _run_e27(params: Dict[str, Any], wallclock: bool) -> SpecResult:
         params["branching"], params["height"], seed=params["seed"]
     )
     pair = ("incremental", "arena")
-    cells = [(width, None) for width in params["solve_widths"]] + list(
-        E27_BOUNDED
-    )
-    solve_identical = float(all(
-        _agree(pair, parallel_solve, boolean_tree, width,
-               max_processors=procs)
-        for width, procs in cells
-    ))
-    ab_identical = float(all(
-        _agree(pair, parallel_alpha_beta, minmax_tree, width)
-        for width in params["ab_widths"]
-    ))
     solve_w = params["solve_gate_width"]
     ab_w = params["ab_gate_width"]
-    solve_run = parallel_solve(boolean_tree, solve_w, backend="arena")
-    ab_run = parallel_alpha_beta(minmax_tree, ab_w, backend="arena")
+    solve_cells = dict.fromkeys(
+        [(width, None) for width in params["solve_widths"]]
+        + list(E27_BOUNDED) + list(E27_SOLVE_GRID) + [(solve_w, None)]
+    )
+    solve_runs = {
+        f"solve_{_cell(width, procs)}": partial(
+            parallel_solve, boolean_tree, width, max_processors=procs
+        )
+        for width, procs in solve_cells
+    }
+    ab_runs = {
+        f"ab_w{width}": partial(parallel_alpha_beta, minmax_tree, width)
+        for width in dict.fromkeys(
+            tuple(params["ab_widths"]) + E27_AB_GRID + (ab_w,)
+        )
+    }
+    solve_identical = float(all(
+        _agree(pair, run) for run in solve_runs.values()
+    ))
+    ab_identical = float(all(
+        _agree(pair, run) for run in ab_runs.values()
+    ))
+    solve_run = solve_runs[f"solve_w{solve_w}"](backend="arena")
+    ab_run = ab_runs[f"ab_w{ab_w}"](backend="arena")
     metrics = {
         "solve_identical": solve_identical,
         "ab_identical": ab_identical,
@@ -182,40 +202,12 @@ def _run_e27(params: Dict[str, Any], wallclock: bool) -> SpecResult:
     }
     wc: Dict[str, float] = {}
     if wallclock:
-        repeats = params["repeats"]
-        # Lowering is memoized per tree and amortized across runs; pay
-        # it before the clock starts (the incremental backend likewise
-        # rebuilds its FrontierIndex inside every timed run).
-        canonical_arrays(boolean_tree)
-        canonical_arrays(minmax_tree)
-        t_solve_inc = best_of(
-            lambda: parallel_solve(
-                boolean_tree, solve_w, backend="incremental"
-            ),
-            repeats,
-        )
-        t_solve_arena = best_of(
-            lambda: parallel_solve(boolean_tree, solve_w, backend="arena"),
-            repeats,
-        )
-        t_ab_inc = best_of(
-            lambda: parallel_alpha_beta(
-                minmax_tree, ab_w, backend="incremental"
-            ),
-            repeats,
-        )
-        t_ab_arena = best_of(
-            lambda: parallel_alpha_beta(minmax_tree, ab_w, backend="arena"),
-            repeats,
-        )
-        wc = {
-            "solve_incremental_s": t_solve_inc,
-            "solve_arena_s": t_solve_arena,
-            "solve_speedup": t_solve_inc / t_solve_arena,
-            "ab_incremental_s": t_ab_inc,
-            "ab_arena_s": t_ab_arena,
-            "ab_speedup": t_ab_inc / t_ab_arena,
-        }
+        # Lowering is memoized per tree, so the identity runs above
+        # paid it before the clock starts (the incremental backend
+        # likewise rebuilds its FrontierIndex inside every timed run).
+        wc = _speedups(pair, {**solve_runs, **ab_runs}, params["repeats"])
+        wc["solve_speedup"] = wc[f"solve_w{solve_w}_speedup"]
+        wc["ab_speedup"] = wc[f"ab_w{ab_w}_speedup"]
     return SpecResult(metrics=metrics, wallclock_metrics=wc)
 
 

@@ -48,8 +48,6 @@ half-written chunk from a crashed worker is harmless.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import os
 import pickle
 import threading
@@ -82,27 +80,16 @@ _WORKER_SEGMENTS: Optional[ArenaSegments] = None
 _WORKER_ORACLE: Optional[LeafOracle] = None
 
 
-def _exit_with_parent(sentinel: int, ppid: int) -> None:
-    """Watchdog thread of a worker: exit once the coordinator is gone.
-
-    A worker inherits its own pipe's other end, so it never reads
-    end-of-file when the coordinator dies without shutting the set
-    down (``os._exit``, a signal); an idle set would then outlive it.
-    """
-    while not multiprocessing.connection.wait([sentinel], 1.0):
-        if os.getppid() != ppid:
-            break
-    os._exit(1)
-
-
 def _worker_start(cpu: Optional[int]) -> None:
     """First task of every worker in a new set.
 
     Close the resource tracker pipe fork handed down: an idle worker
     holding its write end would keep the tracker, and whoever waits
     for it, from ever seeing end-of-file.  Unmap the parent's
-    published segments, pin the worker to ``cpu``, and start the
-    watchdog that ends it with its coordinator.
+    published segments and pin the worker to ``cpu``.  (Like every
+    :class:`~repro.models.executors.PipePool` worker, it has already
+    closed the coordinator's pipe ends, so it exits with its
+    coordinator.)
     """
     tracker = resource_tracker._resource_tracker
     fd = getattr(tracker, "_fd", None)
@@ -112,13 +99,6 @@ def _worker_start(cpu: Optional[int]) -> None:
     close_inherited()
     if cpu is not None:
         os.sched_setaffinity(0, {cpu})
-    parent = multiprocessing.parent_process()
-    if parent is not None:
-        threading.Thread(
-            target=_exit_with_parent,
-            args=(parent.sentinel, os.getppid()),
-            daemon=True,
-        ).start()
 
 
 def _worker_init(spec: SegmentSpec, oracle: LeafOracle) -> None:

@@ -166,7 +166,7 @@ def run_chaos(
     ``trace_out`` additionally records one representative faulty run
     (first kind, first rate, first seed) under a telemetry recorder
     and writes it as a JSONL trace — the same format ``repro trace``
-    and ``repro bench --trace-out`` emit.
+    and the serve and gateway ``--trace-out`` emit.
     """
     if quick:
         height, num_seeds = 4, 2

@@ -34,7 +34,8 @@ Two pieces are provided:
   once and collect each with ``evaluate`` in turn.
 
 This module intentionally measures wall-clock time (it exists to
-produce wall-clock numbers, see ``repro bench --wallclock``); it is
+produce wall-clock numbers, such as the shard and worker speedups of
+``repro bench --spec e25|e28 --wallclock --out FILE``); it is
 therefore exempt from the R2 determinism lint alongside
 ``models/oracle_runner.py``.
 """
@@ -48,6 +49,7 @@ import os
 import pickle
 import time
 import traceback
+import weakref
 from collections import deque
 from concurrent.futures import BrokenExecutor, Executor, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -99,6 +101,7 @@ def _pipe_worker(
     ``SystemExit`` or ``KeyboardInterrupt``, ends the process (the
     traceback goes to stderr), which breaks the pool.
     """
+    _close_coordinator_ends()
     if initializer is not None:
         initializer(*initargs)
     while True:
@@ -115,6 +118,24 @@ def _pipe_worker(
             _reply(conn, _RAISED, exc, traceback.format_exc())
         else:
             _reply(conn, _OK, value)
+
+
+#: Every PipePool of this process.  A worker forked while they live
+#: inherits the coordinator's end of each of their pipes.
+_POOLS: "weakref.WeakSet[PipePool]" = weakref.WeakSet()
+
+
+def _close_coordinator_ends() -> None:
+    """In a new worker: close the coordinator's end of every pipe of
+    every pool inherited from the fork, its own pipe's included.
+
+    Only the coordinator then holds them, so when it dies without a
+    ``shutdown`` (``os._exit``, a signal) every worker reads
+    end-of-file and exits.
+    """
+    for pool in list(_POOLS):
+        for worker in pool._workers:
+            worker.conn.close()
 
 
 class _PipeFuture(Future):
@@ -180,7 +201,10 @@ class PipePool(Executor):
     futures (or on :meth:`shutdown`); ``concurrent.futures.wait`` and
     ``as_completed`` do not drive the pipes.  Submit and wait from one
     thread.  Workers are daemonic: they are terminated at interpreter
-    exit and cannot start processes of their own.
+    exit and cannot start processes of their own.  A new worker first
+    closes the coordinator's end of every pool pipe it inherited, so
+    the workers also exit when the coordinator dies without shutting
+    the pool down.
     """
 
     def __init__(
@@ -201,6 +225,7 @@ class PipePool(Executor):
         #: why the pool broke, once it has
         self._broken: Optional[str] = None
         self._shutdown = False
+        _POOLS.add(self)
 
     def submit(self, fn: Callable[..., Any], /, *args: Any,
                **kwargs: Any) -> Future:
@@ -248,10 +273,17 @@ class PipePool(Executor):
             args=(theirs, self._initializer, self._initargs),
             daemon=True,
         )
-        process.start()
-        theirs.close()
         worker = _Worker(process, ours)
+        # Listed before the fork, so the new worker closes ``ours``.
         self._workers.append(worker)
+        try:
+            process.start()
+        except BaseException:
+            self._workers.remove(worker)
+            ours.close()
+            raise
+        finally:
+            theirs.close()
         return worker
 
     def _send(self, worker: _Worker, future: _PipeFuture,

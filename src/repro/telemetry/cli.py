@@ -139,9 +139,10 @@ def run_trace(args: argparse.Namespace) -> int:
 
 
 def emit_jsonl_trace(recorder: InMemoryRecorder, path: str) -> None:
-    """Shared ``--trace-out`` helper for ``repro chaos`` / ``repro bench``.
+    """Shared ``--trace-out`` helper for ``repro chaos``, ``repro
+    serve`` and ``repro gateway``.
 
-    Both commands funnel through this one function so their JSONL
+    The commands funnel through this one function so their JSONL
     records are schema-identical by construction (pinned by
     ``tests/telemetry/test_trace_out.py``).
     """

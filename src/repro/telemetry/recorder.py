@@ -19,7 +19,9 @@ a wall clock, so a recording is bit-identical across replays of the
 same seeded run (the R2/R7 determinism story).  Wall-clock *values*
 (chunk latencies, step seconds) are an opt-in enrichment layer: they
 are only recorded when the recorder was constructed with
-``wallclock=True``, which only ``repro bench --wallclock`` does.
+``wallclock=True``, which no CLI command does: library callers opt in
+(the ``perfbench`` tracer does) and export the recording with
+:func:`repro.telemetry.cli.emit_jsonl_trace`.
 
 The default :class:`NullRecorder` is zero-overhead by construction:
 engines normalise a ``None``/disabled recorder to ``None`` once (see

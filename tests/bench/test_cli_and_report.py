@@ -10,9 +10,6 @@ import pytest
 from repro.__main__ import main
 from repro.bench.registry import select_specs
 from repro.bench.report import generate_experiments_md, load_table_text
-from repro.bench.wallclock import backend_wallclock_table
-from repro.core import policies
-from repro.core.alphabeta import engine as alphabeta_engine
 
 
 class TestCli:
@@ -124,6 +121,10 @@ class TestBenchCli:
     def test_bench_unknown_spec_fails(self, capsys):
         assert main(["bench", "--spec", "e99"]) != 0
 
+    def test_bench_wallclock_alone_has_nothing_to_do(self, capsys):
+        assert main(["bench", "--wallclock"]) == 2
+        assert "nothing to do" in capsys.readouterr().err
+
 
 #: The specs EXPERIMENTS.md reports, one section each.
 REPORTED = [spec for spec in select_specs() if spec.expectation]
@@ -182,51 +183,3 @@ class TestReport:
         for spec in REPORTED:
             for gate in spec.gates:
                 assert f"| {gate.name} | {gate.metric} |" in text
-
-
-class TestBackendWallclockTable:
-    def test_two_way_and_single_backend_tables(self):
-        table = backend_wallclock_table(height=4, widths=(1, 2), repeats=1)
-        assert table.columns[-3:] == ("rescan_s", "incremental_s", "speedup")
-        assert table.column("procs") == ["-", "-", 2]
-        single = backend_wallclock_table(
-            height=4, widths=(1, 2), repeats=1, backend="arena"
-        )
-        assert single.columns[-1] == "arena_s"
-        assert single.column("steps") == table.column("steps")
-
-    def test_reordered_batches_are_caught_before_timing(self, monkeypatch):
-        # Same leaves per step, so value and degrees still agree; only
-        # the batches tell the runs apart.
-        original = policies.BoundedWidthPolicy.__call__
-        monkeypatch.setattr(
-            policies.BoundedWidthPolicy, "__call__",
-            lambda self, tree, state: original(self, tree, state)[::-1],
-        )
-        with pytest.raises(AssertionError, match="rescan diverged"):
-            backend_wallclock_table(height=4, widths=(1, 2), repeats=1)
-
-    def test_alpha_beta_table(self):
-        table = backend_wallclock_table(
-            height=4, widths=(0, 1, 2), repeats=1, alpha_beta=True
-        )
-        assert table.experiment == "wallclock_backend_alpha_beta"
-        assert table.column("width") == [0, 1, 2]
-        assert table.column("procs") == ["-", "-", "-"]
-        single = backend_wallclock_table(
-            height=4, widths=(0, 1, 2), repeats=1, backend="arena",
-            alpha_beta=True,
-        )
-        assert single.experiment == "wallclock_backend_arena_alpha_beta"
-        assert single.column("steps") == table.column("steps")
-
-    def test_alpha_beta_reordered_batches_are_caught(self, monkeypatch):
-        original = alphabeta_engine.AlphaBetaWidthPolicy.__call__
-        monkeypatch.setattr(
-            alphabeta_engine.AlphaBetaWidthPolicy, "__call__",
-            lambda self, tree, state: original(self, tree, state)[::-1],
-        )
-        with pytest.raises(AssertionError, match="rescan diverged"):
-            backend_wallclock_table(
-                height=4, widths=(2,), repeats=1, alpha_beta=True
-            )

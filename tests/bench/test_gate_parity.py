@@ -12,6 +12,7 @@ gate), and wall-clock gates are confined to full-profile
 """
 
 import io
+from itertools import count
 
 import pytest
 
@@ -19,7 +20,8 @@ from repro.bench.registry import get_spec
 from repro.bench.runner import failed_gates, run_benchmarks
 from repro.bench.specs import gate_bound, infra
 from repro.bench.specs.tables import extract_metrics
-from repro.core import policies
+from repro.core import frontier, policies
+from repro.core.alphabeta import engine as alphabeta_engine
 from repro.core.arena import alphabeta as arena_alphabeta
 from repro.core.arena import boolean as arena_boolean
 from repro.serve.cache import ResultCache
@@ -121,6 +123,41 @@ class TestWallclockGateDiscipline:
             spec = get_spec(name)
             assert any(g.wallclock for g in spec.gates), name
 
+    @pytest.mark.parametrize("name, cells, gates", [
+        pytest.param(
+            "e21b",
+            {"w0", "w1", "w2", "w4", "w4_p2", "w4_p4", "w2_p3", "team_p8"},
+            {"speedup": "w4_p2"},
+            id="e21b",
+        ),
+        pytest.param(
+            "e27",
+            {f"solve_w{w}" for w in (0, 1, 2, 4, 8, 12)}
+            | {"solve_w4_p2", "solve_w8_p2", "solve_w8_p5"}
+            | {f"ab_w{w}" for w in (0, 1, 2, 4, 8, 16)},
+            {"solve_speedup": "solve_w12", "ab_speedup": "ab_w16"},
+            id="e27",
+        ),
+    ])
+    def test_every_checked_cell_is_timed(
+        self, name, cells, gates, monkeypatch
+    ):
+        # Every cell whose runs the spec compares is timed, and each
+        # gate reads its own cell's speedup; fake seconds keep the
+        # test off the clock.
+        seconds = count(1.0)
+        monkeypatch.setattr(
+            infra, "best_of", lambda fn, repeats: next(seconds)
+        )
+        timed = get_spec(name).run(
+            profile="quick", wallclock=True
+        ).wallclock_metrics
+        assert set(timed) == {f"{cell}_speedup" for cell in cells} | set(
+            gates
+        )
+        for gate, cell in gates.items():
+            assert timed[gate] == timed[f"{cell}_speedup"]
+
     def test_paper_specs_have_no_wallclock_gates(self):
         from repro.bench.registry import list_specs
 
@@ -186,6 +223,19 @@ MUTATIONS = {
     "e27-bounded-arena": (
         "e27", "solve_identical", "step_identity",
         lambda mp: _reversed_batches(mp, arena_boolean, "most_urgent"),
+    ),
+    "e27-solve-incr": (
+        "e27", "backends_identical", "step_identity",
+        lambda mp: _reversed_batches(
+            mp, frontier.IncrementalWidthPolicy, "__call__"
+        ),
+    ),
+    "e27-alphabeta-incr": (
+        "e27", "backends_identical", "step_identity",
+        lambda mp: _reversed_batches(
+            mp, alphabeta_engine.IncrementalAlphaBetaWidthPolicy,
+            "__call__",
+        ),
     ),
     "e27-alphabeta-order": (
         "e27", "ab_identical", "step_identity", _reversed_alphabeta_order,

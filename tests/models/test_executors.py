@@ -405,6 +405,7 @@ class TestFaultyExecutor:
 # PipePool: the default process transport
 # ---------------------------------------------------------------------------
 import multiprocessing
+import signal
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 
@@ -436,6 +437,25 @@ def _total(values):
 
 def _new_children(before):
     return [p for p in multiprocessing.active_children() if p not in before]
+
+
+def _coordinator_dies_abruptly(conn):
+    """Runs in a forked child: start a default OracleRuntime pool's
+    two workers, report their pids, then exit without shutting the
+    pool down."""
+    with OracleRuntime(abs, max_workers=2, chunk_size=1) as runtime:
+        assert runtime.evaluate([-1, -2, -3, -4]) == [1, 2, 3, 4]
+        conn.send(sorted(p.pid for p in multiprocessing.active_children()))
+        os._exit(0)
+
+
+def _dead(pid):
+    """Gone, or a zombie its new parent has not reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 class TestPipePool:
@@ -506,6 +526,33 @@ class TestPipePool:
             values.append(100)  # lint: disable=R9
             assert busy.result() == 36
             assert queued.result() == 3
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/stat"
+    )
+    def test_workers_exit_with_a_coordinator_that_dies(self):
+        ours, theirs = multiprocessing.Pipe()
+        child = multiprocessing.get_context("fork").Process(
+            target=_coordinator_dies_abruptly, args=(theirs,)
+        )
+        child.start()
+        theirs.close()
+        assert ours.poll(60)
+        pids = ours.recv()
+        child.join(60)
+        assert child.exitcode == 0
+        assert len(pids) == 2
+        try:
+            pause = threading.Event()
+            for _ in range(200):  # 10 s
+                if all(_dead(pid) for pid in pids):
+                    break
+                pause.wait(0.05)
+            assert all(_dead(pid) for pid in pids), "workers outlived it"
+        finally:
+            for pid in pids:
+                if not _dead(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_missed_deadline_then_shutdown_kills_the_worker(self):
         before = multiprocessing.active_children()

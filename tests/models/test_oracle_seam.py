@@ -141,9 +141,20 @@ def thread_pool():
         yield pool
 
 
-@pytest.mark.parametrize("mode", ["serial", "threads", "runtime"])
+@pytest.fixture(scope="module")
+def process_runtime():
+    # Real worker processes: the default PipePool transport.
+    with OracleRuntime(bit, max_workers=2) as runtime:
+        yield runtime
+
+
+@pytest.mark.parametrize(
+    "mode", ["serial", "threads", "runtime", "processes"]
+)
 @pytest.mark.parametrize("policy", sorted(POLICIES))
-def test_oracle_run_matches_run_boolean(policy, mode, thread_pool):
+def test_oracle_run_matches_run_boolean(
+    policy, mode, thread_pool, process_runtime
+):
     make_policy = POLICIES[policy]
     for name, tree in TREES.items():
         ref_rec = InMemoryRecorder()
@@ -156,6 +167,11 @@ def test_oracle_run_matches_run_boolean(policy, mode, thread_pool):
                 res = run_with_oracle(
                     tree, bit, make_policy(), runtime=rt, recorder=rec
                 )
+        elif mode == "processes":
+            res = run_with_oracle(
+                tree, bit, make_policy(), runtime=process_runtime,
+                recorder=rec,
+            )
         else:
             executor = thread_pool if mode == "threads" else None
             res = run_with_oracle(
@@ -166,7 +182,7 @@ def test_oracle_run_matches_run_boolean(policy, mode, thread_pool):
         assert res.evaluated == ref.evaluated, name
         assert len(res.trace.step_seconds) == res.num_steps, name
         events = rec.events
-        if mode == "runtime":
+        if mode in ("runtime", "processes"):
             # The runtime's stats are bridged as one closing event.
             *events, last = events
             assert (last.name, last.track) == ("runtime_stats", "oracle")

@@ -1,17 +1,21 @@
-"""``--trace-out`` on chaos and bench emits the one JSONL schema.
+"""Every JSONL trace shares one schema.
 
-All three trace emitters (``repro trace --format jsonl``, ``repro
-chaos --trace-out``, ``repro bench --trace-out``) funnel through
-``telemetry.cli.emit_jsonl_trace``; these tests pin the resulting
-schema identity so a divergence in any one path fails loudly.
+``repro trace --format jsonl`` and ``repro chaos --trace-out`` both
+funnel through the telemetry exporter, as does a wall-clock recorder
+exported with ``telemetry.cli.emit_jsonl_trace``; these tests pin the
+resulting schema identity so a divergence in any one path fails
+loudly.
 """
 
 import json
 
-from repro.bench.wallclock import run_wallclock
+from repro.core import parallel_solve
 from repro.faults import run_chaos
-from repro.telemetry.cli import record_run
+from repro.telemetry import InMemoryRecorder
+from repro.telemetry.cli import emit_jsonl_trace, record_run
 from repro.telemetry.export import SCHEMA_VERSION, to_jsonl
+from repro.trees.generators import iid_boolean
+from repro.trees.generators.iid import level_invariant_bias
 
 
 def _parse(path):
@@ -32,13 +36,12 @@ def _chaos_trace(tmp_path, name="chaos.jsonl"):
     return out
 
 
-def _bench_trace(tmp_path, name="bench.jsonl"):
+def _wallclock_trace(tmp_path, name="wallclock.jsonl"):
     out = tmp_path / name
-    rc = run_wallclock(
-        branching=2, height=4, widths=(1,), seed=7,
-        trace_out=str(out),
-    )
-    assert rc == 0
+    recorder = InMemoryRecorder(wallclock=True)
+    tree = iid_boolean(2, 4, level_invariant_bias(2), seed=7)
+    parallel_solve(tree, 1, recorder=recorder)
+    emit_jsonl_trace(recorder, str(out))
     return out
 
 
@@ -53,18 +56,25 @@ def test_chaos_trace_out_writes_valid_jsonl(tmp_path, capsys):
     assert any(r["name"] == "fault_stats" for r in records)
 
 
-def test_bench_trace_out_writes_valid_jsonl(tmp_path, capsys):
-    header, records, footer = _parse(_bench_trace(tmp_path))
+def test_wallclock_recorder_writes_valid_jsonl(tmp_path):
+    path = _wallclock_trace(tmp_path)
+    header, records, footer = _parse(path)
     assert header["schema"] == SCHEMA_VERSION
+    assert header["events"] == len(records)
+    assert footer["kind"] == "metrics"
     assert any(r["track"] == "solve" for r in records)
-    # The bench recorder opts into wall time, so per-step seconds show
-    # up as a histogram — logical timestamps stay the skeleton.
-    assert all(isinstance(r["start"], int) for r in records)
+    # A solve without an oracle reads no clock: opting into wall time
+    # leaves the file byte-identical to the logical recorder's.
+    logical = InMemoryRecorder()
+    parallel_solve(
+        iid_boolean(2, 4, level_invariant_bias(2), seed=7), 1,
+        recorder=logical,
+    )
+    assert path.read_text() == to_jsonl(logical)
 
 
-def test_all_three_emitters_share_one_schema(tmp_path, capsys):
+def test_trace_and_chaos_share_one_schema(tmp_path, capsys):
     chaos_h, chaos_r, chaos_f = _parse(_chaos_trace(tmp_path))
-    bench_h, bench_r, bench_f = _parse(_bench_trace(tmp_path))
     trace_payload = to_jsonl(
         record_run("machine", branching=2, height=4, seed=0, width=2)
     ).splitlines()
@@ -72,9 +82,9 @@ def test_all_three_emitters_share_one_schema(tmp_path, capsys):
     trace_r = [json.loads(line) for line in trace_payload[1:-1]]
     trace_f = json.loads(trace_payload[-1])
 
-    assert set(chaos_h) == set(bench_h) == set(trace_h)
-    assert chaos_h["schema"] == bench_h["schema"] == trace_h["schema"]
-    assert set(chaos_f) == set(bench_f) == set(trace_f)
+    assert set(chaos_h) == set(trace_h)
+    assert chaos_h["schema"] == trace_h["schema"]
+    assert set(chaos_f) == set(trace_f)
 
     def key_profile(records):
         # kind -> the set of key-sets seen for that record kind.
@@ -86,10 +96,9 @@ def test_all_three_emitters_share_one_schema(tmp_path, capsys):
         return profile
 
     chaos_p = key_profile(chaos_r)
-    bench_p = key_profile(bench_r)
     trace_p = key_profile(trace_r)
     for kind in ("span", "counter"):
-        assert chaos_p[kind] == bench_p[kind] == trace_p[kind], kind
+        assert chaos_p[kind] == trace_p[kind], kind
 
 
 def test_chaos_trace_out_is_replay_deterministic(tmp_path, capsys):
