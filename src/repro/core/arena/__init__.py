@@ -28,8 +28,11 @@ accounting, same ``recorder=`` call sequence.  The differential
 property suite and the golden corpus pin that equivalence; the e27
 benchmark gates the speed-up that justifies the subsystem.
 
-Hot paths are vectorised — lint rule R12 (arena discipline) rejects
-per-node Python loops over the arena columns in this package.
+Hot paths are vectorised, except on segments of at most
+:data:`~.selection.SCALAR_MAX` entries, which run the same rules on
+Python scalars (a numpy call costs more than a handful of entries).
+Lint rule R12 (arena discipline) rejects per-node Python loops in this
+package; the scalar paths' loops are each acknowledged.
 """
 
 from .alphabeta import arena_alpha_beta

@@ -21,11 +21,15 @@ alpha >= beta, and since a cut passes down its root path, the pass's
 cut nodes are the cutting candidates whose parent does not cut.  Each
 loses all its open children, so it finishes with its gain; the finish
 cascade then runs level-batched bottom-up.
+
+A finish batch or cut round of at most
+:data:`~repro.core.arena.selection.SCALAR_MAX` nodes marks its root
+paths and cascades on Python scalars instead, one root path at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -36,13 +40,32 @@ from ...trees.base import GameTree, NodeId
 from ...trees.canonical import CanonicalArrays, canonical_arrays
 from ..policies import check_count
 from ..steps import ALPHABETA, run_steps
+from . import selection
 from .boolean import LeafEvaluator, depth_buckets, run_starts
 from .selection import WidthWalk, select_width
 
 __all__ = ["arena_alpha_beta"]
 
 _INF = float("inf")
+_NAN = float("nan")
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+class _Views(NamedTuple):
+    """Memoryviews of an arena's columns, for the scalar paths."""
+
+    parents: Any
+    depths: Any
+    arities: Any
+    child_start: Any
+    level_nodes: Any
+    finished: Any
+    settled: Any
+    value: Any
+    unfinished: Any
+    gain: Any
+    has_finished_child: Any
+    touched: Any
 
 
 class _AlphaBetaArena:
@@ -103,6 +126,16 @@ class _AlphaBetaArena:
         #: scratch set-membership column, all False between uses (the
         #: root's parent, -1, reads the sentinel ``n + 1``).
         self._mark = np.zeros(n + 2, dtype=bool)
+        #: whether the last cut round's cascade finished a parent of a
+        #: cut node (see :meth:`prune_to_fixpoint`).
+        self._parent_finished = False
+        self._views = _Views(*selection.memoryviews(
+            parents, arrays.depths, arrays.arities, arrays.child_start,
+            self._level_nodes, self.finished, self.settled,
+            self.finished_value, self.unfinished, self.gain,
+            self.has_finished_child, self._touched,
+        ))
+        self._level_start_list = self._level_start.tolist()
 
     # -- finishing ---------------------------------------------------------
     def finish_leaves(self, batch: np.ndarray, values: np.ndarray) -> None:
@@ -111,6 +144,9 @@ class _AlphaBetaArena:
         ``values`` holds the batch's leaf values in batch order, as the
         run's leaf evaluator returned them.
         """
+        if batch.shape[0] <= selection.SCALAR_MAX:
+            self._finish_scalar(batch.tolist(), values.tolist())
+            return
         self.finished[batch] = True
         self.settled[batch] = True
         self.finished_value[batch] = values
@@ -125,21 +161,52 @@ class _AlphaBetaArena:
             fresh = fresh[run_starts(fresh)]
             self._touched[fresh] = True
             self._live = np.concatenate((self._live, fresh))
-        self._cascade(depth_buckets(batch, self.arrays.depths))
+        self._cascade(batch)
 
-    def _cascade(self, buckets: Dict[int, List[np.ndarray]]) -> None:
+    def _finish_scalar(self, batch: List[int], values: List[float]) -> None:
+        """:meth:`finish_leaves` on Python scalars.
+
+        Each leaf's walk up its root path stops at the first touched
+        node (the touched set is closed upward; the root's parent reads
+        a sentinel).  Sorting the fresh nodes by depth, stably, gives
+        the order of the numpy path: by depth, then preorder.
+        """
+        views = self._views
+        parents, finished, value = views.parents, views.finished, views.value
+        settled, touched = views.settled, views.touched
+        fresh: List[int] = []
+        for leaf, leaf_value in zip(batch, values):  # lint: disable=R12
+            finished[leaf] = settled[leaf] = True
+            value[leaf] = leaf_value
+            up = parents[leaf]
+            while not touched[up]:
+                touched[up] = True
+                fresh.append(up)
+                up = parents[up]
+        if fresh:
+            fresh.sort(key=views.depths.__getitem__)
+            self._live = np.concatenate(
+                (self._live, np.array(fresh, dtype=np.int64))
+            )
+        self._cascade_scalar(batch)
+
+    def _cascade(self, nodes: np.ndarray) -> bool:
         """Propagate finishes upward from newly finished nodes.
 
-        ``buckets`` maps depth to sorted arrays of nodes that finished
-        this round (the walk learns of them here).  Each folds its
-        value into its parent's gain; a parent finishes with its gain
-        when its unfinished-children counter reaches zero.  Such a
-        parent was unsettled: no node below a settled one is ever
-        finished.
+        ``nodes`` is a sorted array of nodes that finished this round
+        (the walk learns of them here).  Each folds its value into its
+        parent's gain; a parent finishes with its gain when its
+        unfinished-children counter reaches zero.  Such a parent was
+        unsettled: no node below a settled one is ever finished.
+        Returns whether some parent finished.
         """
+        if nodes.shape[0] <= selection.SCALAR_MAX:
+            return self._cascade_scalar(nodes.tolist())
+        buckets = depth_buckets(nodes, self.arrays.depths)
         parents = self.arrays.parents
         finished, settled = self.finished, self.settled
         values, gain = self.finished_value, self.gain
+        parent_finished = False
         self.walk.settled_at(min(buckets))
         for depth in range(max(buckets), 0, -1):
             parts = buckets.get(depth)
@@ -165,8 +232,68 @@ class _AlphaBetaArena:
             gain[done] = np.nan
             finished[done] = True
             settled[done] = True
+            parent_finished = True
             self.walk.settled_at(depth - 1)
             buckets.setdefault(depth - 1, []).append(done)
+        return parent_finished
+
+    def _cascade_scalar(self, nodes: List[int]) -> bool:
+        """:meth:`_cascade` on Python scalars, one root path at a time.
+
+        The fold keeps a NaN as ``np.maximum``/``np.minimum`` do, and
+        takes the new value on ties as they do.  The finish order
+        differs from the level sweep's, which changes nothing: a
+        parent finishes once all its children have, with its gain (a
+        max or min, whatever the order), and a zero gain's sign comes
+        from the children in child order (:meth:`_gain_scalar`).
+        """
+        views = self._views
+        parents, depths, value = views.parents, views.depths, views.value
+        finished, settled, gain = views.finished, views.settled, views.gain
+        unfinished = views.unfinished
+        has_finished_child = views.has_finished_child
+        shallowest = self.arrays.height
+        parent_finished = False
+        for node in nodes:  # lint: disable=R12
+            depth = depths[node]
+            while depth:
+                up = parents[node]
+                child_value, up_gain = value[node], gain[up]
+                # ``up`` is a MAX node when ``node``'s depth is odd.
+                if up_gain == up_gain and not (
+                    up_gain > child_value if depth % 2
+                    else up_gain < child_value
+                ):
+                    gain[up] = child_value
+                has_finished_child[up] = True
+                unfinished[up] -= 1
+                if unfinished[up]:
+                    break
+                value[up] = self._gain_scalar(up)
+                gain[up] = _NAN
+                finished[up] = settled[up] = True
+                parent_finished = True
+                node, depth = up, depth - 1
+            shallowest = min(shallowest, depth)
+        self.walk.settled_at(shallowest)
+        return parent_finished
+
+    def _gain_scalar(self, node: int) -> float:
+        """:meth:`_gain_value` of one node, on Python scalars."""
+        views = self._views
+        node_gain = views.gain[node]
+        if node_gain != 0:
+            return node_gain
+        start = (
+            self._level_start_list[views.depths[node] + 1]
+            + views.child_start[node]
+        )
+        stop = start + views.arities[node]
+        finished, value = views.finished, views.value
+        for child in views.level_nodes[start:stop]:  # lint: disable=R12
+            if finished[child] and value[child] == 0:
+                return value[child]
+        return node_gain
 
     def _gain_value(self, nodes: np.ndarray) -> np.ndarray:
         """The finish values of ``nodes``: their gains.
@@ -207,11 +334,35 @@ class _AlphaBetaArena:
 
     # -- pruning -----------------------------------------------------------
     def prune_to_fixpoint(self) -> int:
+        """Run prune rounds until the next one would prune nothing.
+
+        Returns the number of nodes pruned.  A cut round whose cascade
+        finished no parent of a cut node ends the fixpoint without a
+        confirming round, by this lemma: *such a round leaves every
+        live node's alpha and beta as they were, so the next round
+        finds no cut.*
+
+        Proof.  Let ``t`` be a cut node and ``p`` its parent, which
+        does not cut, so alpha(p) < beta(p).  Say ``p`` is a MAX node
+        (the MIN case is the mirror image).  Then alpha(t) = alpha(p)
+        and beta(t) = min(beta(p), gain(t)), so ``t`` cuts only if
+        gain(t) <= alpha(p): ``t`` finishes with a value on ``p``'s
+        side of its window.  Folding it into gain(p) leaves
+        max(alpha(p), gain(t)) = alpha(p), and so the alpha and beta
+        of every node, as long as ``p`` does not finish; a second cut
+        child of ``p``, or a cut node below another such parent,
+        meets the same unchanged bounds.  Every node that cut in the
+        round is a cut node or lies below one, and the cut nodes have
+        settled, so those nodes drop out of the live set; every other
+        live node kept its bounds and still does not cut.  Only a
+        cascade that finishes ``p`` (and so perhaps nodes above it)
+        moves a bound, and only then can a new cut appear.
+        """
         total = 0
         while True:
             pruned_now = self._sweep()
             total += pruned_now
-            if pruned_now == 0:
+            if pruned_now == 0 or not self._parent_finished:
                 return total
 
     def _sweep(self) -> int:
@@ -260,7 +411,7 @@ class _AlphaBetaArena:
         self.gain[doomed] = np.nan
         self.finished[top] = True
         self.settled[top] = True
-        self._cascade(depth_buckets(top, arrays.depths))
+        self._parent_finished = self._cascade(top)
         return int(doomed.shape[0])
 
 

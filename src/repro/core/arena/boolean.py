@@ -19,7 +19,10 @@ non-absorbing, so the absorbing case always wins in the sequential
 cascade too), and settles to ``otherwise`` iff its undetermined-child
 counter reached zero.  Counters of already-settled parents are
 garbage in both implementations (never observed).  Values, batches,
-step counts and recorder calls are therefore bit-identical.
+step counts and recorder calls are therefore bit-identical.  The same
+argument covers a batch of at most
+:data:`~repro.core.arena.selection.SCALAR_MAX` leaves, which cascades
+on Python scalars one leaf at a time, as the reference does.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from ...trees.base import GameTree, NodeId
 from ...trees.canonical import CanonicalArrays, canonical_arrays
 from ..policies import check_count
 from ..steps import SOLVE, run_steps
+from . import selection
 from .selection import WidthWalk, most_urgent, select_frontier, select_width
 
 __all__ = [
@@ -82,6 +86,12 @@ class _BooleanArena:
         #: width-walk budget scratch and the levels it kept last step.
         self.budget = np.zeros(n, dtype=np.int64)
         self.walk = WidthWalk()
+        #: memoryviews of the columns the scalar cascade reads and writes.
+        self._views = selection.memoryviews(
+            arrays.parents, arrays.depths, self.settled, self.value,
+            self.undetermined, arrays.gate_absorbing, arrays.gate_on_absorb,
+            arrays.gate_otherwise,
+        )
 
     def evaluate_batch(self, batch: np.ndarray, values: np.ndarray) -> None:
         """Settle a batch of live leaves to ``values`` and cascade.
@@ -91,6 +101,9 @@ class _BooleanArena:
         a time, deepest first, so parents always see their newly
         settled children in a single sweep.
         """
+        if batch.shape[0] <= selection.SCALAR_MAX:
+            self._settle_scalar(batch.tolist(), values.tolist())
+            return
         arrays = self.arrays
         settled, value = self.settled, self.value
         parents = arrays.parents
@@ -137,6 +150,39 @@ class _BooleanArena:
                 )
                 self.walk.settled_at(depth - 1)
                 buckets.setdefault(depth - 1, []).append(newly)
+
+    def _settle_scalar(self, batch: List[int], values: List[float]) -> None:
+        """:meth:`evaluate_batch` on Python scalars, one leaf at a time.
+
+        Each leaf settles its parent while the parent is live and the
+        leaf's value absorbs or was the last undetermined child, then
+        the parent does the same for its own parent — the reference
+        cascade, which the level sweep equals.
+        """
+        (parents, depths, settled, value, undetermined,
+         gate_abs, gate_on, gate_other) = self._views
+        shallowest = self.arrays.height
+        for node, leaf_value in zip(batch, values):  # lint: disable=R12
+            node_value = int(leaf_value)
+            settled[node] = True
+            value[node] = node_value
+            depth = depths[node]
+            while depth:
+                up = parents[node]
+                if settled[up]:
+                    break
+                undetermined[up] -= 1
+                if node_value == gate_abs[up]:
+                    node_value = gate_on[up]
+                elif undetermined[up]:
+                    break
+                else:
+                    node_value = gate_other[up]
+                settled[up] = True
+                value[up] = node_value
+                node, depth = up, depth - 1
+            shallowest = min(shallowest, depth)
+        self.walk.settled_at(shallowest)
 
 
 #: A selection rule: its policy name and ``arena -> batch`` closure.

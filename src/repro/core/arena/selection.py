@@ -23,17 +23,27 @@ array sweeps instead of per-node DFS:
 All functions take a ``settled`` boolean column as *the* liveness
 input, so the Boolean model (settled = determined) and the pruning
 process (settled = finished or pruned) share the kernels.
+
+A narrow step touches a handful of nodes, and a numpy call on a
+handful of entries costs more than the entries.  So a segment of at
+most :data:`SCALAR_MAX` entries — a width-walk level with that few
+kept parents here, a finish batch or cut round in
+:mod:`.alphabeta`, a leaf batch in :mod:`.boolean` — runs the same
+rule on Python scalars, over memoryviews of the columns.  Both paths
+write the same entries and return the same arrays.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from ...trees.canonical import CanonicalArrays
 
 __all__ = [
+    "SCALAR_MAX",
+    "memoryviews",
     "WidthWalk",
     "select_width",
     "select_frontier",
@@ -42,6 +52,21 @@ __all__ = [
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: The largest segment that runs on Python scalars rather than numpy
+#: calls: the crossover of the per-kernel timings in docs/arena.md
+#: ("Performance model").
+SCALAR_MAX = 24
+
+
+def memoryviews(*columns: Any) -> Tuple[Any, ...]:
+    """Memoryviews of numpy columns, for the scalar paths.
+
+    Indexing one gives and takes Python scalars, several times faster
+    than indexing the array.  Typed ``Any``: the ``memoryview`` stub
+    types every item as an int, and some columns hold floats.
+    """
+    return tuple(map(memoryview, columns))
 
 
 def children_of_many(
@@ -104,6 +129,9 @@ class WidthWalk:
         #: the shallowest depth settled since the last call (0 before
         #: the first call: walk from the root).
         self.resume = 0
+        #: memoryviews of the columns a scalar level reads and writes,
+        #: made by the first call.
+        self.views: Optional[Tuple[Any, ...]] = None
 
     def settled_at(self, depth: int) -> None:
         """Record that nodes of depth ``depth`` settled."""
@@ -144,22 +172,63 @@ def select_width(
         # the last walk (it ran out of kept nodes) nothing can change.
         del kept_levels[walk.resume:], leaf_levels[walk.resume:]
     walk.resume = arrays.height + 1
+    if walk.views is None:
+        walk.views = memoryviews(
+            arrays.arities, arrays.child_start, settled, arrays.is_leaf,
+            budget, *arrays.levels,
+        )
     kept = kept_levels[-1]
-    for level in arrays.levels[len(kept_levels):]:
+    first = len(kept_levels)
+    for depth, level in enumerate(arrays.levels[first:], first):
         if kept.shape[0] == 0:
             break
-        children, segment = children_of_many(arrays, kept, level)
-        live = ~settled[children]
-        children, segment = children[live], segment[live]
-        child_budget = budget[kept[segment]] - _live_index(segment)
-        in_range = child_budget >= 0
-        children = children[in_range]
-        budget[children] = child_budget[in_range]
-        leafy = arrays.is_leaf[children]
-        leaf_levels.append(children[leafy])
-        kept = children[~leafy]
+        if kept.shape[0] <= SCALAR_MAX:
+            leaves, kept = _scalar_level(walk.views, kept.tolist(), depth)
+        else:
+            children, segment = children_of_many(arrays, kept, level)
+            live = ~settled[children]
+            children, segment = children[live], segment[live]
+            child_budget = budget[kept[segment]] - _live_index(segment)
+            in_range = child_budget >= 0
+            children = children[in_range]
+            budget[children] = child_budget[in_range]
+            leafy = arrays.is_leaf[children]
+            leaves, kept = children[leafy], children[~leafy]
+        leaf_levels.append(leaves)
         kept_levels.append(kept)
     return np.sort(np.concatenate(leaf_levels))
+
+
+def _scalar_level(
+    views: Tuple[Any, ...], kept: List[int], depth: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One level of :func:`select_width` on Python scalars.
+
+    Each kept parent's children are one slice of the depth-``depth``
+    level; its live children take its budget minus their live index
+    until the budget runs out.  Returns the level's selected leaves
+    and kept internal nodes, as the numpy level does.
+    """
+    arities, child_start, settled, is_leaf, budget = views[:5]
+    level = views[5 + depth]
+    leaves: List[int] = []
+    inner: List[int] = []
+    # Per-node loops, bounded by SCALAR_MAX parents.
+    for parent in kept:  # lint: disable=R12
+        left = budget[parent]
+        start = child_start[parent]
+        stop = start + arities[parent]
+        for child in level[start:stop]:  # lint: disable=R12
+            if settled[child]:
+                continue
+            if left < 0:
+                break
+            budget[child] = left
+            left -= 1
+            (leaves if is_leaf[child] else inner).append(child)
+    return (
+        np.array(leaves, dtype=np.int64), np.array(inner, dtype=np.int64)
+    )
 
 
 def select_frontier(

@@ -770,7 +770,8 @@ class ArenaVectorisationRule(Rule):
     per-depth ``levels`` tuple, over depth buckets, the engine's step
     loop — stay clean.  A deliberate per-node loop off the hot path
     (e.g. seeding a binding from a pre-settled state at subscribe
-    time) must be individually acknowledged with
+    time), or one bounded by the scalar-path threshold
+    ``selection.SCALAR_MAX``, must be individually acknowledged with
     ``# lint: disable=R12``.
     """
 

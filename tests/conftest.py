@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ _profile = os.environ.get("HYPOTHESIS_PROFILE")
 if _profile:
     hypothesis_settings.load_profile(_profile)
 
+from repro.core.arena import selection as arena_selection
 from repro.trees import ExplicitTree, UniformTree
 from repro.types import Gate, TreeKind
 
@@ -145,3 +147,19 @@ def _per_test_timeout(request):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(params=["numpy", "scalar"])
+def arena_path(request, monkeypatch):
+    """Force every arena kernel onto one path for the test.
+
+    ``selection.SCALAR_MAX`` sends segments of at most that many
+    entries down the scalar path: 0 sends all of them to numpy, a
+    value above any test tree's size sends all of them to the scalar
+    path.  The setting holds for every example of a ``@given`` test.
+    """
+    monkeypatch.setattr(
+        arena_selection, "SCALAR_MAX",
+        0 if request.param == "numpy" else sys.maxsize,
+    )
+    return request.param

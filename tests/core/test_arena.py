@@ -1,6 +1,7 @@
 """Unit tests for the columnar arena engines and selection kernels."""
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -25,6 +26,7 @@ from repro.core.arena import alphabeta as arena_alphabeta
 from repro.core.arena import arena_alpha_beta
 from repro.core.arena import boolean as arena_boolean
 from repro.core.arena import most_urgent, select_width
+from repro.core.arena import selection as arena_selection
 from repro.core.arena.selection import (
     WidthWalk,
     _live_index,
@@ -49,6 +51,7 @@ from repro.trees.generators.iid import level_invariant_bias
 from repro.types import Gate, TreeKind
 
 from ..conftest import (
+    SPECIAL_FLOATS,
     boolean_tree_from_spec,
     minmax_tree_from_spec,
     nested_boolean,
@@ -455,6 +458,117 @@ def test_infinite_gains_finish_without_invariant_error(name):
     for width in (0, 1, 2, 8):
         _assert_backends_agree(parallel_alpha_beta, tree, width)
     _assert_rounds_match_oracle(tree)
+
+
+# ---------------------------------------------------------------------------
+# the fixpoint rule: a step's prune rounds leave nothing to prune
+# ---------------------------------------------------------------------------
+def _assert_no_round_after_fixpoint_prunes(tree):
+    """After every step, one more prune round prunes nothing.
+
+    ``prune_to_fixpoint`` skips the confirming round after a cut round
+    whose cascade finished no parent of a cut node; this runs it.
+    """
+    original = arena_alphabeta._AlphaBetaArena.prune_to_fixpoint
+    steps = []
+
+    def prune_to_fixpoint(arena):
+        pruned = original(arena)
+        assert arena._sweep() == 0
+        steps.append(pruned)
+        return pruned
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            arena_alphabeta._AlphaBetaArena, "prune_to_fixpoint",
+            prune_to_fixpoint,
+        )
+        for width in range(4):
+            arena_alpha_beta(tree, width)
+    assert steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(uniform_trees(max_leaves=256).filter(
+    lambda tree: tree.kind is TreeKind.MINMAX
+))
+def test_fixpoint_rule_on_uniform_trees(tree):
+    _assert_no_round_after_fixpoint_prunes(tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_minmax())
+def test_fixpoint_rule_on_irregular_trees(spec):
+    _assert_no_round_after_fixpoint_prunes(minmax_tree_from_spec(spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tie_heavy_uniform())
+def test_fixpoint_rule_on_tie_heavy_and_infinite_leaves(tree):
+    _assert_no_round_after_fixpoint_prunes(tree)
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_GAIN_TREES))
+def test_fixpoint_rule_on_infinite_gain_trees(name):
+    _assert_no_round_after_fixpoint_prunes(
+        minmax_tree_from_spec(INFINITE_GAIN_TREES[name])
+    )
+
+
+# ---------------------------------------------------------------------------
+# the scalar and numpy paths agree where no other backend does
+# ---------------------------------------------------------------------------
+def _run_record(tree, width):
+    rec = InMemoryRecorder()
+    result = arena_alpha_beta(tree, width, keep_batches=True, recorder=rec)
+    return (
+        repr(result.value), result.trace.batches, result.evaluated,
+        rec.events,
+    )
+
+
+def _assert_paths_agree(tree):
+    """Forced numpy and forced scalar runs are identical, NaN included.
+
+    The object-graph engines keep or drop a NaN by its position, so
+    only the arena's own two paths can be compared on NaN leaves; the
+    scalar fold must keep a NaN gain as ``np.maximum``/``np.minimum``
+    do.
+    """
+    runs = []
+    for threshold in (0, sys.maxsize):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arena_selection, "SCALAR_MAX", threshold)
+            runs.append([_run_record(tree, width) for width in range(4)])
+    assert runs[0] == runs[1]
+
+
+@st.composite
+def _special_float_uniform(draw):
+    branching = draw(st.integers(min_value=1, max_value=4))
+    height = draw(st.integers(min_value=0, max_value=7 - branching))
+    pool = draw(st.lists(
+        st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=4
+    ))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    leaves = np.random.default_rng(seed).choice(pool, branching ** height)
+    return UniformTree(branching, height, leaves, kind=TreeKind.MINMAX)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_special_float_uniform())
+def test_paths_agree_on_nan_and_signed_zero_uniform_trees(tree):
+    _assert_paths_agree(tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.recursive(
+    st.sampled_from(SPECIAL_FLOATS),
+    lambda children: st.lists(children, min_size=1, max_size=3),
+    max_leaves=24,
+))
+def test_paths_agree_on_nan_and_signed_zero_irregular_trees(spec):
+    _assert_paths_agree(minmax_tree_from_spec(spec))
 
 
 # ---------------------------------------------------------------------------
