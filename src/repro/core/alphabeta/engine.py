@@ -13,15 +13,23 @@ largest value among finished siblings of MIN-ancestors of v (v counts
 as its own ancestor), the beta-bound the smallest value among finished
 siblings of MAX-ancestors.  Since a *finished* sibling of an unfinished
 child u of a MAX node x is just a finished child of x, the bounds are
-computed in one top-down pass: descending from x into u,
+read off the *gains* on u's root path (the best finished-child value of
+each node, kept by :class:`~.state.AlphaBetaState`): descending from x
+into u,
 
-* x MAX:  alpha(u) = max(alpha(x), max value of x's finished children)
-* x MIN:  beta(u)  = min(beta(x),  min value of x's finished children)
+* x MAX:  alpha(u) = max(alpha(x), gain(x))
+* x MIN:  beta(u)  = min(beta(x),  gain(x))
 
-The pruning pass repeats until fixpoint: pruning a child can finish its
-parent, which sharpens bounds elsewhere.  Because bounds only ever
-tighten, working with momentarily stale bounds merely delays a prune to
-the next round of the fixpoint loop — it never prunes wrongly.
+Those two values are x's *window*; x's open children are all pruned
+when it is empty (alpha >= beta).
+
+The pruning steps run in rounds until fixpoint: pruning a child can
+finish its parent, which moves gains elsewhere.  A round reads every
+bound before it prunes anything, and a window depends only on the
+gains along its root path, so once a round prunes nothing, a new cut
+can only appear below a node whose gain has moved since.  The state
+records those nodes as *dirty*, and each round starts only from the
+topmost live ones (see :func:`prune_to_fixpoint`).
 """
 
 from __future__ import annotations
@@ -51,62 +59,123 @@ def prune_to_fixpoint(state: AlphaBetaState) -> int:
 
     Returns the number of nodes pruned.  Cost is not charged to the
     model (pruning and propagation are free).
-    """
-    total = 0
-    while True:
-        pruned_now = _prune_pass(state)
-        total += pruned_now
-        if pruned_now == 0:
-            return total
 
+    Each round takes the state's dirty nodes (those whose gain moved
+    since the last round began) and keeps the *seeds*: the live ones
+    with no dirty ancestor.  It reads each seed's window (alpha, beta)
+    off its root path's gains, all before it prunes anything, then
+    descends from the seeds, rightmost first, through touched
+    unsettled nodes, pruning every open child of a node whose window
+    is empty.  Rounds repeat while some gain moved.
 
-def _prune_pass(state: AlphaBetaState) -> int:
-    """One top-down sweep of the pruning rule; returns the prune count.
+    This prunes exactly what a top-down sweep of the whole touched tree
+    per round would, in the same order:
 
-    The sweep descends only into *touched* children — those with an
-    evaluated leaf below them.  Every other subtree has no finished
-    node, so its bounds are the ones inherited from its parent and
-    nothing inside it can be pruned before its root is.  A touched
+    * such a sweep reads each node's gain before it touches anything
+      beneath it, so every bound it uses is one the round began with —
+      hence all seed windows are read up front;
+    * a window depends only on the gains on its root path.  Every live
+      window is non-empty before the first finish and after a round
+      that prunes nothing, so a window can only have emptied below a
+      node whose gain moved since: inside some seed's subtree;
+    * the sweep visits children right to left, and visiting seeds in
+      right-to-left preorder visits their disjoint subtrees in its
+      order, so prunes — and the settle notifications of the
+      incremental backend's subscribers — come in its order.
+
+    The descent skips untouched children: with no finished node below
+    them their window is their parent's, which did not cut.  A touched
     leaf is finished, so the descent never reaches a terminal; in the
-    node-expansion model a touched node is expanded.  While the root
-    is untouched every bound is infinite and the pass prunes nothing.
+    node-expansion model a touched node is expanded.
     """
     tree = state.tree
     root = tree.root
-    settled, pruned = state.settled, state.pruned
-    touched = state.touched
     finished = state.finished_value
-    if root in finished or root not in touched:
-        return 0
+    total = 0
+    while state.dirty and root not in finished:
+        total += _prune_round(state, _take_seeds(state))
+    return total
+
+
+def _take_seeds(state: AlphaBetaState) -> List[Tuple[NodeId, float, float]]:
+    """Take the dirty set; return its seeds in preorder.
+
+    A seed is an unsettled dirty node with no settled or dirty proper
+    ancestor, paired with the (alpha, beta) its proper ancestors'
+    gains give it.  The last entry is the rightmost seed.
+    """
+    tree = state.tree
+    settled = state.settled
+    max_gain, min_gain = state.max_gain, state.min_gain
+    dirty, state.dirty = state.dirty, set()
+    seeds = []
+    for node in dirty:
+        if node in settled:
+            continue
+        alpha, beta = -math.inf, math.inf
+        anc = tree.parent(node)
+        while anc is not None:
+            if anc in dirty or anc in settled:
+                break
+            gain = max_gain.get(anc)
+            if gain is not None:
+                if gain > alpha:
+                    alpha = gain
+            else:
+                gain = min_gain.get(anc)
+                if gain is not None and gain < beta:
+                    beta = gain
+            anc = tree.parent(anc)
+        else:
+            seeds.append((node, alpha, beta))
+    if len(seeds) > 1:
+        seeds.sort(key=lambda seed: _preorder_key(tree, seed[0]))
+    return seeds
+
+
+def _preorder_key(tree: GameTree, node: NodeId) -> List[int]:
+    """Child positions on ``node``'s root path: sorts in preorder."""
+    key = []
+    parent = tree.parent(node)
+    while parent is not None:
+        key.append(tree.children(parent).index(node))
+        node, parent = parent, tree.parent(parent)
+    key.reverse()
+    return key
+
+
+def _prune_round(
+    state: AlphaBetaState, stack: List[Tuple[NodeId, float, float]]
+) -> int:
+    """Descend from the seeds on ``stack``; return the prune count."""
+    tree = state.tree
+    settled, touched = state.settled, state.touched
+    max_gain, min_gain = state.max_gain, state.min_gain
     count = 0
-    stack = [(root, -math.inf, math.inf)]
     while stack:
         node, alpha, beta = stack.pop()
         if node in settled:
             continue  # settled by a cascade after being pushed
-        is_max = tree.node_type(node) is NodeType.MAX
-        finished_vals = [
-            finished[c]
-            for c in tree.children(node)
-            if c in finished and c not in pruned
-        ]
-        if is_max:
-            child_alpha = max([alpha] + finished_vals)
-            child_beta = beta
+        gain = max_gain.get(node)
+        if gain is not None:
+            if gain > alpha:
+                alpha = gain
         else:
-            child_alpha = alpha
-            child_beta = min([beta] + finished_vals)
-        for child in tree.children(node):
-            if child in settled:
-                continue
-            if child_alpha >= child_beta:
+            gain = min_gain.get(node)
+            if gain is not None and gain < beta:
+                beta = gain
+        if alpha >= beta:
+            for child in tree.children(node):
+                if child in settled:
+                    continue
                 state.prune(child)
                 count += 1
                 if node in settled:
                     break  # the prune cascaded; siblings are settled
-                continue
-            if child in touched:
-                stack.append((child, child_alpha, child_beta))
+        else:
+            for child in tree.children(node):
+                if child in touched and child not in settled:
+                    stack.append((child, alpha, beta))
     return count
 
 

@@ -46,7 +46,7 @@ def sequential_alpha_beta(
     tree: GameTree,
     *,
     keep_batches: bool = False,
-    backend: str = "incremental",
+    backend: str = "rescan",
     executor: str = "inline",
     shm_options: "Optional[ShmOptions]" = None,
     recorder: Optional[Recorder] = None,
@@ -65,15 +65,16 @@ def parallel_alpha_beta(
     *,
     keep_batches: bool = False,
     on_step=None,
-    backend: str = "incremental",
+    backend: str = "rescan",
     executor: str = "inline",
     shm_options: "Optional[ShmOptions]" = None,
     recorder: Optional[Recorder] = None,
 ) -> EvalResult:
     """Parallel alpha-beta of the given width.
 
-    ``backend`` selects the frontier engine: ``"incremental"``
-    (default), ``"rescan"`` (the reference per-step recomputation) or
+    ``backend`` selects the frontier engine: ``"rescan"`` (default,
+    the per-step recomputation), ``"incremental"`` (a maintained
+    frontier index, which pays off only on bounded machines) or
     ``"arena"`` (vectorised struct-of-arrays sweeps).  All produce
     identical per-step batches.
 

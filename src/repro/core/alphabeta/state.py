@@ -14,12 +14,18 @@ This class tracks finishes, prunes and the cascades between them:
 * pruning a child removes it from the node's unfinished count and can
   therefore also finish the node.
 
-Bounds themselves are computed top-down by the engine's pruning pass;
-the state only stores what is monotone (finished values, pruned flags).
+It also keeps what the engine's pruning rounds read.  Each node's
+*gain* is the best value among its finished children: the max at a MAX
+node (the alpha it hands its subtree), the min at a MIN node (the
+beta).  A NaN value never moves a gain, as ``max([alpha] + vals)``
+skips it.  Every node whose gain moves is recorded as *dirty* until a
+pruning round takes it: only below such a node can a new cut appear
+(see :func:`~repro.core.alphabeta.engine.prune_to_fixpoint`).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Set
 
 from ...errors import ModelViolationError, PruningInvariantError
@@ -41,8 +47,14 @@ class AlphaBetaState:
         #: leaves that have been evaluated.
         self.evaluated: Set[NodeId] = set()
         #: nodes with at least one evaluated leaf in their subtree; the
-        #: pruning pass only needs to descend into these.
+        #: pruning rounds only need to descend into these.
         self.touched: Set[NodeId] = set()
+        #: gain of each MAX node with a finished child: their max.
+        self.max_gain: Dict[NodeId, float] = {}
+        #: gain of each MIN node with a finished child: their min.
+        self.min_gain: Dict[NodeId, float] = {}
+        #: nodes whose gain moved since the last pruning round began.
+        self.dirty: Set[NodeId] = set()
         self._unfinished_children: Dict[NodeId, int] = {}
         self._observers: List[Callable[[NodeId], None]] = []
 
@@ -132,7 +144,18 @@ class AlphaBetaState:
             notify(node)
         parent = self.tree.parent(node)
         if parent is not None:
+            self._fold_gain(parent, val)
             self._child_settled(parent)
+
+    def _fold_gain(self, node: NodeId, val: float) -> None:
+        """A child of ``node`` finished with ``val``; fold it in."""
+        if self.tree.node_type(node) is NodeType.MAX:
+            if val > self.max_gain.get(node, -math.inf):
+                self.max_gain[node] = val
+                self.dirty.add(node)
+        elif val < self.min_gain.get(node, math.inf):
+            self.min_gain[node] = val
+            self.dirty.add(node)
 
     def _child_settled(self, node: NodeId) -> None:
         """A child of ``node`` was finished or pruned; update the count."""

@@ -8,16 +8,18 @@ step driver (:func:`repro.core.steps.run_steps`); like the Boolean one
 it takes a leaf evaluator, so the inline engine and the shared-memory
 executor (:mod:`repro.core.shm`) share it.
 
-One pass of :func:`~repro.core.alphabeta.engine._prune_pass` visits
-every touched node whose root path is unsettled and passes no cut
-node, and prunes the open children of each visited node that cuts.
+A round of the object-graph pruning fixpoint
+(:func:`~repro.core.alphabeta.engine.prune_to_fixpoint`) prunes as a
+top-down sweep would that visits every touched node whose root path is
+unsettled and passes no cut node, pruning the open children of each
+visited node that cuts.
 A node's bounds are the best finished-child values on its root path:
 alpha the max over its MAX ancestors (itself included), beta the min
 over its MIN ones.  So a prune round here is that definition, as one
 set of array operations over the live touched nodes: each node's
 *gain* (the max, at MAX nodes, or min, at MIN nodes, of its finished
 children) is read through a per-node ancestor table, a node cuts when
-alpha >= beta, and since a cut passes down its root path, the pass's
+alpha >= beta, and since a cut passes down its root path, the sweep's
 cut nodes are the cutting candidates whose parent does not cut.  Each
 loses all its open children, so it finishes with its gain; the finish
 cascade then runs level-batched bottom-up.

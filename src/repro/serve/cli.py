@@ -1,8 +1,10 @@
 """``repro serve`` — batch evaluation with sharding and caching.
 
 Serves a request stream (from ``--requests FILE`` or synthesized on
-the fly) through :class:`~repro.serve.service.ShardedBatchService`
-and prints a serving report.  ``--log-out`` writes the deterministic
+the fly) through :class:`~repro.serve.service.ShardedBatchService`,
+in rounds of the gateway's dispatch size
+(:attr:`~repro.gateway.GatewayConfig.batch_size`), and prints a
+serving report.  ``--log-out`` writes the deterministic
 response log — the artifact the acceptance tests byte-compare across
 shard counts and cache sizes — and ``--trace-out`` writes a JSONL
 telemetry trace through the same emitter as ``repro chaos`` and
@@ -18,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import AllShardsDegradedError, InvalidRequestError
+from ..gateway import GatewayConfig
 from .engines import evaluate_payload
-from .request import load_requests
+from .request import EvalResponse, load_requests
 from .request import response_log as render_response_log
 from .request import save_requests
 from .service import POOLS, ShardedBatchService, direct_mismatches
@@ -169,8 +172,13 @@ def run_serve(args: argparse.Namespace) -> int:
         oracle_for_shard=oracle_for_shard,
         recorder=recorder,
     ) as service:
+        # Rounds of the gateway's dispatch size, so a request repeated
+        # in a later round is a cache hit, not an in-batch duplicate.
+        size = GatewayConfig.batch_size
+        responses: List[EvalResponse] = []
         try:
-            responses = service.serve(requests)
+            for start in range(0, len(requests), size):
+                responses.extend(service.serve(requests[start:start + size]))
         except AllShardsDegradedError as exc:
             _report_collapse(exc)
             return 3

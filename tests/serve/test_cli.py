@@ -1,6 +1,7 @@
 """``repro serve`` end-to-end: logs, traces, chaos, round-trips."""
 
 import json
+import re
 
 import pytest
 
@@ -61,6 +62,27 @@ def test_serve_log_identical_across_shard_counts(tmp_path, capsys):
         assert rc == 0
         logs.append(out.read_bytes())
     assert logs[0] == logs[1] == logs[2]
+
+
+def test_serve_rounds_let_the_cache_answer(tmp_path, capsys):
+    """The stream is served in rounds of the gateway's batch size, so
+    a small cache answers repeats from earlier rounds, and the log is
+    the cache-off log byte for byte."""
+    logs = {}
+    for cache in ("0", "4"):
+        out = tmp_path / f"log-{cache}.jsonl"
+        rc = main([
+            "serve", "--num-requests", "60", "--height", "3",
+            "--shards", "2", "--cache-size", cache,
+            "--log-out", str(out),
+        ])
+        assert rc == 0
+        report = capsys.readouterr().out
+        hits = int(re.search(r"cache hits (\d+)", report).group(1))
+        logs[cache] = out.read_bytes()
+        if cache == "4":
+            assert hits > 0
+    assert logs["0"] == logs["4"]
 
 
 def test_serve_chaos_fails_over_and_verifies(tmp_path, capsys):
