@@ -15,7 +15,7 @@ demo
     A 30-second tour: evaluate one instance with every algorithm.
 bench
     Benchmark registry: run specs (``--wallclock`` adds their
-    wall-clock metrics, e.g. e27's arena-vs-incremental grid with
+    wall-clock metrics, e.g. e27's arena-vs-rescan grid with
     ``--spec e27 --wallclock --out FILE``), write snapshots, diff them.
 lint
     Static-analysis pass enforcing the model invariants (R1-R12).

@@ -3,9 +3,9 @@ e27 and e28; the e26 gateway overload soak lives in
 :mod:`repro.bench.specs.gateway`).
 
 These runners are the only implementation of the gated infra
-benchmarks — frontier backends, fault-injection overhead, telemetry
-overhead, serving throughput, the arena backend and shared-memory
-leaf evaluation.  ``repro bench`` runs them, and each
+benchmarks — the bounded machine's default backend, fault-injection
+overhead, telemetry overhead, serving throughput, the arena backend
+and shared-memory leaf evaluation.  ``repro bench`` runs them, and each
 ``benchmarks/bench_e2*.py`` file is a thin wrapper that runs its spec
 through :func:`repro.bench.runner.run_benchmarks` and asserts every
 gate.
@@ -28,7 +28,7 @@ from functools import partial
 from statistics import median
 from typing import Any, Callable, Dict, List, Optional
 
-from ...core import parallel_solve, team_solve
+from ...core import parallel_solve
 from ...core.alphabeta import parallel_alpha_beta
 from ...core.shm import CalibratedOracle, ShmOptions, ShmSession
 from ...faults import ALL_FAULT_KINDS, FaultPlan
@@ -55,12 +55,11 @@ TICKS = Band(rel=0.10, direction="up_bad")
 
 
 #: Bounded-machine (width, processors) cells whose runs must match
-#: across backends, besides the spec's unbounded widths (and, for
-#: e21b, Team SOLVE with 8 processors).
+#: across backends (e27 also checks the spec's unbounded widths).
 E21B_BOUNDED = ((4, 2), (4, 4), (2, 3))
 E27_BOUNDED = ((4, 2), (8, 5))
 
-#: e27's arena-vs-incremental crossover grid, checked and timed
+#: e27's arena-vs-rescan crossover grid, checked and timed
 #: besides the spec's widths and gate cells: Parallel SOLVE
 #: ``(width, processors)`` cells and alpha-beta widths.
 E27_SOLVE_GRID = ((0, None), (1, None), (2, None), (8, None), (8, 2))
@@ -92,7 +91,8 @@ def _cell(width: int, procs: Optional[int]) -> str:
 
 def _agree(backends, run) -> bool:
     """Whether ``run`` (an engine call lacking only its ``backend``)
-    runs identically on each of ``backends``."""
+    runs identically on each of ``backends`` (``None``: the engine's
+    default)."""
     first, *rest = [
         run_signature(run(keep_batches=True, backend=backend))
         for backend in backends
@@ -117,20 +117,18 @@ def _speedups(
 
 def _run_e21b(params: Dict[str, Any], wallclock: bool) -> SpecResult:
     tree = uniform_boolean(params)
-    pair = ("rescan", "incremental")
-    cells = [(width, None) for width in params["widths"]] + list(
-        E21B_BOUNDED
-    )
+    # ``None`` is the default backend, which runs a bounded machine on
+    # the arena (every other run is rescan's own).
+    pair = ("rescan", None)
     runs = {
         _cell(width, procs): partial(
             parallel_solve, tree, width, max_processors=procs
         )
-        for width, procs in cells
+        for width, procs in E21B_BOUNDED
     }
-    runs["team_p8"] = partial(team_solve, tree, 8)
     identical = all(_agree(pair, run) for run in runs.values())
     gate_cell = _cell(*params["gate_case"])
-    bounded = runs[gate_cell](backend="incremental")
+    bounded = runs[gate_cell](backend=None)
     metrics = {
         "backends_identical": float(identical),
         "bounded_steps": float(bounded.num_steps),
@@ -145,17 +143,17 @@ def _run_e21b(params: Dict[str, Any], wallclock: bool) -> SpecResult:
 register_spec(BenchSpec(
     name="e21b",
     suite="infra",
-    title="Frontier backends - incremental vs per-step rescan",
+    title="Bounded machine - the default backend vs per-step rescan",
     seed=2026,
     runner=_run_e21b,
     params={
         "branching": 4, "height": 8, "seed": 2026,
-        "widths": (0, 1, 2, 4), "gate_case": (4, 2), "repeats": 2,
+        "gate_case": (4, 2), "repeats": 2,
     },
     quick_params={"height": 6},
     gates=(
         Gate("step_identity", "backends_identical", ">=", 1.0),
-        Gate("incremental_speedup", "speedup", ">=", 5.0,
+        Gate("default_bounded_speedup", "speedup", ">=", 5.0,
              wallclock=True),
     ),
 ))
@@ -166,7 +164,7 @@ def _run_e27(params: Dict[str, Any], wallclock: bool) -> SpecResult:
     minmax_tree = iid_minmax(
         params["branching"], params["height"], seed=params["seed"]
     )
-    pair = ("incremental", "arena")
+    pair = ("rescan", "arena")
     solve_w = params["solve_gate_width"]
     ab_w = params["ab_gate_width"]
     solve_cells = dict.fromkeys(
@@ -203,8 +201,7 @@ def _run_e27(params: Dict[str, Any], wallclock: bool) -> SpecResult:
     wc: Dict[str, float] = {}
     if wallclock:
         # Lowering is memoized per tree, so the identity runs above
-        # paid it before the clock starts (the incremental backend
-        # likewise rebuilds its FrontierIndex inside every timed run).
+        # paid it before the clock starts.
         wc = _speedups(pair, {**solve_runs, **ab_runs}, params["repeats"])
         wc["solve_speedup"] = wc[f"solve_w{solve_w}_speedup"]
         wc["ab_speedup"] = wc[f"ab_w{ab_w}_speedup"]
@@ -214,7 +211,7 @@ def _run_e27(params: Dict[str, Any], wallclock: bool) -> SpecResult:
 register_spec(BenchSpec(
     name="e27",
     suite="infra",
-    title="Arena backend - vectorised columnar sweeps vs incremental",
+    title="Arena backend - vectorised columnar sweeps vs rescan",
     seed=2027,
     runner=_run_e27,
     params={

@@ -17,14 +17,6 @@ from .arena import (
     arena_saturation_solve,
     arena_team_solve,
 )
-from .frontier import (
-    FrontierIndex,
-    IncrementalBoundedWidthPolicy,
-    IncrementalSaturationPolicy,
-    IncrementalSequentialPolicy,
-    IncrementalTeamPolicy,
-    IncrementalWidthPolicy,
-)
 from .parallel_solve import (
     BACKENDS,
     EXECUTORS,
@@ -72,7 +64,6 @@ __all__ = [
     "ShmOptions",
     "ShmRunResult",
     "ShmSession",
-    "FrontierIndex",
     "SequentialPolicy",
     "TeamPolicy",
     "WidthPolicy",
@@ -82,11 +73,6 @@ __all__ = [
     "arena_saturation_solve",
     "arena_team_solve",
     "arena_alpha_beta",
-    "IncrementalWidthPolicy",
-    "IncrementalBoundedWidthPolicy",
-    "IncrementalTeamPolicy",
-    "IncrementalSequentialPolicy",
-    "IncrementalSaturationPolicy",
     "rank_by_urgency",
     "select_leftmost_live",
     "select_by_pruning_number",

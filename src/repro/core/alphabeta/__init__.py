@@ -2,7 +2,6 @@
 
 from .engine import (
     AlphaBetaWidthPolicy,
-    IncrementalAlphaBetaWidthPolicy,
     prune_to_fixpoint,
     run_minmax,
     select_unfinished_by_pruning_number,
@@ -16,7 +15,6 @@ from .state import AlphaBetaState
 __all__ = [
     "AlphaBetaState",
     "AlphaBetaWidthPolicy",
-    "IncrementalAlphaBetaWidthPolicy",
     "run_minmax",
     "prune_to_fixpoint",
     "select_unfinished_by_pruning_number",

@@ -42,7 +42,6 @@ from ...models.accounting import EvalResult
 from ...telemetry import Recorder
 from ...trees.base import GameTree, NodeId
 from ...types import NodeType
-from ..frontier import FrontierIndex, _IncrementalPolicy
 from ..policies import budgeted_walk, check_count
 from ..steps import ALPHABETA, run_steps
 from .state import AlphaBetaState
@@ -80,8 +79,7 @@ def prune_to_fixpoint(state: AlphaBetaState) -> int:
       node whose gain moved since: inside some seed's subtree;
     * the sweep visits children right to left, and visiting seeds in
       right-to-left preorder visits their disjoint subtrees in its
-      order, so prunes — and the settle notifications of the
-      incremental backend's subscribers — come in its order.
+      order, so prunes come in its order.
 
     The descent skips untouched children: with no finished node below
     them their window is their parent's, which did not cut.  A touched
@@ -202,35 +200,6 @@ class AlphaBetaWidthPolicy:
         self, tree: GameTree, state: AlphaBetaState
     ) -> List[NodeId]:
         return select_unfinished_by_pruning_number(tree, state, self.width)
-
-
-class IncrementalAlphaBetaWidthPolicy(_IncrementalPolicy):
-    """Width-w alpha-beta selection, incrementally maintained.
-
-    Step-for-step identical to :class:`AlphaBetaWidthPolicy`:
-    "settled" is finished-or-pruned, and the state's transition feed
-    (finishes *and* prunes, children before parents) keeps the index
-    current across the free propagation/pruning cascades.
-    """
-
-    def __init__(self, width: int):
-        super().__init__()
-        self.width = width = check_count(width, 0, "width must be >= 0")
-        self.name = f"parallel-alpha-beta(w={width}, incremental)"
-
-    def _bind(self, tree: GameTree, state: object) -> FrontierIndex:
-        assert isinstance(state, AlphaBetaState)
-        idx = FrontierIndex(
-            tree, state, width=self.width,
-            settled=state.settled.__contains__,
-        )
-        state.subscribe(idx.on_settled)
-        return idx
-
-    def __call__(
-        self, tree: GameTree, state: AlphaBetaState
-    ) -> List[NodeId]:
-        return self.index_for(tree, state).batch()
 
 
 def run_minmax(

@@ -16,24 +16,15 @@ from ...telemetry import Recorder
 from ...trees.base import GameTree
 from ..arena import arena_alpha_beta
 from ..parallel_solve import Route, dispatch
-from .engine import (
-    AlphaBetaWidthPolicy,
-    IncrementalAlphaBetaWidthPolicy,
-    run_minmax,
-)
+from .engine import AlphaBetaWidthPolicy, run_minmax
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..shm import ShmOptions
 
-_POLICIES = {
-    "rescan": AlphaBetaWidthPolicy,
-    "incremental": IncrementalAlphaBetaWidthPolicy,
-}
-
 # The pruning process runs on any tree kind (a Boolean tree's 0/1
 # leaves are valid MIN/MAX values), so neither route checks the kind.
 _SEQUENTIAL_ALPHA_BETA = Route(
-    "sequential-alpha-beta", None, _POLICIES,
+    "sequential-alpha-beta", None, AlphaBetaWidthPolicy,
     run_minmax, arena_alpha_beta, "alpha_beta",
 )
 
@@ -73,10 +64,9 @@ def parallel_alpha_beta(
     """Parallel alpha-beta of the given width.
 
     ``backend`` selects the frontier engine: ``"rescan"`` (default,
-    the per-step recomputation), ``"incremental"`` (a maintained
-    frontier index, which pays off only on bounded machines) or
-    ``"arena"`` (vectorised struct-of-arrays sweeps).  All produce
-    identical per-step batches.
+    the per-step recomputation) or ``"arena"`` (vectorised
+    struct-of-arrays sweeps).  Both produce identical per-step
+    batches.
 
     ``executor`` selects where leaf batches are evaluated:
     ``"inline"`` (in-process, the default) or ``"shm"`` (a
@@ -84,10 +74,10 @@ def parallel_alpha_beta(
     :mod:`repro.core.shm`; requires ``backend="arena"``).
 
     ``on_step`` hooks observe the object-graph state, so they need
-    ``backend="rescan"`` or ``"incremental"``.
+    ``backend="rescan"``.
 
     ``recorder`` attaches a telemetry sink (step spans with prune
-    counts, degree samples, frontier counters).
+    counts and degree samples).
     """
     return dispatch(
         _PARALLEL_ALPHA_BETA, tree, width,

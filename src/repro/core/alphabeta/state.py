@@ -26,7 +26,7 @@ pruning round takes it: only below such a node can a new cut appear
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from ...errors import ModelViolationError, PruningInvariantError
 from ...trees.base import GameTree, NodeId
@@ -56,17 +56,6 @@ class AlphaBetaState:
         #: nodes whose gain moved since the last pruning round began.
         self.dirty: Set[NodeId] = set()
         self._unfinished_children: Dict[NodeId, int] = {}
-        self._observers: List[Callable[[NodeId], None]] = []
-
-    def subscribe(self, on_settled: Callable[[NodeId], None]) -> None:
-        """Call ``on_settled(node)`` whenever a node finishes or is pruned.
-
-        Fired immediately after the transition is recorded and before
-        the cascade reaches the parent, so observers always see
-        children settle before their ancestors.  A node settles at most
-        once (finished and pruned are mutually exclusive).
-        """
-        self._observers.append(on_settled)
 
     # -- queries ----------------------------------------------------------
     def is_finished(self, node: NodeId) -> bool:
@@ -101,11 +90,19 @@ class AlphaBetaState:
 
     # -- updates ------------------------------------------------------------
     def finish_leaf(self, leaf: NodeId) -> float:
-        """Evaluate ``leaf``, finishing it, and cascade finishes upward."""
+        """Evaluate ``leaf``, finishing it, and cascade finishes upward.
+
+        A repeat, a non-leaf and a settled (pruned) leaf are rejected
+        before anything changes.
+        """
         if leaf in self.evaluated:
             raise ModelViolationError(f"leaf {leaf!r} evaluated twice")
         if not self.tree.is_leaf(leaf):
             raise ModelViolationError(f"{leaf!r} is not a leaf")
+        if leaf in self.settled:
+            raise ModelViolationError(
+                f"leaf {leaf!r} is settled (finished or pruned)"
+            )
         self.evaluated.add(leaf)
         val = float(self.tree.leaf_value(leaf))
         self._mark_touched(leaf)
@@ -122,8 +119,6 @@ class AlphaBetaState:
             )
         self.pruned.add(node)
         self.settled.add(node)
-        for notify in self._observers:
-            notify(node)
         parent = self.tree.parent(node)
         if parent is not None:
             self._child_settled(parent)
@@ -140,8 +135,6 @@ class AlphaBetaState:
             return
         self.finished_value[node] = val
         self.settled.add(node)
-        for notify in self._observers:
-            notify(node)
         parent = self.tree.parent(node)
         if parent is not None:
             self._fold_gain(parent, val)

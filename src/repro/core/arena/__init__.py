@@ -20,13 +20,15 @@ and it takes a leaf evaluator: the inline engines gather leaf values
 from the lowered column, the shared-memory executor
 (:mod:`repro.core.shm`) passes its worker pool.  The arena never
 builds the object-graph state, so ``on_step=`` hooks need the
-``rescan`` or ``incremental`` backend.
+``rescan`` backend.
 
-Everything here is step-for-step identical to the ``rescan`` and
-``incremental`` backends: same per-step batches, same step/work
-accounting, same ``recorder=`` call sequence.  The differential
-property suite and the golden corpus pin that equivalence; the e27
-benchmark gates the speed-up that justifies the subsystem.
+Everything here is step-for-step identical to the ``rescan`` backend:
+same per-step batches, same step/work accounting, same ``recorder=``
+call sequence.  The differential property suite and the golden corpus
+pin that equivalence; the e27 benchmark gates the speed-up over
+rescan that justifies the subsystem.  A bounded machine
+(``max_processors``) runs here by default
+(:func:`repro.core.parallel_solve.dispatch`).
 
 Hot paths are vectorised, except on segments of at most
 :data:`~.selection.SCALAR_MAX` entries, which run the same rules on

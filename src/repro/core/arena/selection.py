@@ -18,7 +18,7 @@ array sweeps instead of per-node DFS:
 * :func:`most_urgent` — the fixed-machine cap: of the in-range
   leaves, the ``processors`` with the smallest pruning number,
   leftmost on ties, via counting sort.  Bit-identical to
-  :meth:`repro.core.frontier.FrontierIndex.most_urgent`.
+  :func:`repro.core.policies.rank_by_urgency`.
 
 All functions take a ``settled`` boolean column as *the* liveness
 input, so the Boolean model (settled = determined) and the pruning
@@ -275,7 +275,6 @@ def most_urgent(
     ``leaves`` must be in preorder; the result is too.  Counting sort
     over scores in ``[0, width]``, then the quota of cutoff-score
     holders is consumed left to right — the exact tie-break of
-    :meth:`~repro.core.frontier.FrontierIndex.most_urgent` and
     :func:`~repro.core.policies.rank_by_urgency`.
     """
     if leaves.shape[0] <= processors:

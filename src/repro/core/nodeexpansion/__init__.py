@@ -9,7 +9,6 @@ from .alphabeta import (
     select_expansion_frontier,
 )
 from .engine import (
-    IncrementalNWidthPolicy,
     NSequentialPolicy,
     NWidthPolicy,
     run_expansion,
@@ -30,7 +29,6 @@ __all__ = [
     "n_parallel_alpha_beta",
     "NSequentialPolicy",
     "NWidthPolicy",
-    "IncrementalNWidthPolicy",
     "NAlphaBetaWidthPolicy",
     "select_frontier_by_pruning_number",
     "select_leftmost_frontier",

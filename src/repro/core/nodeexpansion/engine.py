@@ -13,7 +13,6 @@ from typing import Callable, List, Optional, Tuple
 from ...models.accounting import EvalResult
 from ...telemetry import Recorder
 from ...trees.base import GameTree, NodeId
-from ..frontier import FrontierIndex, _IncrementalPolicy
 from ..policies import budgeted_walk, check_count, leftmost_walk
 from ..steps import EXPANSION, run_steps
 from .state import ExpansionState
@@ -63,41 +62,6 @@ class NWidthPolicy:
 
     def __call__(self, tree: GameTree, state: ExpansionState):
         return select_frontier_by_pruning_number(tree, state, self.width)
-
-
-class IncrementalNWidthPolicy(_IncrementalPolicy):
-    """N-Parallel SOLVE width-w selection, incrementally maintained.
-
-    Step-for-step identical to :class:`NWidthPolicy`.  The walk's
-    terminals are unexpanded live nodes, so the index consumes both
-    transition feeds: determinations (settle/splice) and expansions
-    (frontier node becomes interior, children join).
-    """
-
-    def __init__(self, width: int):
-        super().__init__()
-        self.width = width = check_count(width, 0, "width must be >= 0")
-        self.name = f"n-parallel-solve(w={width}, incremental)"
-
-    def _bind(self, tree: GameTree, state: object) -> FrontierIndex:
-        assert isinstance(state, ExpansionState)
-        expanded = state.expanded
-
-        def terminal(node: NodeId) -> bool:
-            return node not in expanded
-
-        idx = FrontierIndex(
-            tree,
-            state,
-            width=self.width,
-            settled=state.value.__contains__,
-            terminal=terminal,
-        )
-        state.subscribe(idx.on_settled, idx.on_expanded)
-        return idx
-
-    def __call__(self, tree: GameTree, state: ExpansionState):
-        return self.index_for(tree, state).batch()
 
 
 def run_expansion(

@@ -9,16 +9,13 @@ trees, with n+1 processors.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ...errors import BackendUnsupportedError
 from ...models.accounting import EvalResult
 from ...trees.base import GameTree
 from ..parallel_solve import resolve_backend
-from .engine import (
-    IncrementalNWidthPolicy,
-    NSequentialPolicy,
-    NWidthPolicy,
-    run_expansion,
-)
+from .engine import NSequentialPolicy, NWidthPolicy, run_expansion
 
 
 def n_sequential_solve(tree: GameTree, **kw) -> EvalResult:
@@ -30,28 +27,23 @@ def n_parallel_solve(
     tree: GameTree,
     width: int = 1,
     *,
-    backend: str = "incremental",
+    backend: Optional[str] = "rescan",
     **kw,
 ) -> EvalResult:
     """Expand all frontier nodes with pruning number <= width (P-SOLVE*).
 
-    ``backend`` selects the frontier engine (see
-    :func:`repro.core.parallel_solve.parallel_solve`).  The arena
+    ``backend`` names the frontier engine; only ``"rescan"`` (also
+    what ``None``, the default elsewhere, picks) runs here.  The arena
     backend lowers a *fixed* tree to arrays up front, which the
     expansion model's grow-as-you-go frontier contradicts, so it is
-    rejected here rather than silently falling back.
+    rejected rather than silently falling back.
     """
-    backend = resolve_backend(backend)
+    backend = resolve_backend("rescan" if backend is None else backend)
     if backend == "arena":
         raise BackendUnsupportedError(
             "engine 'n-parallel-solve' has no arena backend "
             "(the expansion model grows the tree as it goes, so there "
-            "is nothing to lower up front); use 'incremental' or "
-            "'rescan'",
+            "is nothing to lower up front); use 'rescan'",
             engine="n-parallel-solve", backend="arena",
         )
-    if backend == "incremental":
-        policy = IncrementalNWidthPolicy(width)
-        policy.recorder = kw.get("recorder")
-        return run_expansion(tree, policy, **kw)
     return run_expansion(tree, NWidthPolicy(width), **kw)

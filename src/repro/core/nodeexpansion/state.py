@@ -13,7 +13,7 @@ been expanded; these are the units a policy may select.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import Set
 
 from ...errors import ModelViolationError
 from ...trees.base import GameTree, NodeId
@@ -37,25 +37,6 @@ class ExpansionState(BooleanState):
         super().__init__(tree)
         #: nodes on which the expansion operation has been applied.
         self.expanded: Set[NodeId] = set()
-        self._expand_observers: List[Callable[[NodeId], None]] = []
-
-    def subscribe(
-        self,
-        on_determined: Callable[[NodeId], None],
-        on_expanded: Optional[Callable[[NodeId], None]] = None,
-    ) -> None:
-        """Register transition observers.
-
-        ``on_determined(node)`` fires once per determination; events
-        for one cascade are delivered after the whole cascade has been
-        applied, in settlement order (children before ancestors).
-        ``on_expanded(node)`` fires right after the expansion is
-        recorded and *before* any determination it triggers, so a leaf
-        expansion delivers expand-then-determine.
-        """
-        super().subscribe(on_determined)
-        if on_expanded is not None:
-            self._expand_observers.append(on_expanded)
 
     # -- queries ----------------------------------------------------------
     def is_expanded(self, node: NodeId) -> bool:
@@ -71,8 +52,6 @@ class ExpansionState(BooleanState):
         if node in self.expanded:
             raise ModelViolationError(f"node {node!r} expanded twice")
         self.expanded.add(node)
-        for notify in self._expand_observers:
-            notify(node)
         # For a LazyTree these calls are what actually generates the
         # children / evaluates the leaf.
         if self.tree.is_leaf(node):

@@ -11,29 +11,27 @@ Width 0 coincides with Sequential SOLVE.  On a uniform tree of height
 n, width 1 uses at most n + 1 processors and achieves a speed-up of
 c(n+1) over Sequential SOLVE on *every* instance (Theorem 1).
 
-Two step-for-step identical backends implement the selection: the
-default ``"incremental"`` backend maintains the frontier in a priority
-structure updated on each determination
-(:mod:`repro.core.frontier`), while ``"rescan"`` recomputes it with a
-budgeted DFS every step — the literal reading of the paper's
-definition, kept as the reference implementation.
+Two step-for-step identical backends implement the selection.  The
+default ``"rescan"`` backend recomputes it with a budgeted DFS every
+step (:func:`repro.core.policies.budgeted_walk`), the literal reading
+of the paper's definition.  ``"arena"`` runs the same rules as
+vectorised sweeps over the lowered tree (:mod:`repro.core.arena`); it
+is the default for the bounded machine, where re-walking the whole
+width-w region every step to feed ``max_processors`` leaves costs
+most.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 from ..errors import BackendUnsupportedError, TreeStructureError
 from ..models.accounting import EvalResult
 from ..telemetry import Recorder
 from ..trees.base import GameTree
+from ..trees.lazy import LazyTree
 from ..types import TreeKind
 from .arena import arena_parallel_solve, arena_saturation_solve
-from .frontier import (
-    IncrementalBoundedWidthPolicy,
-    IncrementalSaturationPolicy,
-    IncrementalWidthPolicy,
-)
 from .policies import BoundedWidthPolicy, SaturationPolicy, WidthPolicy
 from .solve_engine import run_boolean
 
@@ -41,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .shm import ShmOptions
 
 #: Selection backends accepted by the solver entry points.
-BACKENDS = ("incremental", "rescan", "arena")
+BACKENDS = ("rescan", "arena")
 
 #: Leaf executors accepted by the solver entry points: ``"inline"``
 #: evaluates leaves in-process (the model-step default), ``"shm"``
@@ -79,8 +77,8 @@ class Route(NamedTuple):
     engine: str
     #: Tree kind the engine needs (``None``: any kind).
     kind: Optional[TreeKind]
-    #: ``"rescan"`` / ``"incremental"`` -> selection-policy factory.
-    policies: Mapping[str, Callable[..., Any]]
+    #: The rescan selection-policy factory.
+    policy: Callable[..., Any]
     #: The object-graph step loop (``run_boolean`` or ``run_minmax``).
     run: Callable[..., EvalResult]
     #: The arena engine, which evaluates leaves inline.
@@ -94,7 +92,7 @@ def dispatch(
     route: Route,
     tree: GameTree,
     *args: Any,
-    backend: str,
+    backend: Optional[str],
     executor: str,
     shm_options: "Optional[ShmOptions]",
     keep_batches: bool,
@@ -108,15 +106,27 @@ def dispatch(
     process exists: backend and executor names, the support matrix
     (:class:`~repro.errors.BackendUnsupportedError`), the engine's
     arguments and the tree kind
-    (:class:`~repro.errors.TreeStructureError`).  Then:
+    (:class:`~repro.errors.TreeStructureError`).
 
-    * ``rescan`` / ``incremental``: a selection policy plus the
-      object-graph step loop;
+    ``backend=None`` picks the default: the arena for a bounded machine
+    (a ``max_processors`` cap) on a fixed tree without an ``on_step``
+    hook, where rescan re-walks the whole width-w region every step to
+    feed a few leaves; rescan for every other run.  A
+    :class:`~repro.trees.lazy.LazyTree` counts as growing: lowering it
+    would generate every node.  Both backends give the same batches.
+    Then:
+
+    * ``rescan``: a selection policy plus the object-graph step loop;
     * ``arena``: the arena step loop, leaves evaluated inline;
     * ``arena`` + ``shm``: a :class:`~repro.core.shm.ShmSession` running
       the same arena loop with its worker pool as leaf evaluator.
     """
     engine = route.engine
+    if backend is None:
+        bounded = params.get("max_processors") is not None
+        fixed = not isinstance(tree, LazyTree)
+        arena = bounded and fixed and on_step is None
+        backend = "arena" if arena else "rescan"
     backend = resolve_backend(backend)
     executor = resolve_executor(executor)
     if executor == "shm" and backend != "arena":
@@ -130,24 +140,19 @@ def dispatch(
         raise BackendUnsupportedError(
             f"engine {engine!r} cannot combine backend='arena' with an "
             f"on_step hook (the hook observes the object-graph state, "
-            f"which the arena never builds); use backend='rescan' or "
-            f"'incremental'",
+            f"which the arena never builds); use backend='rescan'",
             engine=engine, backend=backend, executor=executor,
         )
     # Building the policy checks the engine's arguments, with the same
-    # messages on every backend; the arena backends build the reference
-    # (rescan) policy for that check alone.
-    policy = route.policies["rescan" if backend == "arena" else backend](
-        *args, **params
-    )
+    # messages on every backend; the arena builds it for that check
+    # alone.
+    policy = route.policy(*args, **params)
     if route.kind is not None and tree.kind is not route.kind:
         raise TreeStructureError(
             f"engine {engine!r} needs a {route.kind.value} tree, got a "
             f"{tree.kind.value} tree"
         )
-    if backend != "arena":
-        if backend == "incremental":
-            policy.recorder = recorder
+    if backend == "rescan":
         return route.run(
             tree, policy,
             keep_batches=keep_batches, on_step=on_step, recorder=recorder,
@@ -170,23 +175,15 @@ def _width_policy(width: int, max_processors: Optional[int] = None):
     return BoundedWidthPolicy(width, max_processors)
 
 
-def _incremental_width_policy(
-    width: int, max_processors: Optional[int] = None
-):
-    if max_processors is None:
-        return IncrementalWidthPolicy(width)
-    return IncrementalBoundedWidthPolicy(width, max_processors)
-
-
 _PARALLEL_SOLVE = Route(
     "parallel-solve", TreeKind.BOOLEAN,
-    {"rescan": _width_policy, "incremental": _incremental_width_policy},
+    _width_policy,
     run_boolean, arena_parallel_solve, "parallel_solve",
 )
 
 _SATURATION_SOLVE = Route(
     "saturation-solve", TreeKind.BOOLEAN,
-    {"rescan": SaturationPolicy, "incremental": IncrementalSaturationPolicy},
+    SaturationPolicy,
     run_boolean, arena_saturation_solve, "saturation_solve",
 )
 
@@ -198,7 +195,7 @@ def parallel_solve(
     max_processors: Optional[int] = None,
     keep_batches: bool = False,
     on_step=None,
-    backend: str = "incremental",
+    backend: Optional[str] = None,
     executor: str = "inline",
     shm_options: "Optional[ShmOptions]" = None,
     recorder: Optional[Recorder] = None,
@@ -209,10 +206,12 @@ def parallel_solve(
     leaves (smallest pruning number, leftmost on ties) — the practical
     fixed-machine variant the paper's Section 7 closes with.
 
-    ``backend`` selects the frontier engine: ``"incremental"``
-    (default), ``"rescan"`` (the reference per-step recomputation) or
-    ``"arena"`` (vectorised struct-of-arrays sweeps).  All produce
-    identical per-step batches.
+    ``backend`` selects the frontier engine: ``"rescan"`` (the
+    per-step recomputation) or ``"arena"`` (vectorised
+    struct-of-arrays sweeps).  Both produce identical per-step
+    batches.  The default, ``None``, runs a bounded machine on a fixed
+    tree without an ``on_step`` hook on the arena and everything else
+    on rescan (see :func:`dispatch`).
 
     ``executor`` selects where leaf batches are evaluated:
     ``"inline"`` (in-process, the default) or ``"shm"`` (a
@@ -222,10 +221,10 @@ def parallel_solve(
     executors for pure oracles.
 
     ``on_step`` hooks observe the object-graph state, so they need
-    ``backend="rescan"`` or ``"incremental"``.
+    ``backend="rescan"``.
 
-    ``recorder`` attaches a telemetry sink (step spans, degree
-    samples, frontier counters); the default records nothing.
+    ``recorder`` attaches a telemetry sink (step spans and degree
+    samples); the default records nothing.
     """
     return dispatch(
         _PARALLEL_SOLVE, tree, width,
@@ -239,7 +238,7 @@ def saturation_solve(
     tree: GameTree,
     *,
     keep_batches: bool = False,
-    backend: str = "incremental",
+    backend: str = "rescan",
     executor: str = "inline",
     shm_options: "Optional[ShmOptions]" = None,
     recorder: Optional[Recorder] = None,

@@ -17,7 +17,7 @@ undetermined nodes, so deadness never needs to be stored.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from ..errors import ModelViolationError
 from ..trees.base import GameTree, NodeId
@@ -33,16 +33,6 @@ class BooleanState:
         #: leaves that have been evaluated.
         self.evaluated: Set[NodeId] = set()
         self._undetermined_children: Dict[NodeId, int] = {}
-        self._observers: List[Callable[[NodeId], None]] = []
-
-    def subscribe(self, on_determined: Callable[[NodeId], None]) -> None:
-        """Call ``on_determined(node)`` on every determination.
-
-        Events for one cascade are delivered after the whole cascade
-        has been applied, in settlement order — observers always see
-        children before their ancestors, against the final state.
-        """
-        self._observers.append(on_determined)
 
     # -- queries ----------------------------------------------------------
     def is_determined(self, node: NodeId) -> bool:
@@ -102,10 +92,8 @@ class BooleanState:
     def _determine(self, node: NodeId, val: int) -> None:
         """Record ``node``'s value and cascade to ancestors."""
         tree = self.tree
-        cascade: List[NodeId] = []
         while node is not None and node not in self.value:
             self.value[node] = val
-            cascade.append(node)
             parent = tree.parent(node)
             if parent is None or parent in self.value:
                 break
@@ -122,6 +110,3 @@ class BooleanState:
                 node, val = parent, gate.otherwise
                 continue
             break
-        for notify in self._observers:
-            for settled in cascade:
-                notify(settled)

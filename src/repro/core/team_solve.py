@@ -16,7 +16,6 @@ from ..telemetry import Recorder
 from ..trees.base import GameTree
 from ..types import TreeKind
 from .arena import arena_team_solve
-from .frontier import IncrementalTeamPolicy
 from .parallel_solve import Route, dispatch
 from .policies import TeamPolicy
 from .solve_engine import run_boolean
@@ -26,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _TEAM_SOLVE = Route(
     "team-solve", TreeKind.BOOLEAN,
-    {"rescan": TeamPolicy, "incremental": IncrementalTeamPolicy},
+    TeamPolicy,
     run_boolean, arena_team_solve, "team_solve",
 )
 
@@ -36,7 +35,7 @@ def team_solve(
     processors: int,
     *,
     keep_batches: bool = False,
-    backend: str = "incremental",
+    backend: str = "rescan",
     executor: str = "inline",
     shm_options: "Optional[ShmOptions]" = None,
     recorder: Optional[Recorder] = None,

@@ -1,6 +1,6 @@
 """The module import graph over the linted tree.
 
-Nodes are logical paths (``core/frontier.py``); a directed edge
+Nodes are logical paths (``core/policies.py``); a directed edge
 ``A -> B`` means module A imports module B.  Both spellings used in
 this repository resolve: ``repro.``-absolute (``from repro.telemetry
 import Recorder``), package-absolute (``from telemetry import x`` in a

@@ -76,6 +76,33 @@ class TestPruning:
         with pytest.raises(ModelViolationError):
             st.prune(1)
 
+    def test_finish_of_pruned_leaf_rejected_state_unchanged(self):
+        # MAX( MIN(3, 1, 7), MIN(4, 2) ): leaves 2, 3, 4 under node 1.
+        # Finishing the pruned leaf 3 used to settle it twice, so node 1
+        # "finished" on leaf 2 alone and read leaf 4's missing value.
+        tree = ExplicitTree.from_nested(
+            [[3.0, 1.0, 7.0], [4.0, 2.0]], kind=TreeKind.MINMAX
+        )
+        st = AlphaBetaState(tree)
+        st.prune(3)
+
+        def snapshot():
+            return (
+                dict(st.finished_value), set(st.pruned), set(st.settled),
+                set(st.evaluated), set(st.touched), dict(st.max_gain),
+                dict(st.min_gain), set(st.dirty),
+                dict(st._unfinished_children),
+            )
+
+        before = snapshot()
+        with pytest.raises(ModelViolationError, match="settled"):
+            st.finish_leaf(3)
+        assert snapshot() == before
+        st.finish_leaf(2)
+        assert not st.is_finished(1)  # leaf 4 is still open
+        st.finish_leaf(4)
+        assert st.finished_value[1] == 3.0  # MIN(3, 7); 1 was pruned
+
     def test_prune_idempotent(self, tree):
         st = AlphaBetaState(tree)
         st.prune(4)

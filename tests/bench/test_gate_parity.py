@@ -20,7 +20,7 @@ from repro.bench.registry import get_spec
 from repro.bench.runner import failed_gates, run_benchmarks
 from repro.bench.specs import gate_bound, infra
 from repro.bench.specs.tables import extract_metrics
-from repro.core import frontier, policies
+from repro.core import policies
 from repro.core.alphabeta import engine as alphabeta_engine
 from repro.core.arena import alphabeta as arena_alphabeta
 from repro.core.arena import boolean as arena_boolean
@@ -31,7 +31,7 @@ class TestBoundsAreTheHistoricalBars:
     """The bars the gated bench files asserted before the registry."""
 
     def test_e21b_frontier_speedup(self):
-        assert gate_bound("e21b", "incremental_speedup") == 5.0
+        assert gate_bound("e21b", "default_bounded_speedup") == 5.0
 
     def test_e23_fault_overhead(self):
         for kind in ("drop", "duplicate", "delay", "reorder", "crash",
@@ -126,7 +126,7 @@ class TestWallclockGateDiscipline:
     @pytest.mark.parametrize("name, cells, gates", [
         pytest.param(
             "e21b",
-            {"w0", "w1", "w2", "w4", "w4_p2", "w4_p4", "w2_p3", "team_p8"},
+            {"w4_p2", "w4_p4", "w2_p3"},
             {"speedup": "w4_p2"},
             id="e21b",
         ),
@@ -216,25 +216,18 @@ MUTATIONS = {
             mp, policies.BoundedWidthPolicy, "__call__"
         ),
     ),
-    "e21b-team-rescan": (
-        "e21b", "backends_identical", "step_identity",
-        lambda mp: _reversed_batches(mp, policies.TeamPolicy, "__call__"),
-    ),
     "e27-bounded-arena": (
         "e27", "solve_identical", "step_identity",
         lambda mp: _reversed_batches(mp, arena_boolean, "most_urgent"),
     ),
-    "e27-solve-incr": (
+    "e27-solve-rescan": (
         "e27", "backends_identical", "step_identity",
-        lambda mp: _reversed_batches(
-            mp, frontier.IncrementalWidthPolicy, "__call__"
-        ),
+        lambda mp: _reversed_batches(mp, policies.WidthPolicy, "__call__"),
     ),
-    "e27-alphabeta-incr": (
+    "e27-alphabeta-rescan": (
         "e27", "backends_identical", "step_identity",
         lambda mp: _reversed_batches(
-            mp, alphabeta_engine.IncrementalAlphaBetaWidthPolicy,
-            "__call__",
+            mp, alphabeta_engine.AlphaBetaWidthPolicy, "__call__",
         ),
     ),
     "e27-alphabeta-order": (

@@ -77,13 +77,13 @@ def minmax_tree():
 # ---------------------------------------------------------------------------
 # engines
 # ---------------------------------------------------------------------------
-def test_pure_engines_match_incremental(boolean_tree):
+def test_pure_engines_match_rescan(boolean_tree):
     for width in (0, 1, 3):
         arena = arena_parallel_solve(
             boolean_tree, width, keep_batches=True
         )
         reference = parallel_solve(
-            boolean_tree, width, keep_batches=True, backend="incremental"
+            boolean_tree, width, keep_batches=True, backend="rescan"
         )
         assert _signature(arena) == _signature(reference)
         assert arena.evaluated == reference.evaluated
@@ -95,7 +95,7 @@ def test_bounded_single_processor(boolean_tree):
     )
     reference = parallel_solve(
         boolean_tree, 2, max_processors=1, keep_batches=True,
-        backend="incremental",
+        backend="rescan",
     )
     assert _signature(arena) == _signature(reference)
     assert all(len(batch) == 1 for batch in arena.trace.batches)
@@ -105,12 +105,12 @@ def test_team_and_saturation(boolean_tree):
     for procs in (1, 3):
         arena = arena_team_solve(boolean_tree, procs, keep_batches=True)
         reference = team_solve(
-            boolean_tree, procs, keep_batches=True, backend="incremental"
+            boolean_tree, procs, keep_batches=True, backend="rescan"
         )
         assert _signature(arena) == _signature(reference)
     arena = arena_saturation_solve(boolean_tree, keep_batches=True)
     reference = saturation_solve(
-        boolean_tree, keep_batches=True, backend="incremental"
+        boolean_tree, keep_batches=True, backend="rescan"
     )
     assert _signature(arena) == _signature(reference)
 
@@ -119,7 +119,7 @@ def test_alpha_beta_widths(minmax_tree):
     for width in (0, 1, 2):
         arena = arena_alpha_beta(minmax_tree, width, keep_batches=True)
         reference = parallel_alpha_beta(
-            minmax_tree, width, keep_batches=True, backend="incremental"
+            minmax_tree, width, keep_batches=True, backend="rescan"
         )
         assert _signature(arena) == _signature(reference)
         assert arena.evaluated == reference.evaluated
@@ -127,7 +127,7 @@ def test_alpha_beta_widths(minmax_tree):
 
 def test_alpha_beta_width0_is_sequential(minmax_tree):
     arena = sequential_alpha_beta(minmax_tree, backend="arena")
-    reference = sequential_alpha_beta(minmax_tree, backend="incremental")
+    reference = sequential_alpha_beta(minmax_tree, backend="rescan")
     assert arena.value == reference.value
     assert arena.num_steps == reference.num_steps
 
@@ -157,7 +157,7 @@ def test_nodeexpansion_rejects_arena(boolean_tree):
 )
 def test_on_step_rejected_on_arena(engine, tree_fixture, request):
     # The arena never builds the object-graph state an on_step hook
-    # observes, so the hook needs rescan or incremental.
+    # observes, so the hook needs rescan.
     tree = request.getfixturevalue(tree_fixture)
     calls = []
     with pytest.raises(BackendUnsupportedError) as exc_info:
@@ -170,18 +170,12 @@ def test_on_step_rejected_on_arena(engine, tree_fixture, request):
     assert calls == []
 
 
-def test_recorder_streams_match_modulo_frontier_counters(boolean_tree):
+def test_recorder_streams_match_rescan(boolean_tree):
     arena_rec = InMemoryRecorder()
     arena_parallel_solve(boolean_tree, 2, recorder=arena_rec)
-    incr_rec = InMemoryRecorder()
-    parallel_solve(
-        boolean_tree, 2, backend="incremental", recorder=incr_rec
-    )
-    incr_events = [
-        e for e in incr_rec.events
-        if not e.name.startswith("frontier.")
-    ]
-    assert arena_rec.events == incr_events
+    rescan_rec = InMemoryRecorder()
+    parallel_solve(boolean_tree, 2, backend="rescan", recorder=rescan_rec)
+    assert arena_rec.events == rescan_rec.events
 
 
 def test_alpha_beta_recorder_has_pruned_spans(minmax_tree):
@@ -203,7 +197,7 @@ def test_irregular_explicit_tree():
     for width in (0, 1, 2):
         arena = arena_parallel_solve(tree, width, keep_batches=True)
         reference = parallel_solve(
-            tree, width, keep_batches=True, backend="incremental"
+            tree, width, keep_batches=True, backend="rescan"
         )
         assert _signature(arena) == _signature(reference)
 
@@ -240,10 +234,6 @@ DEGENERATE_MINMAX = {
 }
 
 
-def _events(recorder):
-    return [e for e in recorder.events if not e.name.startswith("frontier.")]
-
-
 def _thread_factory(spec, oracle):
     """In-process stand-in for the shm worker pool: same initializer,
     same shared-memory reads and writes, no fork cost."""
@@ -255,7 +245,7 @@ def _thread_factory(spec, oracle):
 #: Each backend/executor the degenerate corpus runs through.
 _CONFIGS = (
     {"backend": "arena"},
-    {"backend": "incremental"},
+    {"backend": "rescan"},
     {
         "backend": "arena", "executor": "shm",
         "shm_options": ShmOptions(
@@ -266,7 +256,7 @@ _CONFIGS = (
 
 
 def _assert_backends_agree(engine, *args):
-    """Arena, incremental and arena over shm: same batches, accounting
+    """Arena, rescan and arena over shm: same batches, accounting
     and logical-clock telemetry."""
     runs = []
     for config in _CONFIGS:
@@ -274,7 +264,7 @@ def _assert_backends_agree(engine, *args):
         result = engine(*args, keep_batches=True, recorder=rec, **config)
         runs.append((
             _signature(result), result.evaluated, result.num_steps,
-            _events(rec),
+            rec.events,
         ))
     assert runs[0] == runs[1] == runs[2]
 
@@ -336,7 +326,7 @@ def test_prune_sweep_matches_root_pass_pruned_counts(name):
             dict(e.attrs)["pruned"] for e in rec.events if e.kind == "span"
         ]
 
-    assert pruned_per_step("incremental") == expected
+    assert pruned_per_step("rescan") == expected
     assert pruned_per_step("arena") == expected
 
 
@@ -583,7 +573,7 @@ def test_select_width_scores_are_pruning_numbers(boolean_tree):
     # On a fresh tree the live leaves of pruning number <= w are exactly
     # what the reference policy's first batch evaluates.
     reference = parallel_solve(
-        boolean_tree, width, keep_batches=True, backend="incremental"
+        boolean_tree, width, keep_batches=True, backend="rescan"
     )
     index = arrays.index_map()
     expected = sorted(index[n] for n in reference.trace.batches[0])

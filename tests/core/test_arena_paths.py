@@ -6,7 +6,7 @@ trees of the suites below the default threshold would exercise mostly
 the scalar path.  Here each of their tests runs twice through the
 ``arena_path`` fixture: once with every segment on numpy and once with
 every segment on the scalar path.  Each test compares the arena with
-the incremental backend, the golden corpus or a first-principles
+the rescan backend, the golden corpus or a first-principles
 oracle, so both paths are held to the same values, batches,
 evaluation order and recorder streams.
 """

@@ -7,10 +7,14 @@ entry time with a typed
 the offending pair — never a silent fallback, and never a bare
 ``ValueError`` that callers cannot distinguish from a typo.  This
 suite walks the full matrix: every supported cell runs, every
-unsupported cell raises with the right attributes.
+unsupported cell raises with the right attributes, and the default
+backend resolves where :func:`~repro.core.parallel_solve.dispatch`
+says it does.
 """
 
 from __future__ import annotations
+
+import importlib
 
 import pytest
 
@@ -29,9 +33,13 @@ from repro.errors import (
 )
 from repro.telemetry import InMemoryRecorder
 from repro.trees import ExplicitTree
+from repro.trees.lazy import LazyTree
 from repro.trees.generators import iid_boolean
 from repro.trees.generators.iid import iid_minmax, level_invariant_bias
 from repro.types import TreeKind
+
+#: The module, which ``repro.core.parallel_solve`` (the function) hides.
+parallel_solve_module = importlib.import_module("repro.core.parallel_solve")
 
 #: (label, callable(tree, backend, executor)) per Boolean engine.
 BOOLEAN_ENGINES = [
@@ -102,7 +110,7 @@ class TestSupportedCells:
 
 
 class TestRejectedCells:
-    @pytest.mark.parametrize("backend", ("incremental", "rescan"))
+    @pytest.mark.parametrize("backend", ("rescan",))
     @pytest.mark.parametrize("label,run", ALL_ENGINES)
     def test_shm_rejected_off_arena(
         self, label, run, backend, boolean_tree, minmax_tree
@@ -268,6 +276,114 @@ def test_shm_rejects_bad_input_before_publishing(
     assert type(shm.value) is type(inline.value)
     assert str(shm.value) == str(inline.value)
     assert publish_calls == []
+
+
+class TestDefaultBackend:
+    """``backend=None``: the arena for a bounded machine without an
+    ``on_step`` hook, rescan for every other run, and a named backend
+    always honoured."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """Records which of parallel SOLVE's loops each call runs."""
+        taken = []
+        route = parallel_solve_module._PARALLEL_SOLVE
+
+        def spy(name, run):
+            def wrapper(*args, **kwargs):
+                taken.append(name)
+                return run(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            parallel_solve_module, "_PARALLEL_SOLVE",
+            route._replace(
+                run=spy("rescan", route.run),
+                arena=spy("arena", route.arena),
+            ),
+        )
+        return taken
+
+    @pytest.mark.parametrize("width,procs", [(1, 1), (2, 3), (4, 2)])
+    def test_bounded_default_runs_on_the_arena_like_rescan(
+        self, width, procs, boolean_tree, routes
+    ):
+        default = parallel_solve(
+            boolean_tree, width, max_processors=procs, keep_batches=True
+        )
+        rescan = parallel_solve(
+            boolean_tree, width, max_processors=procs, keep_batches=True,
+            backend="rescan",
+        )
+        assert routes == ["arena", "rescan"]
+        assert default.trace.batches == rescan.trace.batches
+        assert default.evaluated == rescan.evaluated
+        assert default.num_steps == rescan.num_steps
+        assert default.value == rescan.value
+
+    def test_unbounded_default_is_rescan(self, boolean_tree, routes):
+        parallel_solve(boolean_tree, 2)
+        assert routes == ["rescan"]
+
+    def test_on_step_with_max_processors_resolves_to_rescan(
+        self, boolean_tree, routes
+    ):
+        steps = []
+        result = parallel_solve(
+            boolean_tree, 2, max_processors=2,
+            on_step=lambda state, step, batch: steps.append(step),
+        )
+        assert routes == ["rescan"]
+        assert steps == list(range(result.num_steps))
+
+    def test_bounded_default_on_a_lazy_tree_is_rescan(self, routes):
+        # Lowering would expand every node; rescan expands only what
+        # the run reaches.
+        def lazy():
+            return LazyTree(
+                [[0, 1, [1, 0]], [1, [0, 0]], 0],
+                lambda payload, depth: (
+                    ("internal", payload) if isinstance(payload, list)
+                    else ("leaf", payload)
+                ),
+            )
+
+        default_tree, rescan_tree = lazy(), lazy()
+        default = parallel_solve(
+            default_tree, 1, max_processors=1, keep_batches=True
+        )
+        rescan = parallel_solve(
+            rescan_tree, 1, max_processors=1, keep_batches=True,
+            backend="rescan",
+        )
+        assert routes == ["rescan", "rescan"]
+        assert default.trace.batches == rescan.trace.batches
+        assert default_tree.expansions == rescan_tree.expansions
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("procs", [None, 2])
+    def test_named_backend_is_honoured(
+        self, backend, procs, boolean_tree, routes
+    ):
+        parallel_solve(boolean_tree, 2, max_processors=procs, backend=backend)
+        assert routes == [backend]
+
+    def test_backends_are_rescan_and_arena(self):
+        assert BACKENDS == ("rescan", "arena")
+
+    @pytest.mark.parametrize("label,run", ALL_ENGINES)
+    def test_incremental_is_unknown(
+        self, label, run, boolean_tree, minmax_tree
+    ):
+        tree = _tree_for(label, boolean_tree, minmax_tree)
+        with pytest.raises(
+            ValueError, match=r"expected one of \('rescan', 'arena'\)"
+        ):
+            run(tree, "incremental", "inline")
+
+    def test_n_parallel_solve_rejects_incremental(self, boolean_tree):
+        with pytest.raises(ValueError, match="unknown backend"):
+            n_parallel_solve(boolean_tree, 1, backend="incremental")
 
 
 class TestErrorShape:

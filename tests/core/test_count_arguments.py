@@ -25,7 +25,7 @@ SHM_DIR = "/dev/shm"
 #: Every (backend, executor) cell of the leaf-evaluation engines.
 CELLS = [
     ("rescan", "inline"),
-    ("incremental", "inline"),
+    (None, "inline"),
     ("arena", "inline"),
     ("arena", "shm"),
 ]
@@ -109,7 +109,7 @@ def test_numpy_integer_count_matches_int(
     )
 
 
-@pytest.mark.parametrize("backend", ["rescan", "incremental"])
+@pytest.mark.parametrize("backend", ["rescan", None])
 def test_node_expansion_width_checked(backend, trees):
     with pytest.raises(ValueError, match="width must be >= 0"):
         n_parallel_solve(trees["boolean"], 1.5, backend=backend)

@@ -1,7 +1,7 @@
 """Golden-master replay on the arena backend.
 
 The frozen corpus in ``corpus/manifest.json`` was recorded with the
-default (incremental) frontier backend.  The arena backend promises
+object-graph frontier engines of the time.  The arena backend promises
 bit-compatible observable behaviour, so every backend-capable cell —
 team, parallel SOLVE and the alpha-beta pair — must replay to exactly
 the same ``val(root)``, step count and total work with

@@ -71,8 +71,7 @@ class TestParallelismAccounting:
 
 class TestMachineVsIdealStress:
     """Differential stress: the Section-7 machine against ideal
-    N-Parallel SOLVE width-1, across many random instances, with the
-    ideal run computed by both frontier backends."""
+    N-Parallel SOLVE width-1, across many random instances."""
 
     @pytest.mark.parametrize("height", [4, 6, 8])
     def test_machine_dominates_ideal_model(self, height):
@@ -80,15 +79,8 @@ class TestMachineVsIdealStress:
             t = iid_boolean(2, height, level_invariant_bias(2),
                             seed=seed)
             truth = exact_value(t)
-            rescan = n_parallel_solve(
-                t, 1, keep_batches=True, backend="rescan"
-            )
-            incremental = n_parallel_solve(
-                t, 1, keep_batches=True, backend="incremental"
-            )
-            assert rescan.value == incremental.value == truth
-            assert rescan.trace.degrees == incremental.trace.degrees
-            assert rescan.trace.batches == incremental.trace.batches
+            ideal = n_parallel_solve(t, 1)
+            assert ideal.value == truth
             sim = simulate(t)
             assert sim.value == truth
             # The machine implements the same schedule with real
@@ -98,7 +90,7 @@ class TestMachineVsIdealStress:
             # envelope on these instances with margin).  Its different
             # interleaving may occasionally find a slightly *cheaper*
             # proof, so the lower edge sits below 1.
-            assert 0.8 * incremental.total_work <= sim.expansions \
-                <= 2.0 * incremental.total_work
-            assert incremental.num_steps <= sim.ticks \
-                <= 3.0 * incremental.num_steps
+            assert 0.8 * ideal.total_work <= sim.expansions \
+                <= 2.0 * ideal.total_work
+            assert ideal.num_steps <= sim.ticks \
+                <= 3.0 * ideal.num_steps

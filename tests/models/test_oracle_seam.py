@@ -19,11 +19,6 @@ import pytest
 
 from repro.core import (
     BoundedWidthPolicy,
-    IncrementalBoundedWidthPolicy,
-    IncrementalSaturationPolicy,
-    IncrementalSequentialPolicy,
-    IncrementalTeamPolicy,
-    IncrementalWidthPolicy,
     SaturationPolicy,
     SequentialPolicy,
     TeamPolicy,
@@ -47,21 +42,10 @@ def bit(x):
 #: name -> zero-argument factory; a fresh policy per run.
 POLICIES = {
     "sequential": SequentialPolicy,
-    "sequential-incr": IncrementalSequentialPolicy,
     **{f"width{w}": (lambda w=w: WidthPolicy(w)) for w in (0, 1, 2)},
-    **{
-        f"width{w}-incr": (lambda w=w: IncrementalWidthPolicy(w))
-        for w in (0, 1, 2)
-    },
     "bounded": lambda: BoundedWidthPolicy(2, 2),
-    "bounded-incr": lambda: IncrementalBoundedWidthPolicy(2, 2),
     **{f"team{p}": (lambda p=p: TeamPolicy(p)) for p in (1, 3)},
-    **{
-        f"team{p}-incr": (lambda p=p: IncrementalTeamPolicy(p))
-        for p in (1, 3)
-    },
     "saturation": SaturationPolicy,
-    "saturation-incr": IncrementalSaturationPolicy,
 }
 
 TREES = {

@@ -2,9 +2,8 @@
 
 All engines run on one step driver, so on every tree the logical-clock
 recorder stream — step spans, degree samples and the ``<track>.*``
-counters and gauges — must be identical across the rescan,
-incremental and arena backends.  Only the incremental backend's own
-``frontier.*`` instrumentation is allowed to differ.  Trees are nested
+counters and gauges — must be identical across the rescan and arena
+backends and the default one.  Trees are nested
 (adversarial-shape) specs plus degenerate shapes: height-0 roots and
 arity-1 chains.  Alpha-beta also runs on tie-heavy trees — i.i.d.
 leaves with two to four distinct values, uniform up to height 7 and
@@ -82,25 +81,16 @@ TIE_HEAVY_SPECS = st.integers(min_value=2, max_value=4).flatmap(
 
 
 def _stream(run, backend):
-    """The run's recorder stream, minus ``frontier.*`` instrumentation."""
+    """The run's recorder stream: events, counters, gauges, histograms."""
     rec = InMemoryRecorder()
     run(backend=backend, recorder=rec)
     metrics = rec.metrics
-
-    def keep(name):
-        return not name.startswith("frontier.")
-
     return (
-        [e for e in rec.events if keep(e.name)],
-        {k: v for k, v in metrics.counters.items() if keep(k)},
-        {k: v for k, v in metrics.gauges.items() if keep(k)},
-        {k: v for k, v in metrics.histograms.items() if keep(k)},
+        rec.events, metrics.counters, metrics.gauges, metrics.histograms,
     )
 
 
-def _assert_streams_match(
-    run, backends=("rescan", "incremental", "arena")
-):
+def _assert_streams_match(run, backends=("rescan", "arena", None)):
     reference = _stream(run, backends[0])
     assert reference[0], "the run recorded no events"
     for backend in backends[1:]:
@@ -171,8 +161,8 @@ def test_tie_heavy_irregular_alpha_beta_streams_match(tree, width):
 @given(BOOLEAN_TREES, st.integers(min_value=0, max_value=3))
 def test_n_parallel_solve_streams_match(tree, width):
     # The expansion model has no arena backend (nothing to lower up
-    # front), so the comparison is rescan against incremental.
+    # front), so the comparison is rescan against the default.
     _assert_streams_match(
         lambda **kw: n_parallel_solve(tree, width, **kw),
-        backends=("rescan", "incremental"),
+        backends=("rescan", None),
     )

@@ -1,16 +1,17 @@
-"""Differential properties: rescan == incremental == arena backends.
+"""Differential properties: rescan == arena == the default backend.
 
-Every width-w engine accepts ``backend="rescan" | "incremental" |
-"arena"``; the three must be *step-for-step* identical — same root
-value, same per-step degree sequence, same per-step batches (and
-therefore the same ``most_urgent`` selections on the bounded
-variants, which pick ``p`` of the live leaves each step) — on
-arbitrary tree shapes.  The suite drives all backends over nested
-(adversarial-shape) and iid-generated instances; together the tests
-here exercise well over 275 generated instances per run.  The
-node-expansion model is the exception: it grows the tree as it goes,
-which the arena's fixed up-front lowering contradicts, so there the
-matrix stays two-way and arena is pinned to a loud rejection.
+Every width-w engine accepts ``backend="rescan" | "arena"``, and
+``None`` picks the default (the arena for a bounded machine, rescan
+otherwise); all must be *step-for-step* identical — same root value,
+same per-step degree sequence, same per-step batches (and therefore
+the same ``most_urgent`` selections on the bounded variants, which
+pick ``p`` of the live leaves each step) — on arbitrary tree shapes.
+The suite drives all backends over nested (adversarial-shape) and
+iid-generated instances; together the tests here exercise well over
+275 generated instances per run.  The node-expansion model is the
+exception: it grows the tree as it goes, which the arena's fixed
+up-front lowering contradicts, so there only rescan runs and arena is
+pinned to a loud rejection.
 """
 
 import math
@@ -62,7 +63,7 @@ def _signature(result):
 
 
 def _assert_backends_match(
-    solver, *args, backends=("rescan", "incremental", "arena"), **kwargs
+    solver, *args, backends=("rescan", "arena", None), **kwargs
 ):
     reference = solver(
         *args, keep_batches=True, backend=backends[0], **kwargs
@@ -116,7 +117,7 @@ def test_bounded_team_saturation_backends_identical(spec, gate):
 def test_width0_equals_sequential(spec, gate):
     tree = boolean_tree_from_spec(spec, gates=gate)
     seq = sequential_solve(tree)
-    for backend in ("incremental", "rescan", "arena"):
+    for backend in ("rescan", "arena"):
         w0 = parallel_solve(
             tree, 0, keep_batches=True, backend=backend
         )
@@ -135,7 +136,7 @@ def _assert_alphabeta_matches_minimax(tree, width):
     truth = minimax(tree).value
     for value in [result.value] + [
         sequential_alpha_beta(tree, backend=backend).value
-        for backend in ("incremental", "rescan", "arena")
+        for backend in ("rescan", "arena")
     ]:
         assert (value, _sign(value)) == (truth, _sign(truth))
 
@@ -179,7 +180,7 @@ def test_alphabeta_backends_agree_on_signed_zeros(
 def test_expansion_backends_identical(spec, gate, width):
     tree = boolean_tree_from_spec(spec, gates=gate)
     _assert_backends_match(
-        n_parallel_solve, tree, width, backends=("rescan", "incremental")
+        n_parallel_solve, tree, width, backends=("rescan", None)
     )
     with pytest.raises(ValueError, match="no arena backend"):
         n_parallel_solve(tree, width, backend="arena")

@@ -41,11 +41,20 @@ class TestSolveInstrumentation:
         assert counters["solve.steps"] == result.num_steps
         assert rec.metrics.gauges["solve.processors"] == result.processors
 
-    def test_frontier_metrics_recorded_by_incremental_backend(self):
-        rec = InMemoryRecorder()
-        parallel_solve(_tree(), 2, backend="incremental", recorder=rec)
-        assert rec.metrics.counters["frontier.settled"] > 0
-        assert "frontier.settle_cascade" in rec.metrics.histograms
+    def test_default_runs_record_no_frontier_metrics(self):
+        # The frontier.* counters went with the incremental backend;
+        # a default run, bounded or not, records the solve track only.
+        for max_processors in (None, 2):
+            rec = InMemoryRecorder()
+            parallel_solve(
+                _tree(), 2, max_processors=max_processors, recorder=rec
+            )
+            names = [
+                *rec.metrics.counters, *rec.metrics.gauges,
+                *rec.metrics.histograms, *(e.name for e in rec.events),
+            ]
+            assert names
+            assert not [n for n in names if n.startswith("frontier.")]
 
     def test_team_and_sequential_also_record(self):
         rec = InMemoryRecorder()
