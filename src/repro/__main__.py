@@ -85,10 +85,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    """Fast cross-validation of every algorithm family."""
+    """Fast cross-validation of every algorithm family.
+
+    Returns 1, naming the algorithm and the trial, on the first result
+    that disagrees with the ground truth.
+    """
     import numpy as np
 
-    from .core import parallel_solve, sequential_solve, team_solve
+    from .core import (
+        parallel_solve,
+        saturation_solve,
+        sequential_solve,
+        team_solve,
+    )
     from .core.alphabeta import (
         alpha_beta,
         parallel_alpha_beta,
@@ -106,35 +115,42 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .trees import exact_value
     from .trees.generators import iid_boolean, iid_minmax
 
+    boolean_runs = {
+        "sequential_solve": sequential_solve,
+        "team_solve(p=4)": lambda t: team_solve(t, 4),
+        "parallel_solve(w=1)": lambda t: parallel_solve(t, 1),
+        "parallel_solve(w=2, max_processors=2)":
+            lambda t: parallel_solve(t, 2, max_processors=2),
+        "saturation_solve": saturation_solve,
+        "n_sequential_solve": n_sequential_solve,
+        "n_parallel_solve(w=1)": lambda t: n_parallel_solve(t, 1),
+        "simulate": simulate,
+    }
+    minmax_runs = {
+        "alpha_beta": alpha_beta,
+        "sequential_alpha_beta": sequential_alpha_beta,
+        "parallel_alpha_beta(w=1)": lambda t: parallel_alpha_beta(t, 1),
+        "scout": scout,
+        "sss_star": sss_star,
+        "n_sequential_alpha_beta": n_sequential_alpha_beta,
+        "n_parallel_alpha_beta(w=1)": lambda t: n_parallel_alpha_beta(t, 1),
+    }
     rng = np.random.default_rng(args.seed)
     checks = 0
     for trial in range(args.trials):
         n = int(rng.integers(2, 8))
         tree = iid_boolean(2, n, float(rng.random()), seed=trial)
-        truth = exact_value(tree)
-        for result in (
-            sequential_solve(tree),
-            team_solve(tree, 4),
-            parallel_solve(tree, 1),
-            n_sequential_solve(tree),
-            n_parallel_solve(tree, 1),
-            simulate(tree),
-        ):
-            assert result.value == truth, "Boolean disagreement!"
-            checks += 1
         mtree = iid_minmax(2, int(rng.integers(2, 6)), seed=trial)
-        mtruth = exact_value(mtree)
-        for result in (
-            alpha_beta(mtree),
-            sequential_alpha_beta(mtree),
-            parallel_alpha_beta(mtree, 1),
-            scout(mtree),
-            sss_star(mtree),
-            n_sequential_alpha_beta(mtree),
-            n_parallel_alpha_beta(mtree, 1),
-        ):
-            assert result.value == mtruth, "MIN/MAX disagreement!"
-            checks += 1
+        for instance, runs in ((tree, boolean_runs), (mtree, minmax_runs)):
+            truth = exact_value(instance)
+            for name, run in runs.items():
+                value = run(instance).value
+                if value != truth:
+                    print(f"FAIL — {name} returned {value!r}, ground "
+                          f"truth {truth!r} (trial {trial}, seed "
+                          f"{args.seed})")
+                    return 1
+                checks += 1
     print(f"ok — {checks} algorithm runs agreed with ground truth "
           f"on {args.trials} Boolean + {args.trials} MIN/MAX instances")
     return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Tuple, TypeVar
 
-from ..core.policies import WidthPolicy, select_leftmost_live
+from ..core.policies import LeftmostPolicy, WidthPolicy
 from ..core.solve_engine import run_boolean
 from ..core.status import BooleanState
 from ..trees.base import GameTree, NodeId
@@ -66,22 +66,22 @@ def _trace_base_paths(
     tree: GameTree,
     pre_state: S,
     run: Callable[[Callable[..., None]], object],
-    select: Callable[[GameTree, S, int], List[NodeId]],
     advance: Callable[[S, NodeId], object],
 ) -> List[StepCode]:
     """Record each step's base path and code during ``run(on_step)``.
 
     ``pre_state`` is a shadow of the engine state kept one step behind
     by ``advance``, so codes are computed against the state *prior* to
-    the step, exactly as in the paper's definition; ``select`` picks
-    the base path's end (the leftmost selectable node) in it.
+    the step, exactly as in the paper's definition; the base path's
+    end is the leftmost selectable node in it.
     """
     records: List[StepCode] = []
+    leftmost = LeftmostPolicy(1)
 
     def on_step(state: S, step: int, batch) -> None:
         # Base node: leftmost selectable node prior to this step =
         # first selected node (selection is left-to-right).
-        base = select(tree, pre_state, 1)
+        base = leftmost(tree, pre_state)
         assert base and base[0] == batch[0], "selection lost left order"
         path = tree.path_from_root(base[0])
         records.append(
@@ -112,7 +112,7 @@ def trace_codes(tree: GameTree, width: int = 1) -> List[StepCode]:
         lambda on_step: run_boolean(
             tree, WidthPolicy(width), on_step=on_step
         ),
-        select_leftmost_live, BooleanState.evaluate_leaf,
+        BooleanState.evaluate_leaf,
     )
 
 
@@ -154,17 +154,12 @@ def trace_expansion_codes(tree: GameTree, width: int = 1) -> List[StepCode]:
     the code again counts live right-siblings of the non-root path
     nodes prior to the step.
     """
-    from ..core.nodeexpansion import (
-        ExpansionState,
-        NWidthPolicy,
-        run_expansion,
-        select_leftmost_frontier,
-    )
+    from ..core.nodeexpansion import ExpansionState, run_expansion
 
     return _trace_base_paths(
         tree, ExpansionState(tree),
         lambda on_step: run_expansion(
-            tree, NWidthPolicy(width), on_step=on_step
+            tree, WidthPolicy(width), on_step=on_step
         ),
-        select_leftmost_frontier, ExpansionState.expand,
+        ExpansionState.expand,
     )

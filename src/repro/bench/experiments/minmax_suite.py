@@ -16,10 +16,10 @@ from ...core.alphabeta import (
     alpha_beta,
     parallel_alpha_beta,
     run_minmax,
-    AlphaBetaWidthPolicy,
     sequential_alpha_beta,
 )
 from ...core.nodeexpansion import n_parallel_solve, n_sequential_solve
+from ...core.policies import WidthPolicy
 from ...core.randomized import (
     estimate_expectation,
     r_parallel_alpha_beta,
@@ -70,7 +70,7 @@ def e08_theorem2_invariant(
                 if not theorem2_holds(state, truth):
                     counts["bad"] += 1
 
-            res = run_minmax(tree, AlphaBetaWidthPolicy(1),
+            res = run_minmax(tree, WidthPolicy(1),
                              on_step=on_step)
             assert abs(res.value - truth) < 1e-12
             checked += counts["checked"]

@@ -25,15 +25,9 @@ from .parallel_solve import (
     span,
 )
 from .policies import (
-    BoundedWidthPolicy,
-    SaturationPolicy,
-    SequentialPolicy,
-    TeamPolicy,
+    LeftmostPolicy,
     WidthPolicy,
     rank_by_urgency,
-    select_by_pruning_number,
-    select_leftmost_live,
-    select_with_pruning_numbers,
 )
 from .sequential_solve import (
     sequential_leaf_set,
@@ -64,17 +58,11 @@ __all__ = [
     "ShmOptions",
     "ShmRunResult",
     "ShmSession",
-    "SequentialPolicy",
-    "TeamPolicy",
+    "LeftmostPolicy",
     "WidthPolicy",
-    "BoundedWidthPolicy",
-    "SaturationPolicy",
     "arena_parallel_solve",
     "arena_saturation_solve",
     "arena_team_solve",
     "arena_alpha_beta",
     "rank_by_urgency",
-    "select_leftmost_live",
-    "select_by_pruning_number",
-    "select_with_pruning_numbers",
 ]

@@ -1,11 +1,6 @@
 """MIN/MAX tree evaluation: the alpha-beta pruning process (Section 4)."""
 
-from .engine import (
-    AlphaBetaWidthPolicy,
-    prune_to_fixpoint,
-    run_minmax,
-    select_unfinished_by_pruning_number,
-)
+from .engine import prune_to_fixpoint, run_minmax
 from .parallel import parallel_alpha_beta, sequential_alpha_beta
 from .scout import ScoutResult, scout
 from .sequential import alpha_beta, alpha_beta_leaf_set, minimax
@@ -14,10 +9,8 @@ from .state import AlphaBetaState
 
 __all__ = [
     "AlphaBetaState",
-    "AlphaBetaWidthPolicy",
     "run_minmax",
     "prune_to_fixpoint",
-    "select_unfinished_by_pruning_number",
     "sequential_alpha_beta",
     "parallel_alpha_beta",
     "alpha_beta",

@@ -42,7 +42,6 @@ from ...models.accounting import EvalResult
 from ...telemetry import Recorder
 from ...trees.base import GameTree, NodeId
 from ...types import NodeType
-from ..policies import budgeted_walk, check_count
 from ..steps import ALPHABETA, run_steps
 from .state import AlphaBetaState
 
@@ -175,31 +174,6 @@ def _prune_round(
                 if child in touched and child not in settled:
                     stack.append((child, alpha, beta))
     return count
-
-
-def select_unfinished_by_pruning_number(
-    tree: GameTree, state: AlphaBetaState, width: int
-) -> List[NodeId]:
-    """Unfinished leaves of T-tilde with pruning number <= ``width``.
-
-    Same budgeted DFS as the Boolean case, with "determined" replaced by
-    "finished" and pruned children excluded from both the walk and the
-    sibling counts: the walk's ``settled`` set is finished-or-pruned.
-    """
-    return [leaf for leaf, _pn in budgeted_walk(tree, width, state.settled)]
-
-
-class AlphaBetaWidthPolicy:
-    """Parallel alpha-beta of width w (w = 0: Sequential alpha-beta)."""
-
-    def __init__(self, width: int):
-        self.width = width = check_count(width, 0, "width must be >= 0")
-        self.name = f"parallel-alpha-beta(w={width})"
-
-    def __call__(
-        self, tree: GameTree, state: AlphaBetaState
-    ) -> List[NodeId]:
-        return select_unfinished_by_pruning_number(tree, state, self.width)
 
 
 def run_minmax(

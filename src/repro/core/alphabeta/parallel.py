@@ -16,7 +16,8 @@ from ...telemetry import Recorder
 from ...trees.base import GameTree
 from ..arena import arena_alpha_beta
 from ..parallel_solve import Route, dispatch
-from .engine import AlphaBetaWidthPolicy, run_minmax
+from ..policies import WidthPolicy
+from .engine import run_minmax
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..shm import ShmOptions
@@ -24,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # The pruning process runs on any tree kind (a Boolean tree's 0/1
 # leaves are valid MIN/MAX values), so neither route checks the kind.
 _SEQUENTIAL_ALPHA_BETA = Route(
-    "sequential-alpha-beta", None, AlphaBetaWidthPolicy,
+    "sequential-alpha-beta", None, WidthPolicy,
     run_minmax, arena_alpha_beta, "alpha_beta",
 )
 

@@ -26,7 +26,7 @@ pruning round takes it: only below such a node can a new cut appear
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Set
+from typing import Collection, Dict, Optional, Set
 
 from ...errors import ModelViolationError, PruningInvariantError
 from ...trees.base import GameTree, NodeId
@@ -35,6 +35,10 @@ from ...types import NodeType
 
 class AlphaBetaState:
     """Evaluation state of the pruning process over a MIN/MAX tree."""
+
+    #: expanded nodes; ``None`` in the leaf model, whose terminals are
+    #: leaves (the node-expansion state sets it).
+    expanded: Optional[Collection[NodeId]] = None
 
     def __init__(self, tree: GameTree):
         self.tree = tree

@@ -228,7 +228,7 @@ def width_selection(
 
     With ``max_processors`` the per-step batch is capped at the most
     urgent leaves, exactly like
-    :class:`~repro.core.policies.BoundedWidthPolicy`.
+    :class:`~repro.core.policies.WidthPolicy` with ``max_processors``.
     """
     width = check_count(width, 0, "width must be >= 0")
     if max_processors is None:

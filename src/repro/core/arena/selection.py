@@ -5,7 +5,7 @@ array sweeps instead of per-node DFS:
 
 * :func:`select_width` — the budgeted width-w walk ("all live leaves
   with pruning number at most w").  Equivalent to
-  :func:`repro.core.policies.select_with_pruning_numbers`: at each
+  :func:`repro.core.policies.budgeted_walk`: at each
   level the candidate children of in-range parents are gathered by
   their ``child_start`` slices, settled siblings are dropped (they never
   cost budget), and the per-parent live index is each child's offset

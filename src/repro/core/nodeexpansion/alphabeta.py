@@ -6,6 +6,9 @@ the details for space.  The conversion follows the same recipe as
 SOLVE: the pruned tree T-tilde now lives over the generated tree T*,
 frontier nodes (live, unexpanded, not pruned) replace unfinished
 leaves as the selectable unit, and expansion of a leaf finishes it.
+The selection is the leaf model's
+:class:`~repro.core.policies.WidthPolicy`, reading the state's
+finished-or-pruned ``settled`` set and its ``expanded`` set.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from ...models.accounting import EvalResult
 from ...trees.base import GameTree, NodeId
 from ..alphabeta.engine import prune_to_fixpoint
 from ..alphabeta.state import AlphaBetaState
-from ..policies import budgeted_walk, check_count
+from ..policies import WidthPolicy
 from ..steps import EXPANSION_ALPHABETA, run_steps
 
 
@@ -37,34 +40,21 @@ class ExpansionAlphaBetaState(AlphaBetaState):
 
     # -- updates ------------------------------------------------------------
     def expand(self, node: NodeId) -> None:
-        """Apply the node-expansion operation; a leaf finishes."""
+        """Apply the node-expansion operation; a leaf finishes.
+
+        A repeat and a settled (pruned) node are rejected before
+        anything changes.
+        """
         if node in self.expanded:
             raise ModelViolationError(f"node {node!r} expanded twice")
+        if node in self.settled:
+            raise ModelViolationError(
+                f"node {node!r} is settled (finished or pruned)"
+            )
         self.expanded.add(node)
         if self.tree.is_leaf(node):
             self._mark_touched(node)
             self._finish(node, float(self.tree.leaf_value(node)))
-
-
-def select_expansion_frontier(
-    tree: GameTree, state: ExpansionAlphaBetaState, width: int
-) -> List[NodeId]:
-    """Frontier nodes of T-tilde over T* with pruning number <= width."""
-    return [
-        node for node, _pn in
-        budgeted_walk(tree, width, state.settled, state.expanded)
-    ]
-
-
-class NAlphaBetaWidthPolicy:
-    """N-Parallel alpha-beta of width w (w = 0: N-Sequential)."""
-
-    def __init__(self, width: int):
-        self.width = width = check_count(width, 0, "width must be >= 0")
-        self.name = f"n-parallel-alpha-beta(w={width})"
-
-    def __call__(self, tree: GameTree, state: ExpansionAlphaBetaState):
-        return select_expansion_frontier(tree, state, self.width)
 
 
 def run_expansion_minmax(
@@ -101,11 +91,11 @@ def run_expansion_minmax(
 
 def n_sequential_alpha_beta(tree: GameTree, **kw) -> EvalResult:
     """N-Sequential alpha-beta: expand the leftmost frontier node."""
-    return run_expansion_minmax(tree, NAlphaBetaWidthPolicy(0), **kw)
+    return run_expansion_minmax(tree, WidthPolicy(0), **kw)
 
 
 def n_parallel_alpha_beta(
     tree: GameTree, width: int = 1, **kw
 ) -> EvalResult:
     """N-Parallel alpha-beta of the given width."""
-    return run_expansion_minmax(tree, NAlphaBetaWidthPolicy(width), **kw)
+    return run_expansion_minmax(tree, WidthPolicy(width), **kw)

@@ -3,6 +3,12 @@
 One basic step = select a batch of frontier nodes (per policy) and
 expand all of them simultaneously.  Running time is the number of steps,
 total work the number of expansions, processors the maximum batch size.
+
+The policies are the leaf model's
+:class:`~repro.core.policies.LeftmostPolicy` and
+:class:`~repro.core.policies.WidthPolicy`: the state's ``expanded``
+set makes their walks stop at unexpanded nodes instead of leaves, and
+descend through expanded ones.
 """
 
 from __future__ import annotations
@@ -13,55 +19,12 @@ from typing import Callable, List, Optional, Tuple
 from ...models.accounting import EvalResult
 from ...telemetry import Recorder
 from ...trees.base import GameTree, NodeId
-from ..policies import budgeted_walk, check_count, leftmost_walk
 from ..steps import EXPANSION, run_steps
 from .state import ExpansionState
 
 ExpansionPolicy = Callable[[GameTree, ExpansionState], List[NodeId]]
 
 ExpansionStepHook = Callable[[ExpansionState, int, List[NodeId]], None]
-
-
-def select_frontier_by_pruning_number(
-    tree: GameTree, state: ExpansionState, width: int
-) -> List[NodeId]:
-    """Frontier nodes of T* with pruning number <= ``width``.
-
-    The walk mirrors the leaf-evaluation selection, but its terminals
-    are *unexpanded* live nodes rather than leaves — an expanded node is
-    an interior point of T* and the walk descends through it.
-    """
-    return [
-        node for node, _pn in
-        budgeted_walk(tree, width, state.value, state.expanded)
-    ]
-
-
-def select_leftmost_frontier(
-    tree: GameTree, state: ExpansionState, limit: int
-) -> List[NodeId]:
-    """The leftmost ``limit`` frontier nodes of T*."""
-    return leftmost_walk(tree, limit, state.value, state.expanded)
-
-
-class NSequentialPolicy:
-    """N-Sequential SOLVE: expand the leftmost frontier node."""
-
-    name = "n-sequential-solve"
-
-    def __call__(self, tree: GameTree, state: ExpansionState):
-        return select_leftmost_frontier(tree, state, 1)
-
-
-class NWidthPolicy:
-    """N-Parallel SOLVE of width w (w = 0: N-Sequential SOLVE)."""
-
-    def __init__(self, width: int):
-        self.width = width = check_count(width, 0, "width must be >= 0")
-        self.name = f"n-parallel-solve(w={width})"
-
-    def __call__(self, tree: GameTree, state: ExpansionState):
-        return select_frontier_by_pruning_number(tree, state, self.width)
 
 
 def run_expansion(

@@ -15,12 +15,13 @@ from ...errors import BackendUnsupportedError
 from ...models.accounting import EvalResult
 from ...trees.base import GameTree
 from ..parallel_solve import resolve_backend
-from .engine import NSequentialPolicy, NWidthPolicy, run_expansion
+from ..policies import LeftmostPolicy, WidthPolicy
+from .engine import run_expansion
 
 
 def n_sequential_solve(tree: GameTree, **kw) -> EvalResult:
     """Expand the leftmost frontier node at each step (S-SOLVE*)."""
-    return run_expansion(tree, NSequentialPolicy(), **kw)
+    return run_expansion(tree, LeftmostPolicy(1), **kw)
 
 
 def n_parallel_solve(
@@ -46,4 +47,4 @@ def n_parallel_solve(
             "is nothing to lower up front); use 'rescan'",
             engine="n-parallel-solve", backend="arena",
         )
-    return run_expansion(tree, NWidthPolicy(width), **kw)
+    return run_expansion(tree, WidthPolicy(width), **kw)

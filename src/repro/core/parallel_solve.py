@@ -32,7 +32,7 @@ from ..trees.base import GameTree
 from ..trees.lazy import LazyTree
 from ..types import TreeKind
 from .arena import arena_parallel_solve, arena_saturation_solve
-from .policies import BoundedWidthPolicy, SaturationPolicy, WidthPolicy
+from .policies import LeftmostPolicy, WidthPolicy
 from .solve_engine import run_boolean
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -169,21 +169,15 @@ def dispatch(
         return run(*args, keep_batches=keep_batches, **params)
 
 
-def _width_policy(width: int, max_processors: Optional[int] = None):
-    if max_processors is None:
-        return WidthPolicy(width)
-    return BoundedWidthPolicy(width, max_processors)
-
-
 _PARALLEL_SOLVE = Route(
     "parallel-solve", TreeKind.BOOLEAN,
-    _width_policy,
+    WidthPolicy,
     run_boolean, arena_parallel_solve, "parallel_solve",
 )
 
 _SATURATION_SOLVE = Route(
     "saturation-solve", TreeKind.BOOLEAN,
-    SaturationPolicy,
+    LeftmostPolicy,
     run_boolean, arena_saturation_solve, "saturation_solve",
 )
 

@@ -1,35 +1,45 @@
-"""Leaf-selection policies for the leaf-evaluation model.
+"""Selection policies: the two rules every object-graph engine runs.
 
-A policy maps the current :class:`~repro.core.status.BooleanState` to
-the batch of live leaves to evaluate at the next basic step.  The
-paper's three algorithms are three policies:
+A policy maps the current state to the batch of live terminals to
+process at the next basic step.  The paper has two selection rules:
 
-* :class:`SequentialPolicy` — the leftmost live leaf (Sequential SOLVE);
-* :class:`TeamPolicy` — the leftmost ``p`` live leaves (Team SOLVE);
-* :class:`WidthPolicy` — all live leaves with pruning number at most
-  ``w`` (Parallel SOLVE of width w; width 0 coincides with Sequential
-  SOLVE).
+* :class:`LeftmostPolicy` — the leftmost ``limit`` live terminals
+  (Sequential SOLVE and N-Sequential SOLVE with limit 1, Team SOLVE
+  with limit p, saturation with no limit);
+* :class:`WidthPolicy` — all live terminals with pruning number at
+  most ``w`` (Parallel SOLVE, Parallel alpha-beta and their
+  node-expansion versions; width 0 coincides with the sequential
+  algorithm), optionally capped at the ``max_processors`` most urgent.
 
-Both selections run as a single left-to-right DFS that descends only
-through undetermined nodes.  For :class:`WidthPolicy` the DFS carries a
-*budget*: stepping past ``c`` live left-siblings at a node costs ``c``,
-and branches whose cumulative cost exceeds the width are cut — this
-enumerates exactly the live leaves with pruning number <= w, touching
-only their ancestors.
+Each rule is one left-to-right DFS that descends only through
+unsettled nodes.  :func:`budgeted_walk` carries a *budget*: stepping
+past ``c`` live left-siblings at a node costs ``c``, and branches whose
+cumulative cost exceeds the width are cut — this enumerates exactly the
+live terminals with pruning number <= w, touching only their ancestors.
 
-The two DFS walks, :func:`leftmost_walk` and :func:`budgeted_walk`,
-are the only object-graph copies: the pruning process and the
-node-expansion model call them with their own ``settled`` container
-(finished-or-pruned) and terminals (unexpanded nodes).
+Both policies work on all four models because every state exposes the
+two containers the walks read: ``settled`` (determined nodes, or
+finished-or-pruned ones in the pruning process) and ``expanded``
+(``None`` in the leaf-evaluation model, where the terminals are leaves;
+the expanded set in the node-expansion model, where they are the
+unexpanded nodes).
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from typing import Collection, List, Optional, Tuple
+from typing import TYPE_CHECKING, Collection, List, Optional, Tuple, Union
 
 from ..trees.base import GameTree, NodeId
 from .status import BooleanState
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .alphabeta.state import AlphaBetaState
+
+#: Any state a policy selects from; the node-expansion states subclass
+#: these two.
+State = Union[BooleanState, "AlphaBetaState"]
 
 
 def check_count(value: object, minimum: int, message: str) -> int:
@@ -124,32 +134,6 @@ def leftmost_walk(
     return out
 
 
-def select_leftmost_live(
-    tree: GameTree, state: BooleanState, limit: int
-) -> List[NodeId]:
-    """The leftmost ``limit`` live leaves, in left-to-right order."""
-    return leftmost_walk(tree, limit, state.value)
-
-
-def select_by_pruning_number(
-    tree: GameTree, state: BooleanState, width: int
-) -> List[NodeId]:
-    """All live leaves with pruning number at most ``width``.
-
-    Returned in left-to-right order.
-    """
-    return [
-        leaf for leaf, _pn in budgeted_walk(tree, width, state.value)
-    ]
-
-
-def select_with_pruning_numbers(
-    tree: GameTree, state: BooleanState, width: int
-) -> List[Tuple[NodeId, int]]:
-    """Live leaves with pruning number <= ``width``, as (leaf, number)."""
-    return budgeted_walk(tree, width, state.value)
-
-
 def rank_by_urgency(scored: List[tuple], processors: int) -> List[NodeId]:
     """The ``processors`` most urgent of ``(leaf, pruning_number)`` pairs.
 
@@ -163,73 +147,58 @@ def rank_by_urgency(scored: List[tuple], processors: int) -> List[NodeId]:
     return [scored[i][0] for i in sorted(ranked)]
 
 
-class SequentialPolicy:
-    """Sequential SOLVE: evaluate the leftmost live leaf."""
+class LeftmostPolicy:
+    """The leftmost ``limit`` live terminals, in left-to-right order.
 
-    name = "sequential-solve"
+    Sequential SOLVE and N-Sequential SOLVE take ``limit=1``, Team
+    SOLVE with p processors ``limit=p``.  With no limit every live leaf
+    is taken each step (saturation): the step count is then the
+    instance's *span*, which lower-bounds every parallel schedule
+    (Brent's argument), so any policy's speed-up is capped by
+    S(T) / span(T).
+    """
 
-    def __call__(self, tree: GameTree, state: BooleanState) -> List[NodeId]:
-        return select_leftmost_live(tree, state, 1)
+    def __init__(self, limit: Optional[int] = None):
+        if limit is None:
+            self.limit: float = math.inf
+            self.name = "leftmost"
+        else:
+            # Team SOLVE's processor count is the one limit a caller
+            # supplies, so its range message is the one raised.
+            self.limit = limit = check_count(
+                limit, 1, "Team SOLVE needs at least one processor"
+            )
+            self.name = f"leftmost({limit})"
 
-
-class TeamPolicy:
-    """Team SOLVE with p processors: the leftmost p live leaves."""
-
-    def __init__(self, processors: int):
-        self.processors = processors = check_count(
-            processors, 1, "Team SOLVE needs at least one processor"
-        )
-        self.name = f"team-solve(p={processors})"
-
-    def __call__(self, tree: GameTree, state: BooleanState) -> List[NodeId]:
-        return select_leftmost_live(tree, state, self.processors)
+    def __call__(self, tree: GameTree, state: State) -> List[NodeId]:
+        return leftmost_walk(tree, self.limit, state.settled, state.expanded)
 
 
 class WidthPolicy:
-    """Parallel SOLVE of width w: live leaves with pruning number <= w."""
+    """Live terminals with pruning number <= ``width``, left to right.
 
-    def __init__(self, width: int):
-        self.width = width = check_count(width, 0, "width must be >= 0")
-        self.name = f"parallel-solve(w={width})"
-
-    def __call__(self, tree: GameTree, state: BooleanState) -> List[NodeId]:
-        return select_by_pruning_number(tree, state, self.width)
-
-
-class BoundedWidthPolicy:
-    """Width-w selection capped at ``processors`` leaves per step.
-
-    The practical fixed-machine variant: of the live leaves with
-    pruning number <= w, evaluate the ``processors`` most urgent —
-    smallest pruning number first, leftmost on ties (so the leaf
-    Sequential SOLVE would take is always included, and with
-    processors = 1 this *is* Sequential SOLVE for any width).
+    Parallel SOLVE, Parallel alpha-beta and their node-expansion
+    versions of width w (width 0 is the sequential algorithm).  With
+    ``max_processors`` it is the fixed machine: of those terminals,
+    the ``max_processors`` most urgent (:func:`rank_by_urgency`), so
+    the one Sequential SOLVE would take is always included and one
+    processor *is* Sequential SOLVE for any width.
     """
 
-    def __init__(self, width: int, processors: int):
+    def __init__(self, width: int, max_processors: Optional[int] = None):
         self.width = width = check_count(width, 0, "width must be >= 0")
-        self.processors = processors = check_count(
-            processors, 1, "need at least one processor"
-        )
-        self.name = f"parallel-solve(w={width}, p={processors})"
+        if max_processors is None:
+            self.name = f"width({width})"
+        else:
+            max_processors = check_count(
+                max_processors, 1, "need at least one processor"
+            )
+            self.name = f"width({width}, p={max_processors})"
+        self.max_processors = max_processors
 
-    def __call__(self, tree: GameTree, state: BooleanState) -> List[NodeId]:
-        scored = select_with_pruning_numbers(tree, state, self.width)
-        if len(scored) <= self.processors:
-            return [leaf for leaf, _ in scored]
-        return rank_by_urgency(scored, self.processors)
-
-
-class SaturationPolicy:
-    """Evaluate *every* live leaf each step (unbounded parallelism).
-
-    The number of steps this takes is the instance's *span* — the
-    depth of the evaluation dependency structure — which lower-bounds
-    every parallel schedule's step count (Brent's argument); speed-up
-    of any policy is capped by S(T) / span(T).
-    """
-
-    name = "saturation-solve"
-
-    def __call__(self, tree: GameTree, state: BooleanState) -> List[NodeId]:
-        return select_leftmost_live(tree, state, float("inf"))
+    def __call__(self, tree: GameTree, state: State) -> List[NodeId]:
+        scored = budgeted_walk(tree, self.width, state.settled, state.expanded)
+        cap = self.max_processors
+        if cap is not None and len(scored) > cap:
+            return rank_by_urgency(scored, cap)
+        return [node for node, _pn in scored]

@@ -6,8 +6,9 @@ Two implementations are provided:
   short-circuit evaluation, the direct analogue of the paper's
   ``S-SOLVE`` program.  This is the production path: it is what
   ``S(T)`` is measured with, and what skeleton construction replays.
-* the engine route (``run_boolean`` with :class:`SequentialPolicy`) —
-  one leaf per basic step.  Both must evaluate exactly the same leaves
+* the engine route (``run_boolean`` with
+  :class:`~repro.core.policies.LeftmostPolicy` of limit 1) — one leaf
+  per basic step.  Both must evaluate exactly the same leaves
   in exactly the same order; the test suite enforces this equivalence.
 """
 

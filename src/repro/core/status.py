@@ -17,7 +17,7 @@ undetermined nodes, so deadness never needs to be stored.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Collection, Dict, Optional, Set
 
 from ..errors import ModelViolationError
 from ..trees.base import GameTree, NodeId
@@ -26,6 +26,10 @@ from ..trees.base import GameTree, NodeId
 class BooleanState:
     """Incremental determination state over a Boolean tree."""
 
+    #: expanded nodes; ``None`` in the leaf model, whose terminals are
+    #: leaves (the node-expansion state sets it).
+    expanded: Optional[Collection[NodeId]] = None
+
     def __init__(self, tree: GameTree):
         self.tree = tree
         #: determined node values (absence means undetermined).
@@ -33,6 +37,11 @@ class BooleanState:
         #: leaves that have been evaluated.
         self.evaluated: Set[NodeId] = set()
         self._undetermined_children: Dict[NodeId, int] = {}
+
+    @property
+    def settled(self) -> Dict[NodeId, int]:
+        """The determined nodes (``value``): the selection walks' cut."""
+        return self.value
 
     # -- queries ----------------------------------------------------------
     def is_determined(self, node: NodeId) -> bool:

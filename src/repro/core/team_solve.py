@@ -17,7 +17,7 @@ from ..trees.base import GameTree
 from ..types import TreeKind
 from .arena import arena_team_solve
 from .parallel_solve import Route, dispatch
-from .policies import TeamPolicy
+from .policies import LeftmostPolicy
 from .solve_engine import run_boolean
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _TEAM_SOLVE = Route(
     "team-solve", TreeKind.BOOLEAN,
-    TeamPolicy,
+    LeftmostPolicy,
     run_boolean, arena_team_solve, "team_solve",
 )
 

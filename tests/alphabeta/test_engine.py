@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.alphabeta import (
-    AlphaBetaState,
-    AlphaBetaWidthPolicy,
-    prune_to_fixpoint,
-    run_minmax,
-    select_unfinished_by_pruning_number,
-)
+from repro.core import WidthPolicy
+from repro.core.alphabeta import AlphaBetaState, prune_to_fixpoint, run_minmax
 from repro.errors import ModelViolationError
 from repro.trees import ExplicitTree, exact_value
 from repro.trees.generators import iid_minmax, iid_minmax_integers
@@ -129,7 +124,7 @@ class TestSelection:
         st = AlphaBetaState(t)
         # Advance a few steps with the engine's own policy first.
         for _ in range(3):
-            batch = select_unfinished_by_pruning_number(t, st, width)
+            batch = WidthPolicy(width)(t, st)
             if not batch:
                 break
             for leaf in batch:
@@ -138,12 +133,12 @@ class TestSelection:
             if st.is_finished(t.root):
                 break
         if not st.is_finished(t.root):
-            assert select_unfinished_by_pruning_number(t, st, width) == \
+            assert WidthPolicy(width)(t, st) == \
                 brute_force_selection(t, st, width)
 
     def test_empty_after_root_finished(self):
         t = iid_minmax(2, 3, seed=0)
-        res = run_minmax(t, AlphaBetaWidthPolicy(1))
+        res = run_minmax(t, WidthPolicy(1))
         st = AlphaBetaState(t)
         for leaf in t.iter_leaves():
             if st.is_finished(t.root):
@@ -152,14 +147,14 @@ class TestSelection:
                 st.finish_leaf(leaf)
                 prune_to_fixpoint(st)
         assert st.is_finished(t.root)
-        assert select_unfinished_by_pruning_number(t, st, 3) == []
+        assert WidthPolicy(3)(t, st) == []
 
 
 class TestRunMinmax:
     def test_value_matches_oracle(self):
         for seed in range(8):
             t = iid_minmax(3, 4, seed=seed)
-            res = run_minmax(t, AlphaBetaWidthPolicy(1))
+            res = run_minmax(t, WidthPolicy(1))
             assert res.value == exact_value(t)
 
     def test_bad_policy_raises(self):
@@ -170,13 +165,13 @@ class TestRunMinmax:
     def test_max_steps(self):
         t = iid_minmax(2, 6, seed=0)
         with pytest.raises(ModelViolationError):
-            run_minmax(t, AlphaBetaWidthPolicy(0), max_steps=3)
+            run_minmax(t, WidthPolicy(0), max_steps=3)
 
     def test_hook_and_batches(self):
         t = iid_minmax(2, 4, seed=3)
         seen = []
         res = run_minmax(
-            t, AlphaBetaWidthPolicy(1), keep_batches=True,
+            t, WidthPolicy(1), keep_batches=True,
             on_step=lambda st, i, b: seen.append(len(b)),
         )
         assert seen == res.trace.degrees
@@ -184,4 +179,4 @@ class TestRunMinmax:
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):
-            AlphaBetaWidthPolicy(-1)
+            WidthPolicy(-1)

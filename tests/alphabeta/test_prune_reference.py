@@ -19,15 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.alphabeta import (
-    AlphaBetaState,
-    prune_to_fixpoint,
-    select_unfinished_by_pruning_number,
-)
-from repro.core.nodeexpansion import (
-    ExpansionAlphaBetaState,
-    select_expansion_frontier,
-)
+from repro.core import WidthPolicy
+from repro.core.alphabeta import AlphaBetaState, prune_to_fixpoint
+from repro.core.nodeexpansion import ExpansionAlphaBetaState
 from repro.errors import ModelViolationError, PruningInvariantError
 from repro.games import TicTacToe, game_tree
 from repro.trees import ExplicitTree, UniformTree
@@ -205,11 +199,10 @@ def minmax_trees(draw):
 # -- engine-driven states -------------------------------------------------
 def _drive_leaf_engine(pair, width):
     tree = pair.tree
+    select = WidthPolicy(width)
     while not pair.done():
-        batch = select_unfinished_by_pruning_number(tree, pair.new, width)
-        assert batch == select_unfinished_by_pruning_number(
-            tree, pair.ref, width
-        )
+        batch = select(tree, pair.new)
+        assert batch == select(tree, pair.ref)
         assert batch
         for leaf in batch:
             pair.apply(lambda state, leaf=leaf: state.finish_leaf(leaf))
@@ -218,9 +211,10 @@ def _drive_leaf_engine(pair, width):
 
 def _drive_expansion_engine(pair, width):
     tree = pair.tree
+    select = WidthPolicy(width)
     while not pair.done():
-        batch = select_expansion_frontier(tree, pair.new, width)
-        assert batch == select_expansion_frontier(tree, pair.ref, width)
+        batch = select(tree, pair.new)
+        assert batch == select(tree, pair.ref)
         assert batch
         for node in batch:
             pair.apply(lambda state, node=node: state.expand(node))

@@ -53,6 +53,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "agreed with ground truth" in out
 
+    def test_verify_reports_a_wrong_engine(self, capsys, monkeypatch):
+        # An explicit check, not an assert: ``python -O`` must still
+        # fail a broken engine.
+        import repro.core
+        from repro.trees import exact_value
+
+        class Wrong:
+            def __init__(self, tree):
+                self.value = 1 - exact_value(tree)
+
+        monkeypatch.setattr(
+            repro.core, "team_solve", lambda tree, p: Wrong(tree)
+        )
+        assert main(["verify", "--trials", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL — team_solve(p=4)" in out
+        assert "trial 0" in out
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -21,7 +21,6 @@ from repro.bench.runner import failed_gates, run_benchmarks
 from repro.bench.specs import gate_bound, infra
 from repro.bench.specs.tables import extract_metrics
 from repro.core import policies
-from repro.core.alphabeta import engine as alphabeta_engine
 from repro.core.arena import alphabeta as arena_alphabeta
 from repro.core.arena import boolean as arena_boolean
 from repro.serve.cache import ResultCache
@@ -212,9 +211,7 @@ def _wrong_fault_values(monkeypatch, faulty):
 MUTATIONS = {
     "e21b-bounded-rescan": (
         "e21b", "backends_identical", "step_identity",
-        lambda mp: _reversed_batches(
-            mp, policies.BoundedWidthPolicy, "__call__"
-        ),
+        lambda mp: _reversed_batches(mp, policies.WidthPolicy, "__call__"),
     ),
     "e27-bounded-arena": (
         "e27", "solve_identical", "step_identity",
@@ -226,9 +223,7 @@ MUTATIONS = {
     ),
     "e27-alphabeta-rescan": (
         "e27", "backends_identical", "step_identity",
-        lambda mp: _reversed_batches(
-            mp, alphabeta_engine.AlphaBetaWidthPolicy, "__call__",
-        ),
+        lambda mp: _reversed_batches(mp, policies.WidthPolicy, "__call__"),
     ),
     "e27-alphabeta-order": (
         "e27", "ab_identical", "step_identity", _reversed_alphabeta_order,

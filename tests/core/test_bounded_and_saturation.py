@@ -3,15 +3,15 @@
 import pytest
 
 from repro.core import (
-    BoundedWidthPolicy,
     BooleanState,
+    WidthPolicy,
     parallel_solve,
     saturation_solve,
-    select_with_pruning_numbers,
     sequential_solve,
     span,
     team_solve,
 )
+from repro.core.policies import budgeted_walk
 from repro.trees import exact_value
 from repro.trees.generators import iid_boolean, sequential_worst_case
 
@@ -21,13 +21,13 @@ class TestSelectionWithNumbers:
         for seed in range(6):
             t = iid_boolean(2, 6, 0.4, seed=seed)
             state = BooleanState(t)
-            for leaf, pn in select_with_pruning_numbers(t, state, 3):
+            for leaf, pn in budgeted_walk(t, 3, state.settled):
                 assert pn == state.pruning_number(leaf)
 
     def test_numbers_bounded_by_width(self):
         t = iid_boolean(3, 4, 0.4, seed=1)
         state = BooleanState(t)
-        for _leaf, pn in select_with_pruning_numbers(t, state, 2):
+        for _leaf, pn in budgeted_walk(t, 2, state.settled):
             assert 0 <= pn <= 2
 
 
@@ -65,8 +65,8 @@ class TestBoundedProcessors:
         # The selected subset consists of the smallest pruning numbers.
         t = iid_boolean(2, 6, 0.4, seed=6)
         state = BooleanState(t)
-        scored = dict(select_with_pruning_numbers(t, state, 3))
-        batch = BoundedWidthPolicy(3, 3)(t, state)
+        scored = dict(budgeted_walk(t, 3, state.settled))
+        batch = WidthPolicy(3, max_processors=3)(t, state)
         chosen = sorted(scored[leaf] for leaf in batch)
         rejected = sorted(
             pn for leaf, pn in scored.items() if leaf not in batch
@@ -77,9 +77,9 @@ class TestBoundedProcessors:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            BoundedWidthPolicy(-1, 2)
+            WidthPolicy(-1, max_processors=2)
         with pytest.raises(ValueError):
-            BoundedWidthPolicy(1, 0)
+            WidthPolicy(1, max_processors=0)
 
 
 class TestSaturationAndSpan:

@@ -4,14 +4,7 @@ brute-force pruning-number definition."""
 import numpy as np
 import pytest
 
-from repro.core import (
-    BooleanState,
-    SequentialPolicy,
-    TeamPolicy,
-    WidthPolicy,
-    select_by_pruning_number,
-    select_leftmost_live,
-)
+from repro.core import BooleanState, LeftmostPolicy, WidthPolicy
 from repro.trees import ExplicitTree
 from repro.trees.generators import iid_boolean
 
@@ -33,33 +26,33 @@ def tree():
 class TestLeftmostSelection:
     def test_first_leaf(self, tree):
         state = BooleanState(tree)
-        assert select_leftmost_live(tree, state, 1) == [2]
+        assert LeftmostPolicy(1)(tree, state) == [2]
 
     def test_first_three(self, tree):
         state = BooleanState(tree)
-        assert select_leftmost_live(tree, state, 3) == [2, 3, 5]
+        assert LeftmostPolicy(3)(tree, state) == [2, 3, 5]
 
     def test_skips_dead_subtrees(self, tree):
         state = BooleanState(tree)
         state.evaluate_leaf(2)  # kills node 1's subtree
-        assert select_leftmost_live(tree, state, 2) == [5, 7]
+        assert LeftmostPolicy(2)(tree, state) == [5, 7]
 
     def test_more_than_available(self, tree):
         state = BooleanState(tree)
-        got = select_leftmost_live(tree, state, 99)
+        got = LeftmostPolicy(99)(tree, state)
         assert got == [2, 3, 5, 7, 8, 9]
 
     def test_empty_when_root_determined(self, tree):
         state = BooleanState(tree)
         state.evaluate_leaf(9)  # leaf value 1 -> root NOR = 0
-        assert select_leftmost_live(tree, state, 5) == []
+        assert LeftmostPolicy(5)(tree, state) == []
 
 
 class TestWidthSelection:
     @pytest.mark.parametrize("width", [0, 1, 2, 3])
     def test_matches_brute_force_initial(self, tree, width):
         state = BooleanState(tree)
-        assert select_by_pruning_number(tree, state, width) == \
+        assert WidthPolicy(width)(tree, state) == \
             brute_force_width_selection(tree, state, width)
 
     @pytest.mark.parametrize("width", [0, 1, 2, 5])
@@ -73,24 +66,24 @@ class TestWidthSelection:
         state = BooleanState(tree)
         # Evaluate a random subset of live leaves to mid-game state.
         for _ in range(4):
-            live = select_leftmost_live(tree, state, 50)
+            live = LeftmostPolicy(50)(tree, state)
             if not live:
                 break
             state.evaluate_leaf(live[int(rng.integers(len(live)))])
             if state.root_value() is not None:
                 break
         if state.root_value() is None:
-            assert select_by_pruning_number(tree, state, width) == \
+            assert WidthPolicy(width)(tree, state) == \
                 brute_force_width_selection(tree, state, width)
 
     def test_width_zero_is_leftmost(self, tree):
         state = BooleanState(tree)
-        assert select_by_pruning_number(tree, state, 0) == \
-            select_leftmost_live(tree, state, 1)
+        assert WidthPolicy(0)(tree, state) == \
+            LeftmostPolicy(1)(tree, state)
 
     def test_left_to_right_order(self, tree):
         state = BooleanState(tree)
-        sel = select_by_pruning_number(tree, state, 2)
+        sel = WidthPolicy(2)(tree, state)
         leaf_order = list(tree.iter_leaves())
         positions = [leaf_order.index(s) for s in sel]
         assert positions == sorted(positions)
@@ -98,18 +91,18 @@ class TestWidthSelection:
     def test_width_one_on_uniform_tree_uses_n_plus_1(self):
         tree = iid_boolean(2, 8, 0.5, seed=0)
         state = BooleanState(tree)
-        sel = select_by_pruning_number(tree, state, 1)
+        sel = WidthPolicy(1)(tree, state)
         assert len(sel) <= 9
 
 
 class TestPolicyObjects:
     def test_sequential_policy(self, tree):
         state = BooleanState(tree)
-        assert SequentialPolicy()(tree, state) == [2]
+        assert LeftmostPolicy(1)(tree, state) == [2]
 
     def test_team_policy(self, tree):
         state = BooleanState(tree)
-        assert TeamPolicy(2)(tree, state) == [2, 3]
+        assert LeftmostPolicy(2)(tree, state) == [2, 3]
 
     def test_width_policy(self, tree):
         state = BooleanState(tree)
@@ -118,12 +111,14 @@ class TestPolicyObjects:
 
     def test_invalid_team_size(self):
         with pytest.raises(ValueError):
-            TeamPolicy(0)
+            LeftmostPolicy(0)
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             WidthPolicy(-1)
 
     def test_policy_names(self):
-        assert "team" in TeamPolicy(4).name
-        assert "w=2" in WidthPolicy(2).name
+        assert LeftmostPolicy(4).name == "leftmost(4)"
+        assert LeftmostPolicy().name == "leftmost"
+        assert WidthPolicy(2).name == "width(2)"
+        assert WidthPolicy(2, max_processors=3).name == "width(2, p=3)"

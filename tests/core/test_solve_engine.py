@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import (
-    SequentialPolicy,
+    LeftmostPolicy,
     WidthPolicy,
     run_boolean,
     sequential_solve,
@@ -18,7 +18,7 @@ import numpy as np
 class TestEngineBasics:
     def test_single_leaf_tree(self):
         t = ExplicitTree([()], {0: 1})
-        res = run_boolean(t, SequentialPolicy())
+        res = run_boolean(t, LeftmostPolicy(1))
         assert res.value == 1
         assert res.num_steps == 1
         assert res.evaluated == [0]
@@ -34,7 +34,7 @@ class TestEngineBasics:
 
     def test_sequential_policy_equals_width0(self):
         t = iid_boolean(3, 4, 0.4, seed=1)
-        a = run_boolean(t, SequentialPolicy())
+        a = run_boolean(t, LeftmostPolicy(1))
         b = run_boolean(t, WidthPolicy(0))
         assert a.evaluated == b.evaluated
 
@@ -46,7 +46,7 @@ class TestEngineBasics:
     def test_max_steps_guard(self):
         t = iid_boolean(2, 8, 0.5, seed=0)
         with pytest.raises(ModelViolationError):
-            run_boolean(t, SequentialPolicy(), max_steps=2)
+            run_boolean(t, LeftmostPolicy(1), max_steps=2)
 
     def test_on_step_hook_sees_every_step(self):
         t = iid_boolean(2, 5, 0.5, seed=2)
@@ -110,7 +110,7 @@ class TestHeightZeroMainLoop:
     def test_on_step_and_trace_fire_once(self):
         seen = []
         res = run_boolean(
-            self._leaf_tree(), SequentialPolicy(),
+            self._leaf_tree(), LeftmostPolicy(1),
             keep_batches=True,
             on_step=lambda state, i, batch: seen.append((i, tuple(batch))),
         )

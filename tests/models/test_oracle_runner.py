@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import SequentialPolicy, WidthPolicy, sequential_solve
+from repro.core import LeftmostPolicy, WidthPolicy, sequential_solve
 from repro.errors import ModelViolationError
 from repro.models.oracle_runner import run_with_oracle
 from repro.trees import ExplicitTree, exact_value
@@ -55,7 +55,7 @@ class TestOracleRunner:
 
     def test_timing_fields_populated(self):
         t = iid_boolean(2, 5, 0.5, seed=5)
-        res = run_with_oracle(t, identity_oracle, SequentialPolicy(),
+        res = run_with_oracle(t, identity_oracle, LeftmostPolicy(1),
                               None)
         assert res.total_seconds > 0
         assert 0 <= res.oracle_seconds <= res.total_seconds
@@ -69,7 +69,7 @@ class TestOracleRunner:
     def test_max_steps_guard(self):
         t = iid_boolean(2, 7, 0.5, seed=6)
         with pytest.raises(ModelViolationError):
-            run_with_oracle(t, identity_oracle, SequentialPolicy(),
+            run_with_oracle(t, identity_oracle, LeftmostPolicy(1),
                             None, max_steps=2)
 
 

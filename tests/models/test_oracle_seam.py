@@ -17,14 +17,7 @@ from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core import (
-    BoundedWidthPolicy,
-    SaturationPolicy,
-    SequentialPolicy,
-    TeamPolicy,
-    WidthPolicy,
-    run_boolean,
-)
+from repro.core import LeftmostPolicy, WidthPolicy, run_boolean
 from repro.core.status import BooleanState
 from repro.errors import DegradedRunError, ModelViolationError
 from repro.models.executors import OracleRuntime
@@ -41,11 +34,11 @@ def bit(x):
 
 #: name -> zero-argument factory; a fresh policy per run.
 POLICIES = {
-    "sequential": SequentialPolicy,
+    "sequential": lambda: LeftmostPolicy(1),
     **{f"width{w}": (lambda w=w: WidthPolicy(w)) for w in (0, 1, 2)},
-    "bounded": lambda: BoundedWidthPolicy(2, 2),
-    **{f"team{p}": (lambda p=p: TeamPolicy(p)) for p in (1, 3)},
-    "saturation": SaturationPolicy,
+    "bounded": lambda: WidthPolicy(2, max_processors=2),
+    **{f"team{p}": (lambda p=p: LeftmostPolicy(p)) for p in (1, 3)},
+    "saturation": LeftmostPolicy,
 }
 
 TREES = {
@@ -68,7 +61,7 @@ class TestEvaluateSeam:
     def test_evaluator_values_replace_tree_values(self):
         t = ExplicitTree.from_nested([0, 0])  # NOR of two zeros = 1
         res = run_boolean(
-            t, SaturationPolicy(), evaluate=lambda b: [1] * len(b)
+            t, LeftmostPolicy(), evaluate=lambda b: [1] * len(b)
         )
         assert res.value == 0
 

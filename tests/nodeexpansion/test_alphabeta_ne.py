@@ -1,9 +1,12 @@
 """Unit tests for node-expansion alpha-beta."""
 
+import copy
+
 import pytest
 
 from repro.core.alphabeta import alpha_beta
 from repro.core.nodeexpansion import (
+    ExpansionAlphaBetaState,
     n_parallel_alpha_beta,
     n_sequential_alpha_beta,
 )
@@ -11,6 +14,35 @@ from repro.errors import ModelViolationError
 from repro.trees import ExplicitTree, exact_value, lazy_view
 from repro.trees.generators import iid_minmax, iid_minmax_integers
 from repro.types import TreeKind
+
+
+class TestExpansionState:
+    def test_expand_of_pruned_node_rejected_state_unchanged(self):
+        # MAX( MIN(3, 1, 7), MIN(4, 2) ): leaves 2, 3, 4 under node 1.
+        # Expanding the pruned leaf 3 used to finish it, so node 1
+        # "finished" on leaves 2 and 3 and read leaf 4's missing value.
+        tree = ExplicitTree.from_nested(
+            [[3.0, 1.0, 7.0], [4.0, 2.0]], kind=TreeKind.MINMAX
+        )
+        st = ExpansionAlphaBetaState(tree)
+        st.expand(0)
+        st.expand(1)
+        st.prune(3)
+
+        def snapshot():
+            return {
+                name: copy.copy(field)
+                for name, field in vars(st).items() if name != "tree"
+            }
+
+        before = snapshot()
+        with pytest.raises(ModelViolationError, match="settled"):
+            st.expand(3)
+        assert snapshot() == before
+        st.expand(2)
+        assert not st.is_finished(1)  # leaf 4 is still open
+        st.expand(4)
+        assert st.finished_value[1] == 3.0  # MIN(3, 7); 1 was pruned
 
 
 class TestValues:
@@ -69,10 +101,8 @@ class TestSearchTree:
         assert view.expansions < t.num_nodes()
 
     def test_invalid_width(self):
-        from repro.core.nodeexpansion import NAlphaBetaWidthPolicy
-
         with pytest.raises(ValueError):
-            NAlphaBetaWidthPolicy(-1)
+            n_parallel_alpha_beta(iid_minmax(2, 3, seed=0), -1)
 
     def test_empty_policy_raises(self):
         from repro.core.nodeexpansion import run_expansion_minmax

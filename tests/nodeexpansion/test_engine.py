@@ -3,16 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import sequential_solve
+from repro.core import LeftmostPolicy, WidthPolicy, sequential_solve
 from repro.core.nodeexpansion import (
     ExpansionState,
-    NSequentialPolicy,
-    NWidthPolicy,
     n_parallel_solve,
     n_sequential_solve,
     run_expansion,
-    select_frontier_by_pruning_number,
-    select_leftmost_frontier,
 )
 from repro.analysis import skeleton_of
 from repro.errors import ModelViolationError
@@ -83,7 +79,7 @@ class TestSelection:
         t = iid_boolean(2, 4, 0.4, seed=seed)
         st = ExpansionState(t)
         for _ in range(6):
-            frontier = select_frontier_by_pruning_number(t, st, width)
+            frontier = WidthPolicy(width)(t, st)
             brute = brute_force_frontier(t, st, width)
             assert frontier == brute
             if not frontier:
@@ -95,13 +91,13 @@ class TestSelection:
     def test_leftmost_frontier_initially_root(self):
         t = iid_boolean(2, 3, 0.5, seed=1)
         st = ExpansionState(t)
-        assert select_leftmost_frontier(t, st, 1) == [t.root]
+        assert LeftmostPolicy(1)(t, st) == [t.root]
 
     def test_leftmost_after_root_expansion(self):
         t = iid_boolean(2, 3, 0.5, seed=1)
         st = ExpansionState(t)
         st.expand(0)
-        assert select_leftmost_frontier(t, st, 2) == [1, 2]
+        assert LeftmostPolicy(2)(t, st) == [1, 2]
 
 
 class TestAlgorithms:
@@ -131,8 +127,8 @@ class TestAlgorithms:
 
     def test_width0_equals_sequential(self):
         t = iid_boolean(2, 6, 0.5, seed=9)
-        a = run_expansion(t, NWidthPolicy(0))
-        b = run_expansion(t, NSequentialPolicy())
+        a = run_expansion(t, WidthPolicy(0))
+        b = run_expansion(t, LeftmostPolicy(1))
         assert a.evaluated == b.evaluated
 
     def test_wider_never_slower(self):
