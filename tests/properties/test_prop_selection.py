@@ -7,7 +7,9 @@ drives each model's state through random legal transitions — the
 width-w engine's own batch or an arbitrary set of live terminals — and
 at every step checks both rules against the definitions, read off the
 model's reference queries (``is_live`` / ``in_pruned_tree`` and
-``pruning_number``).
+``pruning_number``).  The ``test_minmax_selection_*`` tests pin the
+pruning-process width rule against its brute-force definition on their
+own.
 """
 
 import math
@@ -73,6 +75,51 @@ def test_processor_usage_matches_code_counting(d, n, w, seed):
         math.comb(n, k) * (d - 1) ** k for k in range(w + 1)
     )
     assert parallel_solve(tree, w).processors <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(nested_minmax(), st.integers(min_value=0, max_value=2))
+def test_minmax_selection_matches_definition(spec, width):
+    """Width-w selection equals the brute-force definition at every
+    step of a full run (MIN/MAX side)."""
+    tree = minmax_tree_from_spec(spec)
+    state = AlphaBetaState(tree)
+    policy = WidthPolicy(width)
+    while not state.is_finished(tree.root):
+        batch = policy(tree, state)
+        brute = [
+            leaf
+            for leaf in tree.iter_leaves()
+            if leaf not in state.finished_value
+            and state.in_pruned_tree(leaf)
+            and state.pruning_number(leaf) <= width
+        ]
+        assert batch == brute
+        for leaf in batch:
+            state.finish_leaf(leaf)
+        prune_to_fixpoint(state)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_minmax_selection_on_uniform_trees(d, n, seed):
+    tree = iid_minmax(d, n, seed=seed)
+    state = AlphaBetaState(tree)
+    policy = WidthPolicy(1)
+    steps = 0
+    while not state.is_finished(tree.root) and steps < 4:
+        batch = policy(tree, state)
+        for leaf in batch:
+            ref = state.pruning_number(leaf)
+            assert ref <= 1
+        for leaf in batch:
+            state.finish_leaf(leaf)
+        prune_to_fixpoint(state)
+        steps += 1
 
 
 #: model -> (state class, the transition applied to one terminal,
