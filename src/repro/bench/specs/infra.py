@@ -28,7 +28,7 @@ from functools import partial
 from statistics import median
 from typing import Any, Callable, Dict, List, Optional
 
-from ...core import parallel_solve
+from ...core import WidthPolicy, parallel_solve
 from ...core.alphabeta import parallel_alpha_beta
 from ...core.shm import CalibratedOracle, ShmOptions, ShmSession
 from ...faults import ALL_FAULT_KINDS, FaultPlan
@@ -283,14 +283,13 @@ def _run_e28(params: Dict[str, Any], wallclock: bool) -> SpecResult:
             params["oracle_cost_s"], params["oracle_mode"]
         )
         repeats = params["repeats"]
+        policy = WidthPolicy(width)
         times: Dict[int, float] = {}
         for p in params["p_grid"]:
             with ShmSession(
                 tree, ShmOptions(workers=p, oracle=oracle)
             ) as session:
-                times[p] = best_of(
-                    lambda: session.parallel_solve(width), repeats
-                )
+                times[p] = best_of(lambda: session.solve(policy), repeats)
         grid = list(params["p_grid"])
         base = times[grid[0]]
         for p in grid:

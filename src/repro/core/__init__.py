@@ -11,12 +11,7 @@ node-expansion model (Section 5) in :mod:`repro.core.nodeexpansion`;
 randomized variants (Section 6) in :mod:`repro.core.randomized`.
 """
 
-from .arena import (
-    arena_alpha_beta,
-    arena_parallel_solve,
-    arena_saturation_solve,
-    arena_team_solve,
-)
+from .arena import arena_alpha_beta, arena_solve
 from .parallel_solve import (
     BACKENDS,
     EXECUTORS,
@@ -60,9 +55,7 @@ __all__ = [
     "ShmSession",
     "LeftmostPolicy",
     "WidthPolicy",
-    "arena_parallel_solve",
-    "arena_saturation_solve",
-    "arena_team_solve",
+    "arena_solve",
     "arena_alpha_beta",
     "rank_by_urgency",
 ]

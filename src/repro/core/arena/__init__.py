@@ -9,18 +9,21 @@ level-batched sweeps over those columns:
 
 * selection (budgeted width-w walk, unbounded liveness walk and the
   counting-sort ``most_urgent(p)`` cap) in :mod:`.selection`;
-* the Boolean leaf-evaluation engines (Parallel/Bounded/Team/
-  Saturation SOLVE) in :mod:`.boolean`;
+* the Boolean leaf-evaluation loop (Parallel/Bounded/Team/Saturation
+  SOLVE, as the policy says) in :mod:`.boolean`;
 * the MIN/MAX pruning process (sequential and parallel alpha-beta)
   in :mod:`.alphabeta`.
 
-Each model has exactly one step loop
-(:func:`~.boolean.run_solve`, :func:`~.alphabeta.run_alpha_beta`),
-and it takes a leaf evaluator: the inline engines gather leaf values
-from the lowered column, the shared-memory executor
-(:mod:`repro.core.shm`) passes its worker pool.  The arena never
-builds the object-graph state, so ``on_step=`` hooks need the
-``rescan`` backend.
+A policy (:class:`~repro.core.policies.LeftmostPolicy`,
+:class:`~repro.core.policies.WidthPolicy`) is the rule, the arena one
+way to run it, the executor where leaves are evaluated.  Each model
+has one step loop (:func:`~.boolean.run_solve`,
+:func:`~.alphabeta.run_alpha_beta`), which takes the engine's policy
+object and a leaf evaluator: :func:`arena_solve` and
+:func:`arena_alpha_beta` gather leaf values from the lowered column,
+the shm executor (:mod:`repro.core.shm`) passes its worker pool.  The
+arena never builds the object-graph state, so ``on_step=`` hooks need
+the ``rescan`` backend.
 
 Everything here is step-for-step identical to the ``rescan`` backend:
 same per-step batches, same step/work accounting, same ``recorder=``
@@ -38,17 +41,11 @@ package; the scalar paths' loops are each acknowledged.
 """
 
 from .alphabeta import arena_alpha_beta
-from .boolean import (
-    arena_parallel_solve,
-    arena_saturation_solve,
-    arena_team_solve,
-)
+from .boolean import arena_solve
 from .selection import most_urgent, select_frontier, select_width
 
 __all__ = [
-    "arena_parallel_solve",
-    "arena_saturation_solve",
-    "arena_team_solve",
+    "arena_solve",
     "arena_alpha_beta",
     "select_width",
     "select_frontier",

@@ -40,10 +40,15 @@ from ...models.accounting import EvalResult
 from ...telemetry import Recorder
 from ...trees.base import GameTree, NodeId
 from ...trees.canonical import CanonicalArrays, canonical_arrays
-from ..policies import check_count
 from ..steps import ALPHABETA, run_steps
 from . import selection
-from .boolean import LeafEvaluator, depth_buckets, run_starts
+from .boolean import (
+    ArenaPolicy,
+    LeafEvaluator,
+    arena_selector,
+    depth_buckets,
+    run_starts,
+)
 from .selection import WidthWalk, select_width
 
 __all__ = ["arena_alpha_beta"]
@@ -419,20 +424,19 @@ class _AlphaBetaArena:
 
 def run_alpha_beta(
     arrays: CanonicalArrays,
-    width: int,
+    policy: ArenaPolicy,
     evaluate: LeafEvaluator,
     *,
     keep_batches: bool,
     recorder: Optional[Recorder],
     max_steps: Optional[int] = None,
 ) -> EvalResult:
-    """The pruning-process step loop of width ``width`` on the arena.
+    """The pruning-process step loop under ``policy`` on the arena.
 
     Mirrors :func:`~repro.core.alphabeta.engine.run_minmax` call for
     call; ``evaluate`` supplies each step's leaf values (see
     :func:`~repro.core.arena.boolean.run_solve`).
     """
-    width = check_count(width, 0, "width must be >= 0")
     arena = _AlphaBetaArena(arrays)
     node_ids = arrays.node_ids
 
@@ -441,10 +445,7 @@ def run_alpha_beta(
         return node_ids[batch_idx].tolist(), arena.prune_to_fixpoint()
 
     trace, evaluated = run_steps(
-        ALPHABETA, f"parallel-alpha-beta(w={width}, arena)",
-        lambda: select_width(
-            arrays, arena.settled, width, arena.budget, arena.walk
-        ),
+        ALPHABETA, policy, arena_selector(policy, arena, select_width),
         apply, lambda: arena.finished[0],
         keep_batches=keep_batches, max_steps=max_steps, recorder=recorder,
     )
@@ -453,19 +454,20 @@ def run_alpha_beta(
 
 def arena_alpha_beta(
     tree: GameTree,
-    width: int = 0,
+    policy: ArenaPolicy,
     *,
     keep_batches: bool = False,
     recorder: Optional[Recorder] = None,
     max_steps: Optional[int] = None,
 ) -> EvalResult:
-    """The pruning process of width ``width`` on the arena backend.
+    """The pruning process under ``policy`` on the arena backend.
 
-    Width 0 is Sequential alpha-beta.  Leaves are evaluated inline, by
-    a gather from the lowered ``values`` column.
+    ``WidthPolicy(w)`` is Parallel alpha-beta of width w, and
+    ``WidthPolicy(0)`` Sequential alpha-beta.  Leaves are evaluated
+    inline, by a gather from the lowered ``values`` column.
     """
     arrays = canonical_arrays(tree)
     return run_alpha_beta(
-        arrays, width, arrays.values.take,
+        arrays, policy, arrays.values.take,
         keep_batches=keep_batches, recorder=recorder, max_steps=max_steps,
     )

@@ -6,9 +6,11 @@ batch of live leaves, evaluate all of them, cascade determination for
 free — but over the struct-of-arrays columns: the batch is a numpy
 index vector, leaf evaluation is one call of a :data:`LeafEvaluator`,
 and the settle cascade is a level-batched bottom-up sweep.
-:func:`run_solve` is the only Boolean arena run: the inline engines
-here and the shared-memory executor (:mod:`repro.core.shm`) call it
-with different evaluators.
+:func:`run_solve` is the only Boolean arena run.  It takes the engine's
+selection policy, the same object rescan runs, and a leaf evaluator:
+:func:`arena_solve` evaluates leaves inline, the shared-memory executor
+(:mod:`repro.core.shm`) on its pool.  :func:`arena_selector` is the one
+place that turns a policy into its arena kernel, for both arena loops.
 
 Equivalence to the per-leaf cascade in
 :class:`~repro.core.status.BooleanState`: within one step, a parent
@@ -27,7 +29,8 @@ on Python scalars one leaf at a time, as the reference does.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,16 +39,12 @@ from ...models.accounting import EvalResult
 from ...telemetry import Recorder
 from ...trees.base import GameTree, NodeId
 from ...trees.canonical import CanonicalArrays, canonical_arrays
-from ..policies import check_count
+from ..policies import LeftmostPolicy, WidthPolicy
 from ..steps import SOLVE, run_steps
 from . import selection
 from .selection import WidthWalk, most_urgent, select_frontier, select_width
 
-__all__ = [
-    "arena_parallel_solve",
-    "arena_saturation_solve",
-    "arena_team_solve",
-]
+__all__ = ["arena_solve"]
 
 #: One step's leaf evaluation: preorder leaf indices -> their values,
 #: in batch order.
@@ -185,13 +184,44 @@ class _BooleanArena:
         self.walk.settled_at(shallowest)
 
 
-#: A selection rule: its policy name and ``arena -> batch`` closure.
-Selection = Tuple[str, Callable[[_BooleanArena], np.ndarray]]
+#: The selection rules the arena runs (see :func:`arena_selector`).
+ArenaPolicy = Union[LeftmostPolicy, WidthPolicy]
+
+
+def arena_selector(
+    policy: ArenaPolicy, arena: Any, width_kernel: Callable[..., np.ndarray]
+) -> Callable[[], np.ndarray]:
+    """``policy``'s rule as an arena kernel over ``arena``'s columns.
+
+    A :class:`~repro.core.policies.LeftmostPolicy` is
+    :func:`select_frontier`, cut to its ``limit`` when it has one; a
+    :class:`~repro.core.policies.WidthPolicy` is ``width_kernel`` (the
+    calling loop's module binding of :func:`select_width`), then
+    :func:`most_urgent` when it caps ``max_processors``.  The policy
+    checked its arguments when it was built.  ``arena`` is either run
+    state: both carry the ``settled`` column and the walk's scratch.
+    """
+    arrays, settled = arena.arrays, arena.settled
+    if isinstance(policy, LeftmostPolicy):
+        limit = policy.limit
+        if limit == math.inf:
+            return lambda: select_frontier(arrays, settled)
+        return lambda: select_frontier(arrays, settled)[:limit]
+    width, cap = policy.width, policy.max_processors
+    budget, walk = arena.budget, arena.walk
+    if cap is None:
+        return lambda: width_kernel(arrays, settled, width, budget, walk)
+
+    def select_bounded() -> np.ndarray:
+        leaves = width_kernel(arrays, settled, width, budget, walk)
+        return most_urgent(leaves, width - budget[leaves], width, cap)
+
+    return select_bounded
 
 
 def run_solve(
     arrays: CanonicalArrays,
-    selection: Selection,
+    policy: ArenaPolicy,
     evaluate: LeafEvaluator,
     *,
     keep_batches: bool,
@@ -200,11 +230,11 @@ def run_solve(
 ) -> EvalResult:
     """The Boolean arena run — ``run_boolean``'s step driver over columns.
 
-    ``evaluate`` is the only seam between executors: the inline engines
-    below pass ``arrays.values.take`` (a gather from the lowered
-    column), a :class:`~repro.core.shm.ShmSession` passes its pool.
+    ``policy`` is the selection rule, as on rescan.  ``evaluate`` is
+    the only seam between executors: :func:`arena_solve` passes
+    ``arrays.values.take`` (a gather from the lowered column), a
+    :class:`~repro.core.shm.ShmSession` passes its pool.
     """
-    policy_name, select = selection
     arena = _BooleanArena(arrays)
     node_ids = arrays.node_ids
 
@@ -213,131 +243,30 @@ def run_solve(
         return node_ids[batch_idx].tolist(), None
 
     trace, evaluated = run_steps(
-        SOLVE, policy_name, lambda: select(arena), apply,
+        SOLVE, policy, arena_selector(policy, arena, select_width), apply,
         lambda: arena.settled[0],
         keep_batches=keep_batches, max_steps=max_steps, recorder=recorder,
     )
     return EvalResult(int(arena.value[0]), trace, evaluated)
 
 
-# -- selection --------------------------------------------------------------
-def width_selection(
-    width: int, max_processors: Optional[int] = None
-) -> Selection:
-    """Parallel SOLVE's width-``width`` selection.
-
-    With ``max_processors`` the per-step batch is capped at the most
-    urgent leaves, exactly like
-    :class:`~repro.core.policies.WidthPolicy` with ``max_processors``.
-    """
-    width = check_count(width, 0, "width must be >= 0")
-    if max_processors is None:
-
-        def select(arena: _BooleanArena) -> np.ndarray:
-            return select_width(
-                arena.arrays, arena.settled, width, arena.budget, arena.walk
-            )
-
-        return f"parallel-solve(w={width}, arena)", select
-
-    processors = check_count(
-        max_processors, 1, "need at least one processor"
-    )
-
-    def select_bounded(arena: _BooleanArena) -> np.ndarray:
-        leaves = select_width(
-            arena.arrays, arena.settled, width, arena.budget, arena.walk
-        )
-        scores = width - arena.budget[leaves]
-        return most_urgent(leaves, scores, width, processors)
-
-    return (
-        f"parallel-solve(w={width}, p={processors}, arena)",
-        select_bounded,
-    )
-
-
-def team_selection(processors: int) -> Selection:
-    """Team SOLVE's selection: the leftmost ``processors`` live leaves."""
-    processors = check_count(
-        processors, 1, "Team SOLVE needs at least one processor"
-    )
-
-    def select(arena: _BooleanArena) -> np.ndarray:
-        return select_frontier(arena.arrays, arena.settled)[:processors]
-
-    return f"team-solve(p={processors}, arena)", select
-
-
-def saturation_selection() -> Selection:
-    """Saturation SOLVE's selection: every live leaf."""
-
-    def select(arena: _BooleanArena) -> np.ndarray:
-        return select_frontier(arena.arrays, arena.settled)
-
-    return "saturation-solve(arena)", select
-
-
-# -- inline engines ---------------------------------------------------------
-def _run_inline(
+def arena_solve(
     tree: GameTree,
-    selection: Selection,
+    policy: ArenaPolicy,
     *,
-    keep_batches: bool,
-    recorder: Optional[Recorder],
-    max_steps: Optional[int],
+    keep_batches: bool = False,
+    recorder: Optional[Recorder] = None,
+    max_steps: Optional[int] = None,
 ) -> EvalResult:
+    """Run a Boolean selection ``policy`` on the arena backend.
+
+    ``WidthPolicy(w)`` is Parallel SOLVE of width w (with
+    ``max_processors``, the bounded machine), ``LeftmostPolicy(p)``
+    Team SOLVE and ``LeftmostPolicy()`` saturation.  Leaves are
+    evaluated inline, by a gather from the lowered ``values`` column.
+    """
     arrays = canonical_arrays(tree)
     return run_solve(
-        arrays, selection, arrays.values.take,
-        keep_batches=keep_batches, recorder=recorder, max_steps=max_steps,
-    )
-
-
-def arena_parallel_solve(
-    tree: GameTree,
-    width: int = 1,
-    *,
-    max_processors: Optional[int] = None,
-    keep_batches: bool = False,
-    recorder: Optional[Recorder] = None,
-    max_steps: Optional[int] = None,
-) -> EvalResult:
-    """Parallel SOLVE of width ``width`` on the arena backend.
-
-    With ``max_processors`` the per-step batch is capped at the most
-    urgent leaves (see :func:`width_selection`).
-    """
-    return _run_inline(
-        tree, width_selection(width, max_processors),
-        keep_batches=keep_batches, recorder=recorder, max_steps=max_steps,
-    )
-
-
-def arena_team_solve(
-    tree: GameTree,
-    processors: int,
-    *,
-    keep_batches: bool = False,
-    recorder: Optional[Recorder] = None,
-    max_steps: Optional[int] = None,
-) -> EvalResult:
-    """Team SOLVE (leftmost ``processors`` live leaves) on the arena."""
-    return _run_inline(
-        tree, team_selection(processors),
-        keep_batches=keep_batches, recorder=recorder, max_steps=max_steps,
-    )
-
-
-def arena_saturation_solve(
-    tree: GameTree,
-    *,
-    keep_batches: bool = False,
-    recorder: Optional[Recorder] = None,
-    max_steps: Optional[int] = None,
-) -> EvalResult:
-    """Saturation SOLVE (every live leaf each step) on the arena."""
-    return _run_inline(
-        tree, saturation_selection(),
+        arrays, policy, arrays.values.take,
         keep_batches=keep_batches, recorder=recorder, max_steps=max_steps,
     )

@@ -11,14 +11,16 @@ Width 0 coincides with Sequential SOLVE.  On a uniform tree of height
 n, width 1 uses at most n + 1 processors and achieves a speed-up of
 c(n+1) over Sequential SOLVE on *every* instance (Theorem 1).
 
-Two step-for-step identical backends implement the selection.  The
-default ``"rescan"`` backend recomputes it with a budgeted DFS every
-step (:func:`repro.core.policies.budgeted_walk`), the literal reading
-of the paper's definition.  ``"arena"`` runs the same rules as
-vectorised sweeps over the lowered tree (:mod:`repro.core.arena`); it
-is the default for the bounded machine, where re-walking the whole
-width-w region every step to feed ``max_processors`` leaves costs
-most.
+A selection policy (:class:`~repro.core.policies.WidthPolicy`) is the
+rule; a backend is how the rule is run, and an executor is where the
+leaves are evaluated.  Two step-for-step identical backends run it.
+The default ``"rescan"`` backend recomputes the selection with a
+budgeted DFS every step (:func:`repro.core.policies.budgeted_walk`),
+the literal reading of the paper's definition.  ``"arena"`` runs the
+same policy as vectorised sweeps over the lowered tree
+(:mod:`repro.core.arena`); it is the default for the bounded machine,
+where re-walking the whole width-w region every step to feed
+``max_processors`` leaves costs most.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from ..telemetry import Recorder
 from ..trees.base import GameTree
 from ..trees.lazy import LazyTree
 from ..types import TreeKind
-from .arena import arena_parallel_solve, arena_saturation_solve
+from .arena import arena_solve
 from .policies import LeftmostPolicy, WidthPolicy
 from .solve_engine import run_boolean
 
@@ -69,19 +71,20 @@ def resolve_executor(executor: str) -> str:
 class Route(NamedTuple):
     """Where one solver entry point runs on each backend and executor.
 
-    Every route takes the engine's own arguments (``*args`` and
-    ``**params`` of :func:`dispatch`) unchanged.
+    ``policy`` alone reads the engine's own arguments (``*args`` and
+    ``**params`` of :func:`dispatch`); every path then takes the
+    policy object it built.
     """
 
     #: Engine name carried by :class:`~repro.errors.BackendUnsupportedError`.
     engine: str
     #: Tree kind the engine needs (``None``: any kind).
     kind: Optional[TreeKind]
-    #: The rescan selection-policy factory.
+    #: The selection-policy class, built once per call.
     policy: Callable[..., Any]
     #: The object-graph step loop (``run_boolean`` or ``run_minmax``).
     run: Callable[..., EvalResult]
-    #: The arena engine, which evaluates leaves inline.
+    #: The inline arena entry (``arena_solve`` or ``arena_alpha_beta``).
     arena: Callable[..., EvalResult]
     #: The :class:`~repro.core.shm.ShmSession` method running the same
     #: arena loop with the session's pool as leaf evaluator.
@@ -114,12 +117,15 @@ def dispatch(
     feed a few leaves; rescan for every other run.  A
     :class:`~repro.trees.lazy.LazyTree` counts as growing: lowering it
     would generate every node.  Both backends give the same batches.
-    Then:
+    Then it builds ``route.policy(*args, **params)`` once and hands that
+    object to the path that runs:
 
-    * ``rescan``: a selection policy plus the object-graph step loop;
-    * ``arena``: the arena step loop, leaves evaluated inline;
+    * ``rescan``: the object-graph step loop (``route.run``);
+    * ``arena``: the arena step loop, leaves evaluated inline
+      (``route.arena``);
     * ``arena`` + ``shm``: a :class:`~repro.core.shm.ShmSession` running
-      the same arena loop with its worker pool as leaf evaluator.
+      the same arena loop with its worker pool as leaf evaluator
+      (``route.session``).
     """
     engine = route.engine
     if backend is None:
@@ -143,9 +149,8 @@ def dispatch(
             f"which the arena never builds); use backend='rescan'",
             engine=engine, backend=backend, executor=executor,
         )
-    # Building the policy checks the engine's arguments, with the same
-    # messages on every backend; the arena builds it for that check
-    # alone.
+    # The policy is the only reader of the engine's arguments: building
+    # it checks them, with the same messages on every backend.
     policy = route.policy(*args, **params)
     if route.kind is not None and tree.kind is not route.kind:
         raise TreeStructureError(
@@ -159,26 +164,26 @@ def dispatch(
         )
     if executor == "inline":
         return route.arena(
-            tree, *args,
-            keep_batches=keep_batches, recorder=recorder, **params,
+            tree, policy, keep_batches=keep_batches, recorder=recorder
         )
     from .shm import ShmSession
 
     with ShmSession(tree, shm_options, recorder=recorder) as session:
-        run = getattr(session, route.session)
-        return run(*args, keep_batches=keep_batches, **params)
+        return getattr(session, route.session)(
+            policy, keep_batches=keep_batches
+        )
 
 
 _PARALLEL_SOLVE = Route(
     "parallel-solve", TreeKind.BOOLEAN,
     WidthPolicy,
-    run_boolean, arena_parallel_solve, "parallel_solve",
+    run_boolean, arena_solve, "solve",
 )
 
 _SATURATION_SOLVE = Route(
     "saturation-solve", TreeKind.BOOLEAN,
     LeftmostPolicy,
-    run_boolean, arena_saturation_solve, "saturation_solve",
+    run_boolean, arena_solve, "solve",
 )
 
 

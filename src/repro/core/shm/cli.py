@@ -8,8 +8,9 @@ Three modes:
   speedup over p=1, and the paper's ``c.(n+1)`` step-count speedup
   for the same instance (Theorem 1's hardware shadow);
 * ``--check`` — no clocks: assert the shm executor replays the serial
-  arena's value and per-step batches bit-identically at every worker
-  count and chunk size requested;
+  arena's value and per-step batches bit-identically, for Parallel
+  SOLVE and parallel alpha-beta (the session's two step loops), at
+  every worker count and chunk size requested;
 * ``--quick`` — the CI canary: a small tree, p=2, identity only.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 
+from ..policies import WidthPolicy
 from .engine import ShmOptions, ShmSession
 from .oracle import CalibratedOracle
 
@@ -67,28 +69,32 @@ def _tree(args: argparse.Namespace):
 
 
 def _check(tree, width, p_grid, chunk_sizes) -> int:
+    """Parallel SOLVE and parallel alpha-beta (the session's two loops)
+    on shm against the inline arena, at every worker count and chunk
+    size."""
     from .. import parallel_solve
+    from ..alphabeta import parallel_alpha_beta
 
-    reference = parallel_solve(
-        tree, width, keep_batches=True, backend="arena"
-    )
-    signature = (
-        reference.value, reference.trace.degrees,
-        reference.trace.batches,
-    )
     cells = 0
-    for p in p_grid:
-        for chunk in chunk_sizes:
-            shm = parallel_solve(
-                tree, width, keep_batches=True, backend="arena",
-                executor="shm",
-                shm_options=ShmOptions(workers=p, chunk_size=chunk),
-            )
-            got = (shm.value, shm.trace.degrees, shm.trace.batches)
-            if got != signature:
-                print(f"MISMATCH at p={p} chunk={chunk}")
-                return 1
-            cells += 1
+    # SOLVE runs last: the summary line reports its reference.
+    for engine in (parallel_alpha_beta, parallel_solve):
+        reference = engine(tree, width, keep_batches=True, backend="arena")
+        signature = (
+            reference.value, reference.trace.degrees,
+            reference.trace.batches,
+        )
+        for p in p_grid:
+            for chunk in chunk_sizes:
+                shm = engine(
+                    tree, width, keep_batches=True, backend="arena",
+                    executor="shm",
+                    shm_options=ShmOptions(workers=p, chunk_size=chunk),
+                )
+                got = (shm.value, shm.trace.degrees, shm.trace.batches)
+                if got != signature:
+                    print(f"MISMATCH at p={p} chunk={chunk}")
+                    return 1
+                cells += 1
     print(
         f"ok — {cells} shm cells identical to the serial arena "
         f"(value={reference.value}, steps={reference.num_steps}, "
@@ -129,14 +135,14 @@ def run_shm(args: argparse.Namespace) -> int:
         f"steps (sequential: {sequential.num_steps})"
     )
     print(f"{'p':>4} {'seconds':>9} {'speedup':>8} {'efficiency':>11}")
+    policy = WidthPolicy(args.width)
     base = None
     for p in p_grid:
         with ShmSession(
             tree, ShmOptions(workers=p, oracle=oracle)
         ) as session:
             seconds = best_of(
-                lambda: session.parallel_solve(args.width),
-                args.repeats,
+                lambda: session.solve(policy), args.repeats
             )
         if base is None:
             base = seconds

@@ -16,8 +16,12 @@ Wall-clock numbers (:class:`ShmRunResult.oracle_seconds` /
 ``total_seconds`` and the runtime stats) are where real hardware shows
 up.
 
-A :class:`ShmSession` owns the published segments and the pool for one
-tree and can run any number of engines over them (e28 runs the whole
+The executor is only where leaves are evaluated: a session has one
+method per arena loop, :meth:`ShmSession.solve` and
+:meth:`ShmSession.alpha_beta`, each taking the engine's selection
+policy, the object rescan and the inline arena run too.  A
+:class:`ShmSession` owns the published segments and the pool for one
+tree and can run any number of policies over them (e28 runs the whole
 speed-up curve in one session); the solver entry points open one
 session per call for ``executor="shm"``.  The worker processes
 outlive a clean session: the next session with the same worker count
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,15 +43,11 @@ from ...telemetry import Recorder, live, record_runtime_stats
 from ...trees.base import GameTree
 from ...trees.canonical import canonical_arrays
 from ..arena.alphabeta import run_alpha_beta
-from ..arena.boolean import (
-    run_solve,
-    saturation_selection,
-    team_selection,
-    width_selection,
-)
+from ..arena.boolean import ArenaPolicy, run_solve
 
-# Unused here (selection runs in the arena modules), but the perfbench
-# tracer (perfbench/tracing.py) patches these names on this module.
+# Never called here: selection runs in the arena modules, so patching
+# these names changes nothing.  They stay only because perfbench's patch
+# table names them and tests/test_perfbench_patch_table.py requires them.
 from ..arena.selection import most_urgent, select_frontier, select_width  # noqa: F401
 from .pool import ExecutorFactory, LeafOracle, ShmPool
 from .segments import ArenaSegments
@@ -185,7 +185,8 @@ class ShmSession:
     def _run(
         self,
         loop: Callable[..., EvalResult],
-        *args: Any,
+        policy: ArenaPolicy,
+        *,
         keep_batches: bool,
         max_steps: Optional[int],
     ) -> ShmRunResult:
@@ -207,7 +208,7 @@ class ShmSession:
 
         start = time.perf_counter()  # lint: disable=R7
         result = loop(
-            self.arrays, *args, evaluate,
+            self.arrays, policy, evaluate,
             keep_batches=keep_batches, recorder=rec, max_steps=max_steps,
         )
         if rec is not None and rec.wallclock:
@@ -222,54 +223,29 @@ class ShmSession:
             total_seconds=time.perf_counter() - start,  # lint: disable=R7
         )
 
-    def parallel_solve(
+    def solve(
         self,
-        width: int = 1,
-        *,
-        max_processors: Optional[int] = None,
-        keep_batches: bool = False,
-        max_steps: Optional[int] = None,
-    ) -> ShmRunResult:
-        """Parallel SOLVE of the given width over the session's pool."""
-        return self._run(
-            run_solve, width_selection(width, max_processors),
-            keep_batches=keep_batches, max_steps=max_steps,
-        )
-
-    def team_solve(
-        self,
-        processors: int,
+        policy: ArenaPolicy,
         *,
         keep_batches: bool = False,
         max_steps: Optional[int] = None,
     ) -> ShmRunResult:
-        """Team SOLVE (leftmost ``processors`` live leaves)."""
+        """Run a Boolean selection ``policy`` over the session's pool
+        (see :func:`~repro.core.arena.boolean.arena_solve`)."""
         return self._run(
-            run_solve, team_selection(processors),
-            keep_batches=keep_batches, max_steps=max_steps,
-        )
-
-    def saturation_solve(
-        self,
-        *,
-        keep_batches: bool = False,
-        max_steps: Optional[int] = None,
-    ) -> ShmRunResult:
-        """Saturation SOLVE (every live leaf each step)."""
-        return self._run(
-            run_solve, saturation_selection(),
-            keep_batches=keep_batches, max_steps=max_steps,
+            run_solve, policy, keep_batches=keep_batches, max_steps=max_steps
         )
 
     def alpha_beta(
         self,
-        width: int = 0,
+        policy: ArenaPolicy,
         *,
         keep_batches: bool = False,
         max_steps: Optional[int] = None,
     ) -> ShmRunResult:
-        """The pruning process of the given width (0 = sequential)."""
+        """The pruning process under ``policy`` over the session's pool
+        (``WidthPolicy(0)``: sequential alpha-beta)."""
         return self._run(
-            run_alpha_beta, width,
+            run_alpha_beta, policy,
             keep_batches=keep_batches, max_steps=max_steps,
         )

@@ -74,8 +74,7 @@ def run_steps(
 
     Each step selects a batch, rejects an empty one with
     :class:`~repro.errors.ModelViolationError` naming ``policy`` (its
-    ``name``, or the policy itself; the arena passes the name), applies
-    it and records it.
+    ``name``, or the policy itself), applies it and records it.
     ``apply`` returns the node ids it processed, in batch order, and
     the number of nodes pruned — ``None`` for models without pruning,
     whose step spans then carry no ``pruned`` attribute.

@@ -15,7 +15,7 @@ from ..models.accounting import EvalResult
 from ..telemetry import Recorder
 from ..trees.base import GameTree
 from ..types import TreeKind
-from .arena import arena_team_solve
+from .arena import arena_solve
 from .parallel_solve import Route, dispatch
 from .policies import LeftmostPolicy
 from .solve_engine import run_boolean
@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _TEAM_SOLVE = Route(
     "team-solve", TreeKind.BOOLEAN,
     LeftmostPolicy,
-    run_boolean, arena_team_solve, "team_solve",
+    run_boolean, arena_solve, "solve",
 )
 
 

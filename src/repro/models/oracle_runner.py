@@ -30,36 +30,26 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from ..core.solve_engine import Policy, run_boolean
 from ..errors import DegradedRunError, ModelViolationError
-from ..models.accounting import ExecutionTrace
+from ..models.accounting import EvalResult
 from ..models.executors import OracleRuntime
 from ..telemetry import Recorder, live, record_runtime_stats
 from ..trees.base import GameTree, NodeId
 
 
 @dataclass
-class OracleRunResult:
-    """Outcome of an oracle-backed run, with wall-clock accounting."""
+class OracleRunResult(EvalResult):
+    """An :class:`~repro.models.accounting.EvalResult` plus the run's
+    wall-clock accounting."""
 
-    value: int
-    trace: ExecutionTrace
     #: wall-clock seconds spent inside oracle batches.
-    oracle_seconds: float
+    oracle_seconds: float = 0.0
     #: wall-clock seconds for the whole run.
-    total_seconds: float
-    evaluated: List[NodeId] = field(default_factory=list)
-
-    @property
-    def num_steps(self) -> int:
-        return self.trace.num_steps
-
-    @property
-    def total_work(self) -> int:
-        return self.trace.total_work
+    total_seconds: float = 0.0
 
 
 def run_with_oracle(

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    arena_parallel_solve,
-    arena_saturation_solve,
-    arena_team_solve,
+    LeftmostPolicy,
+    WidthPolicy,
+    arena_solve,
     parallel_solve,
     saturation_solve,
     team_solve,
@@ -22,6 +22,7 @@ from repro.core.alphabeta import (
     parallel_alpha_beta,
     sequential_alpha_beta,
 )
+from repro.core.alphabeta.engine import run_minmax
 from repro.core.arena import alphabeta as arena_alphabeta
 from repro.core.arena import arena_alpha_beta
 from repro.core.arena import boolean as arena_boolean
@@ -79,8 +80,8 @@ def minmax_tree():
 # ---------------------------------------------------------------------------
 def test_pure_engines_match_rescan(boolean_tree):
     for width in (0, 1, 3):
-        arena = arena_parallel_solve(
-            boolean_tree, width, keep_batches=True
+        arena = arena_solve(
+            boolean_tree, WidthPolicy(width), keep_batches=True
         )
         reference = parallel_solve(
             boolean_tree, width, keep_batches=True, backend="rescan"
@@ -90,8 +91,8 @@ def test_pure_engines_match_rescan(boolean_tree):
 
 
 def test_bounded_single_processor(boolean_tree):
-    arena = arena_parallel_solve(
-        boolean_tree, 2, max_processors=1, keep_batches=True
+    arena = arena_solve(
+        boolean_tree, WidthPolicy(2, max_processors=1), keep_batches=True
     )
     reference = parallel_solve(
         boolean_tree, 2, max_processors=1, keep_batches=True,
@@ -103,12 +104,14 @@ def test_bounded_single_processor(boolean_tree):
 
 def test_team_and_saturation(boolean_tree):
     for procs in (1, 3):
-        arena = arena_team_solve(boolean_tree, procs, keep_batches=True)
+        arena = arena_solve(
+            boolean_tree, LeftmostPolicy(procs), keep_batches=True
+        )
         reference = team_solve(
             boolean_tree, procs, keep_batches=True, backend="rescan"
         )
         assert _signature(arena) == _signature(reference)
-    arena = arena_saturation_solve(boolean_tree, keep_batches=True)
+    arena = arena_solve(boolean_tree, LeftmostPolicy(), keep_batches=True)
     reference = saturation_solve(
         boolean_tree, keep_batches=True, backend="rescan"
     )
@@ -117,12 +120,31 @@ def test_team_and_saturation(boolean_tree):
 
 def test_alpha_beta_widths(minmax_tree):
     for width in (0, 1, 2):
-        arena = arena_alpha_beta(minmax_tree, width, keep_batches=True)
+        arena = arena_alpha_beta(
+            minmax_tree, WidthPolicy(width), keep_batches=True
+        )
         reference = parallel_alpha_beta(
             minmax_tree, width, keep_batches=True, backend="rescan"
         )
         assert _signature(arena) == _signature(reference)
         assert arena.evaluated == reference.evaluated
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        LeftmostPolicy(1), LeftmostPolicy(3), LeftmostPolicy(),
+        WidthPolicy(2, max_processors=2),
+    ],
+    ids=["leftmost-1", "leftmost-3", "leftmost", "width-2-p2"],
+)
+def test_alpha_beta_runs_every_policy_like_rescan(minmax_tree, policy):
+    # The arena's pruning process takes any policy object, as
+    # run_minmax does, through the same selection adapter.
+    arena = arena_alpha_beta(minmax_tree, policy, keep_batches=True)
+    reference = run_minmax(minmax_tree, policy, keep_batches=True)
+    assert _signature(arena) == _signature(reference)
+    assert arena.evaluated == reference.evaluated
 
 
 def test_alpha_beta_width0_is_sequential(minmax_tree):
@@ -134,12 +156,12 @@ def test_alpha_beta_width0_is_sequential(minmax_tree):
 
 def test_max_steps_enforced(boolean_tree):
     with pytest.raises(ModelViolationError):
-        arena_parallel_solve(boolean_tree, 0, max_steps=2)
+        arena_solve(boolean_tree, WidthPolicy(0), max_steps=2)
 
 
 def test_boolean_engine_rejects_minmax(minmax_tree):
     with pytest.raises(TreeStructureError):
-        arena_parallel_solve(minmax_tree, 1)
+        arena_solve(minmax_tree, WidthPolicy(1))
 
 
 def test_nodeexpansion_rejects_arena(boolean_tree):
@@ -172,7 +194,7 @@ def test_on_step_rejected_on_arena(engine, tree_fixture, request):
 
 def test_recorder_streams_match_rescan(boolean_tree):
     arena_rec = InMemoryRecorder()
-    arena_parallel_solve(boolean_tree, 2, recorder=arena_rec)
+    arena_solve(boolean_tree, WidthPolicy(2), recorder=arena_rec)
     rescan_rec = InMemoryRecorder()
     parallel_solve(boolean_tree, 2, backend="rescan", recorder=rescan_rec)
     assert arena_rec.events == rescan_rec.events
@@ -180,7 +202,7 @@ def test_recorder_streams_match_rescan(boolean_tree):
 
 def test_alpha_beta_recorder_has_pruned_spans(minmax_tree):
     rec = InMemoryRecorder()
-    arena_alpha_beta(minmax_tree, 1, recorder=rec)
+    arena_alpha_beta(minmax_tree, WidthPolicy(1), recorder=rec)
     spans = [e for e in rec.events if e.kind == "span"]
     assert spans and all(e.track == "alphabeta" for e in spans)
     assert any(dict(e.attrs).get("pruned", 0) > 0 for e in spans)
@@ -195,7 +217,7 @@ def test_irregular_explicit_tree():
         gates={0: Gate.NAND, 1: Gate.OR, 2: Gate.AND},
     )
     for width in (0, 1, 2):
-        arena = arena_parallel_solve(tree, width, keep_batches=True)
+        arena = arena_solve(tree, WidthPolicy(width), keep_batches=True)
         reference = parallel_solve(
             tree, width, keep_batches=True, backend="rescan"
         )
@@ -397,7 +419,7 @@ def _assert_rounds_match_oracle(tree):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arena_alphabeta._AlphaBetaArena, "_sweep", sweep)
         for width in range(4):
-            arena_alpha_beta(tree, width)
+            arena_alpha_beta(tree, WidthPolicy(width))
     assert rounds
 
 
@@ -474,7 +496,7 @@ def _assert_no_round_after_fixpoint_prunes(tree):
             prune_to_fixpoint,
         )
         for width in range(4):
-            arena_alpha_beta(tree, width)
+            arena_alpha_beta(tree, WidthPolicy(width))
     assert steps
 
 
@@ -510,7 +532,9 @@ def test_fixpoint_rule_on_infinite_gain_trees(name):
 # ---------------------------------------------------------------------------
 def _run_record(tree, width):
     rec = InMemoryRecorder()
-    result = arena_alpha_beta(tree, width, keep_batches=True, recorder=rec)
+    result = arena_alpha_beta(
+        tree, WidthPolicy(width), keep_batches=True, recorder=rec
+    )
     return (
         repr(result.value), result.trace.batches, result.evaluated,
         rec.events,
@@ -657,15 +681,15 @@ def _width_runs(tree):
     """The width-walk engines a tree of this kind runs through."""
     if tree.kind is TreeKind.BOOLEAN:
         for width in range(4):
-            yield arena_parallel_solve, (tree, width), {}
+            yield arena_solve, (tree, WidthPolicy(width)), {}
         for width in (2, 3):
             for procs in (1, 2):
                 yield (
-                    arena_parallel_solve, (tree, width),
-                    {"max_processors": procs},
+                    arena_solve,
+                    (tree, WidthPolicy(width, max_processors=procs)), {},
                 )
     for width in range(4):
-        yield arena_alpha_beta, (tree, width), {}
+        yield arena_alpha_beta, (tree, WidthPolicy(width)), {}
 
 
 def _sweep_finishing_every_cut_node(original):

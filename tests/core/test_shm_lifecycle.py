@@ -19,7 +19,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 import pytest
 
-from repro.core import parallel_solve
+from repro.core import WidthPolicy, parallel_solve
 from repro.core.shm import ArenaSegments, ShmOptions, ShmSession
 from repro.core.shm.pool import _worker_init
 from repro.errors import DegradedRunError, WorkerCrashError
@@ -94,7 +94,7 @@ class TestCleanShutdown:
         before = _dev_shm_entries()
         with ShmSession(tree, ShmOptions(workers=2)) as session:
             names = _session_names(session)
-            result = session.parallel_solve(1)
+            result = session.solve(WidthPolicy(1))
             assert result.num_steps >= 1
             for name in names:
                 assert _live(name)
@@ -131,7 +131,7 @@ class TestCrashRebuild:
             ShmOptions(workers=2, oracle=oracle, backoff_seconds=0.01),
         ) as session:
             names = _session_names(session)
-            result = session.parallel_solve(1)
+            result = session.solve(WidthPolicy(1))
             # The rebuilt pool re-ran the initializer (re-attach) and
             # converged to the exact fault-free result.
             assert session.pool.stats.pool_restarts >= 1
@@ -153,7 +153,7 @@ class TestCrashRebuild:
                 ),
             ) as session:
                 names = _session_names(session)
-                session.parallel_solve(1)
+                session.solve(WidthPolicy(1))
         for name in names:
             assert not _live(name)
         assert _dev_shm_entries() == before
@@ -173,7 +173,7 @@ class TestCrashRebuild:
                 ),
             ) as session:
                 names = _session_names(session)
-                session.parallel_solve(1)
+                session.solve(WidthPolicy(1))
         assert session.pool.stats.timeouts == 1
         assert [
             p for p in multiprocessing.active_children() if p not in before
@@ -196,7 +196,7 @@ class TestDegradedPath:
                 ),
             ) as session:
                 names = _session_names(session)
-                session.parallel_solve(1)
+                session.solve(WidthPolicy(1))
         err = exc_info.value
         assert err.steps_completed == 0
         assert err.pending >= 1
@@ -223,8 +223,8 @@ class TestInProcessAttach:
         with ShmSession(
             tree, ShmOptions(workers=2, executor_factory=factory)
         ) as session:
-            first = session.parallel_solve(1)
-            second = session.parallel_solve(1)
+            first = session.solve(WidthPolicy(1))
+            second = session.solve(WidthPolicy(1))
         assert first.value == second.value == baseline.value
         assert _dev_shm_entries() == before
 

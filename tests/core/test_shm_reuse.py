@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import parallel_solve
+from repro.core import WidthPolicy, parallel_solve
 from repro.core.shm import ShmOptions, ShmSession
 from repro.core.shm import pool as shm_pool
 from repro.errors import DegradedRunError, WorkerCrashError
@@ -134,9 +134,9 @@ class TestReuse:
         other_expected = parallel_solve(other, 2, backend="arena")
         with ShmSession(tree, ShmOptions(workers=2)) as a:
             with ShmSession(other, ShmOptions(workers=2)) as b:
-                ra1 = a.parallel_solve(1)
-                rb = b.parallel_solve(2)
-                ra2 = a.parallel_solve(1)
+                ra1 = a.solve(WidthPolicy(1))
+                rb = b.solve(WidthPolicy(2))
+                ra2 = a.solve(WidthPolicy(1))
             assert len(_children() - before) == 4
         assert ra1.value == ra2.value == expected.value
         assert rb.value == other_expected.value
@@ -160,7 +160,7 @@ class TestReuse:
             spec = session.segments.spec
             names = {spec.values_name, spec.batch_name, spec.out_name}
             before = _children()
-            session.parallel_solve(1)
+            session.solve(WidthPolicy(1))
             # Checked while attached, so the probe is known to see
             # these mappings at all.
             pids = _children() - before
@@ -218,7 +218,7 @@ class TestFailedSetsAreNotReused:
         warm = self._warm(2)
         with pytest.raises(RuntimeError, match="boom"):
             with ShmSession(tree, ShmOptions(workers=2)) as session:
-                session.parallel_solve(1)
+                session.solve(WidthPolicy(1))
                 assert _children() - before == warm
                 raise RuntimeError("boom")
         assert _children() - before == set()

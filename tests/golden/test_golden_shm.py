@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from repro.core import WidthPolicy
 from repro.core.shm import ShmOptions, ShmSession
 from repro.serve.engines import run_algorithm
 
@@ -92,7 +93,7 @@ def test_crash_mid_step_recovers_frozen_value(name, tmp_path):
         tree,
         ShmOptions(workers=2, oracle=oracle, backoff_seconds=0.01),
     ) as session:
-        result = session.parallel_solve(1)
+        result = session.solve(WidthPolicy(1))
         assert session.pool.stats.pool_restarts >= 1, (
             "the crash was supposed to break the pool"
         )

@@ -33,6 +33,15 @@ class TestOracleRunner:
         assert res.trace.degrees == eng.trace.degrees
         assert res.evaluated == eng.evaluated
 
+    def test_result_is_an_eval_result(self):
+        from repro.core import run_boolean
+        from repro.models.accounting import EvalResult
+
+        t = iid_boolean(2, 6, 0.5, seed=2)
+        res = run_with_oracle(t, identity_oracle, WidthPolicy(1), None)
+        assert isinstance(res, EvalResult)
+        assert res.processors == run_boolean(t, WidthPolicy(1)).processors
+
     def test_with_thread_pool(self):
         t = iid_boolean(2, 6, 0.5, seed=3)
         with ThreadPoolExecutor(max_workers=4) as pool:

@@ -19,7 +19,13 @@ from concurrent.futures import ThreadPoolExecutor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import parallel_solve, saturation_solve, team_solve
+from repro.core import (
+    LeftmostPolicy,
+    WidthPolicy,
+    parallel_solve,
+    saturation_solve,
+    team_solve,
+)
 from repro.core.alphabeta import parallel_alpha_beta
 from repro.core.shm import ShmOptions, ShmSession
 from repro.core.shm.pool import _worker_init
@@ -156,9 +162,9 @@ def test_session_reuse_is_stable(spec, width):
         tree, width, keep_batches=True, backend="arena"
     )
     with ShmSession(tree, _inprocess_options()) as session:
-        first = session.parallel_solve(width, keep_batches=True)
-        second = session.parallel_solve(width, keep_batches=True)
-        saturated = session.saturation_solve(keep_batches=True)
+        first = session.solve(WidthPolicy(width), keep_batches=True)
+        second = session.solve(WidthPolicy(width), keep_batches=True)
+        saturated = session.solve(LeftmostPolicy(), keep_batches=True)
     assert _signature(first) == _signature(reference)
     assert _signature(second) == _signature(reference)
     sat_reference = saturation_solve(
